@@ -241,7 +241,8 @@ def _add_common(sub) -> None:
         "--bisect-tol",
         type=float,
         default=None,
-        help=f"distortion bisection tolerance (default {BISECT_TOL}, env SWITCHRD_BISECT_TOL)",
+        help=f"distortion tolerance of the slope search (default {BISECT_TOL}, "
+        f"env SWITCHRD_BISECT_TOL)",
     )
 
 

@@ -1,8 +1,8 @@
 """Rate-distortion computation for a fixed discrete source.
 
 The solver is an alternating-minimization sweep at a fixed trade-off slope
-(bits of rate per unit of distortion, always <= 0) combined with bisection on
-the slope to hit a target distortion. Slope 0 is the zero-rate endpoint; very
+(bits of rate per unit of distortion, always <= 0) combined with a slope
+search that hits a target distortion. Slope 0 is the zero-rate endpoint; very
 large negative slopes pin the distortion to its floor. All operations are
 pure and deterministic.
 """
@@ -20,14 +20,12 @@ from .probcore import (
     TransitionMatrix,
     d_max,
     d_min,
-    expected_distortion,
-    mutual_information,
 )
 
 #: Default bound, in bits, on the certified optimality gap of a fixed-slope
 #: solve: the objective is within this of its minimum when the solve stops.
 BA_TOL = 1e-9
-#: Default tolerance on |achieved distortion - target| in the slope bisection.
+#: Default tolerance on |achieved distortion - target| in the slope search.
 BISECT_TOL = 1e-6
 #: Most negative slope tried before the distortion floor is declared reached.
 SLOPE_FLOOR = -float(2**20)
@@ -256,21 +254,27 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, max_iters, q0=None):
         active = active[~done]
         spent += burst
 
-    # rate and distortion of each iterated row's last channel
     rows = np.nonzero(~corner)[0]
-    joint = ps[rows][:, :, None] * w[rows]
-    marginal = np.einsum("nx,nxy->ny", ps[rows], w[rows])
+    rate[rows], dist[rows] = _rates_and_distortions(ps[rows], w[rows], d_arr)
+    return rate, dist, w, q, converged
+
+
+def _rates_and_distortions(ps, w, d_arr):
+    """Mutual information (bits, floored at 0) and expected distortion of
+    each row's channel ``w[n]`` driven by source ``ps[n]``."""
+    joint = ps[:, :, None] * w
+    marginal = np.einsum("nx,nxy->ny", ps, w)
     mask = joint > 0
     ratio = np.divide(
-        w[rows],
+        w,
         np.maximum(marginal[:, None, :], 1e-300),
         out=np.ones_like(joint),
         where=mask,
     )
     log_ratio = np.log2(ratio, out=np.zeros_like(ratio), where=mask)
-    rate[rows] = np.einsum("nxy,nxy->n", joint, log_ratio)
-    dist[rows] = np.einsum("nxy,xy->n", joint, d_arr)
-    return np.maximum(rate, 0.0), dist, w, q, converged
+    rate = np.einsum("nxy,nxy->n", joint, log_ratio)
+    dist = np.einsum("nxy,xy->n", joint, d_arr)
+    return np.maximum(rate, 0.0), dist
 
 
 def _zero_rate_point(p: Distribution, d: DistortionMatrix) -> RdPoint:
@@ -315,39 +319,122 @@ def ba_fixed_slope(
     return point
 
 
-def _mix_channels(p, d, w_low, w_high, target, slope):
-    """Land exactly on ``target`` along a flat segment by time-sharing the two
-    bracketing channels; expected distortion is linear in the channel."""
-    d_low = expected_distortion(p, TransitionMatrix(w_low), d)
-    d_high = expected_distortion(p, TransitionMatrix(w_high), d)
-    if abs(d_high - d_low) < 1e-300:
-        alpha = 0.0
-    else:
-        alpha = (d_high - target) / (d_high - d_low)
-    alpha = min(max(alpha, 0.0), 1.0)
-    w = TransitionMatrix(alpha * w_low + (1.0 - alpha) * w_high)
-    return RdPoint(
-        expected_distortion(p, w, d), mutual_information(p, w), w, slope
+def _mix_channels(ps, d_arr, w_low, w_high, targets):
+    """Land each row exactly on its target by time-sharing two channels whose
+    distortions bracket it; expected distortion is linear in the channel.
+    Returns (rate, dist, w)."""
+    d_low, d_high = (np.einsum("nx,nxy,xy->n", ps, c, d_arr) for c in (w_low, w_high))
+    span = d_high - d_low
+    alpha = np.divide(
+        d_high - targets, span, out=np.zeros_like(span), where=np.abs(span) >= 1e-300
     )
+    alpha = np.clip(alpha, 0.0, 1.0)[:, None, None]
+    w = alpha * w_low + (1.0 - alpha) * w_high
+    return (*_rates_and_distortions(ps, w, d_arr), w)
 
 
-def _mix_fresh(p, d, lo, hi, target, ba_tol, max_iters) -> float:
-    """Rate of the time-shared channel across a collapsed slope bracket, with
-    both endpoint channels re-solved so neither is stale."""
+def _slope_search(ps, d_arr, targets, tol, ba_tol, max_iters, labels=None):
+    """R_p(D) for a batch of sources, each row at its own reachable target
+    (floor - 1e-12 <= target < ceiling). Returns (rate, dist, w, slope).
 
-    def solve(slope):
-        _, _, w, _, converged = _solve_fixed_slopes(
-            p.probs[None, :], d.values, np.array([slope]), ba_tol, max_iters
+    D(s) is nondecreasing in the slope s, and each row keeps a bracket with
+    D(lo) < target < D(hi). ``lo`` starts at -64 and doubles towards
+    SLOPE_FLOOR until D(lo) is below the target (a row still above
+    ``target - tol`` at SLOPE_FLOOR sits at the floor); ``hi`` is slope 0,
+    the zero-rate corner at the ceiling, which needs no solve. Regula falsi
+    on D - target shrinks the bracket until a probe lands within ``tol`` of
+    the target. A bracket that collapses, or is still open after 200 steps,
+    time-shares the last channels of its two sides.
+
+    Each probe warm-starts from its own row's previous one, so a row's answer
+    does not depend on the rest of the batch. A probe that does not certify a
+    ``ba_tol`` gap within ``max_iters`` iterations raises ConvergenceError
+    with that row's last iterate; ``labels`` names the rows in its message.
+    """
+    m = ps.shape[0]
+    q_warm = np.zeros((m, d_arr.shape[1]))
+
+    def solve(rows, slopes, warm):
+        rate, dist, w, q, converged = _solve_fixed_slopes(
+            ps[rows], d_arr, slopes, ba_tol, max_iters, q0=warm
         )
-        if not converged[0]:
-            raise ConvergenceError(
-                f"no convergence within {max_iters} iterations at slope {slope}"
+        if not converged.all():
+            i = int(np.argmin(converged))
+            at = RdPoint(
+                float(dist[i]), float(rate[i]), TransitionMatrix(w[i]), slopes[i]
             )
-        return w[0]
+            row = "" if labels is None else f" for batch row {labels[rows[i]]}"
+            raise ConvergenceError(
+                f"no convergence within {max_iters} iterations at slope "
+                f"{slopes[i]}{row}",
+                last_point=at,
+            )
+        q_warm[rows] = q
+        return rate, dist, w
 
-    w_lo = solve(lo)
-    w_hi = _zero_rate_point(p, d).channel.rows if hi == 0.0 else solve(hi)
-    return _mix_channels(p, d, w_lo, w_hi, target, 0.5 * (lo + hi)).rate
+    slope = np.full(m, -64.0)
+    rate, dist, w = solve(np.arange(m), slope, None)
+    widen = dist > targets + tol
+    while widen.any():
+        rows = np.nonzero(widen)[0]
+        slope[rows] = np.maximum(2.0 * slope[rows], SLOPE_FLOOR)
+        rate[rows], dist[rows], w[rows] = solve(rows, slope[rows], q_warm[rows])
+        widen = (dist > targets + tol) & (slope > SLOPE_FLOOR)
+    # rows at the floor, or already within tol of the target, are finished
+    finished = (np.abs(dist - targets) <= tol) | (dist > targets)
+    searching = ~finished
+
+    # the bracket's two sides, below (0) and above (1) the target: slopes,
+    # D - target, regula falsi weights and converged channels
+    costs = ps @ d_arr
+    ends = np.stack([slope, np.zeros(m)])
+    vals = np.stack([dist - targets, costs.min(axis=1) - targets])
+    weights = vals.copy()
+    chans = np.stack([w, np.zeros_like(w)])
+    chans[1, np.arange(m), :, np.argmin(costs, axis=1)] = 1.0
+    last = np.full(m, -1)  # the side that moved last
+    for _ in range(200):
+        rows = np.nonzero(searching)[0]
+        if not rows.size:
+            break
+        lo, hi = ends[:, rows]
+        g_lo, g_hi = weights[:, rows]
+        # interpolated in t = 2^s, in which D is close to linear near the
+        # floor (D - floor falls like 2^(s * gap) as s -> -inf)
+        t = np.exp2(lo) + (np.exp2(hi) - np.exp2(lo)) * g_lo / (g_lo - g_hi)
+        with np.errstate(divide="ignore"):
+            s = np.log2(t)
+        # a probe rounded onto a side falls back to the midpoint
+        s = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
+        rate_s, dist_s, w_s = solve(rows, s, q_warm[rows])
+        f = dist_s - targets[rows]
+        hit = np.abs(f) <= tol
+        won = rows[hit]
+        rate[won], dist[won], w[won], slope[won] = (
+            rate_s[hit], dist_s[hit], w_s[hit], s[hit]
+        )
+        finished[won] = True
+        rows, s, f, w_s = rows[~hit], s[~hit], f[~hit], w_s[~hit]
+        side = (f > 0.0).astype(int)
+        # when one side moves twice in a row, the other side's weight is
+        # scaled by 1 - f_new / f_old (Anderson & Bjorck), or halved
+        # (Illinois) where that factor is not positive
+        twice = last[rows] == side
+        scale = 1.0 - f[twice] / vals[side[twice], rows[twice]]
+        weights[1 - side[twice], rows[twice]] *= np.where(scale > 0.0, scale, 0.5)
+        ends[side, rows], vals[side, rows], weights[side, rows] = s, f, f
+        chans[side, rows] = w_s
+        last[rows] = side
+        width = ends[1] - ends[0]
+        searching &= ~finished & (width > 1e-13 * np.maximum(1.0, -ends[0]))
+    # a collapsed bracket, or one still open at the cap: the solver's
+    # distortion resolution is coarser than tol there, so time-share its sides
+    mix = np.nonzero(~finished)[0]
+    rate[mix], dist[mix], w[mix] = _mix_channels(
+        ps[mix], d_arr, chans[0, mix], chans[1, mix], targets[mix]
+    )
+    slope[mix] = ends[:, mix].mean(axis=0)
+    return rate, dist, w, slope
 
 
 def rate_at_distortion(
@@ -361,69 +448,38 @@ def rate_at_distortion(
 ) -> RdPoint:
     """Rate (bits) needed to reproduce source ``p`` within distortion ``target``.
 
-    Bisects the slope until the achieved distortion is within ``tol`` of the
-    target. Targets at or above the zero-rate ceiling return rate 0; targets
-    below the distortion floor raise InfeasibleError. A target equal to the
-    floor is reached through the large-slope limit rather than a special case.
+    A batch of one for the slope search, which stops once the achieved
+    distortion is within ``tol`` of the target. Targets at or above the
+    zero-rate ceiling return rate 0; targets below the distortion floor raise
+    InfeasibleError. A target equal to the floor is reached through the
+    large-slope limit rather than a special case.
     """
     if target < 0:
         raise ValidationError("distortion target must be nonnegative")
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     floor = d_min(p, d)
-    ceiling = d_max(p, d)
     if target < floor - 1e-12:
         raise InfeasibleError(
             f"target distortion {target} is below the floor {floor}",
             lhs=target,
             rhs=floor,
         )
-    if target >= ceiling:
-        return _zero_rate_point(p, d)
+    return _points_at(p, d, np.array([float(target)]), tol, ba_tol, max_iters)[0]
 
-    def solve(slope, warm):
-        rate, dist, w, q, converged = _solve_fixed_slopes(
-            p.probs[None, :], d.values, np.array([slope]), ba_tol, max_iters, q0=warm
-        )
-        if not converged[0]:
-            raise ConvergenceError(
-                f"no convergence within {max_iters} iterations at slope {slope}",
-                last_point=RdPoint(
-                    float(dist[0]), float(rate[0]), TransitionMatrix(w[0]), slope
-                ),
-            )
-        return float(rate[0]), float(dist[0]), w[0], q
 
-    lo = -64.0
-    r_lo, d_lo, w_lo, q_warm = solve(lo, None)
-    while d_lo > target + tol and lo > SLOPE_FLOOR:
-        lo = max(2.0 * lo, SLOPE_FLOOR)
-        r_lo, d_lo, w_lo, q_warm = solve(lo, q_warm)
-    if abs(d_lo - target) <= tol or d_lo > target:
-        # target sits at the distortion floor to within working precision
-        return RdPoint(d_lo, r_lo, TransitionMatrix(w_lo), lo)
-
-    hi = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r_mid, d_mid, w_mid, q_warm = solve(mid, q_warm)
-        if abs(d_mid - target) <= tol:
-            return RdPoint(d_mid, r_mid, TransitionMatrix(w_mid), mid)
-        if d_mid > target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13 * max(1.0, -lo):
-            break
-    # the solver's distortion resolution is coarser than tol: time-share the
-    # two sides of the (now tiny) bracket, re-solved fresh so neither channel
-    # is stale
-    _, _, w_lo, q_warm = solve(lo, q_warm)
-    if hi == 0.0:
-        w_hi = _zero_rate_point(p, d).channel.rows
-    else:
-        _, _, w_hi, q_warm = solve(hi, q_warm)
-    return _mix_channels(p, d, w_lo, w_hi, target, 0.5 * (lo + hi))
+def _points_at(p, d, targets, tol, ba_tol, max_iters):
+    """``rate_at_distortion`` of one source at each target (none below the
+    floor), all searched side by side."""
+    points = [_zero_rate_point(p, d)] * len(targets)
+    rows = np.nonzero(targets < d_max(p, d))[0]
+    found = _slope_search(
+        np.tile(p.probs, (rows.size, 1)), d.values, targets[rows], tol, ba_tol,
+        max_iters,
+    )
+    for i, rate, dist, w, slope in zip(rows, *found):
+        points[i] = RdPoint(float(dist), float(rate), TransitionMatrix(w), float(slope))
+    return points
 
 
 def rd_curve(
@@ -435,11 +491,14 @@ def rd_curve(
     ba_tol: float = BA_TOL,
 ) -> RdCurve:
     """Rate-distortion curve sampled at ``num_points`` distortions linearly
-    spaced across the interesting range [floor, ceiling]."""
+    spaced across the interesting range [floor, ceiling]. Each point is the
+    one ``rate_at_distortion`` returns at its target."""
     if num_points < 2:
         raise ValidationError("need at least two curve points")
+    if tol <= 0:
+        raise ValidationError("tolerance must be positive")
     targets = np.linspace(d_min(p, d), d_max(p, d), num_points)
-    points = [rate_at_distortion(p, d, float(t), tol, ba_tol=ba_tol) for t in targets]
+    points = _points_at(p, d, targets, tol, ba_tol, _MAX_ITERS)
     points.sort(key=lambda pt: pt.distortion)
     return RdCurve(p, tuple(points))
 
@@ -453,82 +512,23 @@ def rates_at_distortion_batch(
     ba_tol: float = BA_TOL,
     max_iters: int = 50_000,
 ) -> np.ndarray:
-    """Rates for many sources at one target distortion, solved side by side.
+    """Rates for many sources at one target distortion, searched side by side.
 
     Rows whose distortion floor exceeds the target get +inf (no channel can
     reach the target for them); rows whose ceiling is at or below the target
-    get 0. This is the workhorse behind grid searches over sources.
+    get 0. The rest share one slope search, which stops each row once its
+    distortion is within ``tol`` of the target. This is the workhorse behind
+    grid searches over sources.
     """
     ps = np.asarray(ps, dtype=float)
-    n = ps.shape[0]
     d_arr = d.values
-    rates = np.zeros(n)
+    rates = np.zeros(ps.shape[0])
     floors = ps @ d_arr.min(axis=1)
     ceilings = (ps @ d_arr).min(axis=1)
     rates[target < floors - 1e-12] = np.inf
-    active = (target >= floors - 1e-12) & (target < ceilings)
-    if not active.any():
-        return rates
-
-    idx = np.nonzero(active)[0]
-    sub = ps[idx]
-    m = len(idx)
-    lo = np.full(m, -64.0)
-    hi = np.zeros(m)
-    # each row's bisection warm-starts from its own previous probe only, so
-    # a row's answer does not depend on which other rows share the batch
-    q_warm = np.zeros((m, d_arr.shape[1]))
-
-    def solve(rows, slopes, warm):
-        rate, dist, _, q, converged = _solve_fixed_slopes(
-            sub[rows], d_arr, slopes, ba_tol, max_iters, q0=warm
-        )
-        if not converged.all():
-            bad = int(np.nonzero(~converged)[0][0])
-            raise ConvergenceError(
-                f"no convergence within {max_iters} iterations at slope "
-                f"{slopes[bad]} for batch row {idx[rows[bad]]}"
-            )
-        q_warm[rows] = q
-        return rate, dist
-
-    rate_lo, dist_lo = solve(np.arange(m), lo, None)
-    widen = dist_lo > target + tol
-    while widen.any():
-        rows = np.nonzero(widen)[0]
-        lo[rows] = np.maximum(2.0 * lo[rows], SLOPE_FLOOR)
-        rate_lo[rows], dist_lo[rows] = solve(rows, lo[rows], q_warm[rows])
-        widen = (dist_lo > target + tol) & (lo > SLOPE_FLOOR)
-
-    out = np.zeros(m)
-    # rows already at the floor (or within tol of the target) are finished
-    done = (np.abs(dist_lo - target) <= tol) | (dist_lo > target)
-    out[done] = rate_lo[done]
-
-    for _ in range(200):
-        rows = np.nonzero(~done)[0]
-        if not rows.size:
-            break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        rate_mid, dist_mid = solve(rows, mid, q_warm[rows])
-        hit = np.abs(dist_mid - target) <= tol
-        out[rows[hit]] = rate_mid[hit]
-        done[rows[hit]] = True
-        go_hi = ~hit & (dist_mid > target)
-        go_lo = ~hit & ~go_hi
-        hi[rows[go_hi]] = mid[go_hi]
-        lo[rows[go_lo]] = mid[go_lo]
-        open_rows = rows[~hit]
-        width = hi[open_rows] - lo[open_rows]
-        for r in open_rows[width <= 1e-13 * np.maximum(1.0, -lo[open_rows])]:
-            out[r] = _mix_fresh(
-                Distribution(sub[r]), d, lo[r], hi[r], target, ba_tol, max_iters
-            )
-            done[r] = True
-    for r in np.nonzero(~done)[0]:
-        # bracket still open after the iteration cap: time-share what we have
-        out[r] = _mix_fresh(
-            Distribution(sub[r]), d, lo[r], hi[r], target, ba_tol, max_iters
-        )
-    rates[idx] = out
+    idx = np.nonzero((target >= floors - 1e-12) & (target < ceilings))[0]
+    rates[idx] = _slope_search(
+        ps[idx], d_arr, np.full(idx.size, float(target)), tol, ba_tol, max_iters,
+        labels=idx,
+    )[0]
     return rates

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import GuardError, ValidationError
 from .probcore import Distribution, SourceList
@@ -257,6 +256,10 @@ def hull_member(p: Distribution, sources: SourceList, tol: float = 1e-8) -> bool
         raise ValidationError("hull membership is defined for independent sources")
     if p.size != sources.alphabet_size:
         raise ValidationError("distribution and sources use different alphabets")
+    # scipy costs a large share of the package's import time, and only this
+    # function needs it
+    from scipy.optimize import nnls
+
     rows = sources.as_array()
     a = np.vstack([rows.T, np.ones(rows.shape[0])])
     b = np.append(p.probs, 1.0)

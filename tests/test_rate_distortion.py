@@ -241,3 +241,77 @@ class TestBatch:
         ps = np.array([[0.9, 0.1]])
         rates = rates_at_distortion_batch(ps, HAMMING, 0.5)
         assert rates[0] == 0.0
+
+    def test_non_convergence_reports_last_iterate_and_caller_row(self):
+        # row 0 is at its ceiling and never searched, so the failing row is
+        # row 1 of the caller's batch
+        ps = np.array([[0.9, 0.1], [0.3, 0.7]])
+        with pytest.raises(ConvergenceError, match="batch row 1") as err:
+            rates_at_distortion_batch(ps, HAMMING, 0.2, ba_tol=1e-15, max_iters=2)
+        assert err.value.last_point is not None
+        assert err.value.last_point.rate >= 0.0
+
+
+def kary_uniform_rd(k, target):
+    """Closed form for the uniform k-ary source under Hamming distortion."""
+    if target >= 1 - 1 / k:
+        return 0.0
+    return math.log2(k) - h2(target) - target * math.log2(k - 1)
+
+
+# (source, distortion, closed form of R at a distortion)
+CLOSED_FORMS = [
+    (Distribution([0.5, 0.5]), HAMMING, lambda t: binary_rd(0.5, t)),
+    (Distribution([0.8, 0.2]), HAMMING, lambda t: binary_rd(0.2, t)),
+    (
+        Distribution([1 / 3] * 3),
+        DistortionMatrix.hamming(3),
+        lambda t: kary_uniform_rd(3, t),
+    ),
+    (
+        Distribution([0.25] * 4),
+        DistortionMatrix.hamming(4),
+        lambda t: kary_uniform_rd(4, t),
+    ),
+]
+
+
+class TestSlopeSearch:
+    @pytest.mark.parametrize("p, d, closed_form", CLOSED_FORMS)
+    @pytest.mark.parametrize("frac", [0.01, 0.2, 0.5, 0.9, 0.999])
+    def test_lands_on_target_and_closed_form(self, p, d, closed_form, frac):
+        floor, ceiling = d_min(p, d), d_max(p, d)
+        target = floor + frac * (ceiling - floor)
+        tol = 1e-6
+        pt = rate_at_distortion(p, d, target, tol)
+        assert abs(pt.distortion - target) <= tol
+        assert pt.rate == pytest.approx(closed_form(pt.distortion), abs=1e-8)
+
+    @pytest.mark.parametrize("p, d", [case[:2] for case in CLOSED_FORMS])
+    def test_batch_of_one_is_the_scalar(self, p, d):
+        target = d_min(p, d) + 0.3 * (d_max(p, d) - d_min(p, d))
+        batch = rates_at_distortion_batch(p.probs[None, :], d, target)
+        assert batch[0] == rate_at_distortion(p, d, target).rate
+
+    @pytest.mark.parametrize("p, d", [case[:2] for case in CLOSED_FORMS])
+    def test_curve_points_are_scalar_points(self, p, d):
+        curve = rd_curve(p, d, 9)
+        targets = np.linspace(d_min(p, d), d_max(p, d), 9)
+        for pt, target in zip(curve.points, targets):
+            scalar = rate_at_distortion(p, d, float(target))
+            assert (pt.distortion, pt.rate) == (scalar.distortion, scalar.rate)
+
+    @pytest.mark.parametrize("p, d", [case[:2] for case in CLOSED_FORMS])
+    def test_below_floor_raises_and_ceiling_is_rate_zero(self, p, d):
+        shifted = DistortionMatrix(d.values + 1.0)
+        with pytest.raises(InfeasibleError):
+            rate_at_distortion(p, shifted, d_min(p, shifted) - 1e-6)
+        assert rate_at_distortion(p, d, d_max(p, d)).rate == 0.0
+
+    def test_non_convergence_reports_last_iterate(self):
+        with pytest.raises(ConvergenceError) as err:
+            rate_at_distortion(
+                Distribution([0.3, 0.7]), HAMMING, 0.2, ba_tol=1e-15, max_iters=2
+            )
+        assert err.value.last_point is not None
+        assert err.value.last_point.rate >= 0.0
