@@ -2,8 +2,8 @@
 
 Includes exhaustive small-blocklength machinery: greedy covering codebooks
 over all strings whose empirical type lies in the (relaxed) attainable region,
-an exact best-response search for the switch against a fixed codebook, and the
-exponential bound on the probability of the output type escaping the relaxed
+an exact best-response search for the switch against a fixed codebook, and a
+Hoeffding bound on the probability of the output type escaping the relaxed
 region. Trials draw their randomness from streams derived from (seed, trial),
 so parallel execution cannot change results.
 """
@@ -406,17 +406,23 @@ def simulate_game(
 
 
 def converse_bound(n: int, delta: float, alphabet_size: int) -> float:
-    """Upper bound on the probability that the output type escapes the region
-    relaxed by ``delta``: a per-subset exponential tail times the polynomial
-    type-count factor. May exceed 1, in which case it is vacuous."""
+    """Upper bound ``(2^k - 2) exp(-2 n delta^2)`` on the probability that the
+    output type of a block escapes the region relaxed by ``delta``, for any
+    switch. May exceed 1, in which case it is vacuous.
+
+    Whatever the switch does, its output lies in V whenever every source does,
+    so the output count in V is at least a Binomial(n, Q(V)) count of those
+    trap events. By Hoeffding's inequality that count falls below
+    n (Q(V) - delta) with probability at most exp(-2 n delta^2); the union
+    runs over the 2^k - 2 proper nonempty subsets, as the full alphabet always
+    holds."""
     if n < 1:
         raise ValidationError("blocklength must be at least 1")
     if delta <= 0:
         raise ValidationError("delta must be positive")
     if alphabet_size < 2:
         raise ValidationError("alphabet must have at least two symbols")
-    exponent = -n * (delta / math.log(2) - alphabet_size * math.log2(n + 1) / n)
     try:
-        return 2.0**exponent
+        return (2**alphabet_size - 2) * math.exp(-2 * n * delta**2)
     except OverflowError:
         return math.inf

@@ -11,9 +11,13 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SHIPPED = [("binary_pair.yaml", 2, "0.1"), ("ternary_demo.yaml", 3, "0.2")]
 
 
-def run(capsys, *argv):
+def run_text(capsys, *argv):
     code = main([str(a) for a in argv])
-    out = capsys.readouterr().out
+    return code, capsys.readouterr().out
+
+
+def run(capsys, *argv):
+    code, out = run_text(capsys, *argv)
     return code, list(csv.reader(io.StringIO(out)))
 
 
@@ -46,3 +50,48 @@ def test_malformed_source_exits_3(capsys):
         capsys, "rd", PROBLEMS / "binary_pair.yaml", "--p", "1/2,x", "--curve", 11
     )
     assert code == 3
+
+
+def test_region_list_binary_pair(capsys):
+    code, out = run_text(capsys, "region", PROBLEMS / "binary_pair.yaml", "--list")
+    assert code == 0
+    assert out == 'subset_mask,symbols,rhs\n1,{0},1/2\n2,{1},1/12\n3,"{0,1}",1\n'
+
+
+def test_region_list_ternary_demo(capsys):
+    code, rows = run(capsys, "region", PROBLEMS / "ternary_demo.yaml", "--list")
+    assert code == 0
+    assert rows[0] == ["subset_mask", "symbols", "rhs"]
+    assert [r[0] for r in rows[1:]] == [str(mask) for mask in range(1, 8)]
+    assert [r[2] for r in rows[1:]] == ["3/10", "3/50", "16/25", "1/25", "14/25", "1/5", "1"]
+
+
+@pytest.mark.parametrize(
+    "point, expected",
+    [
+        (
+            "1,0,0",
+            "VIOLATION V={1} lhs=0 rhs=0.06\n"
+            "VIOLATION V={2} lhs=0 rhs=0.04\n"
+            "VIOLATION V={1,2} lhs=0 rhs=0.2\n",
+        ),
+        (".4,.3,.3", "MEMBER\n"),
+    ],
+)
+def test_region_check(capsys, point, expected):
+    code, out = run_text(capsys, "region", PROBLEMS / "ternary_demo.yaml", "--check", point)
+    assert (code, out) == (0, expected)
+
+
+def test_synthesize_infeasible_exits_2_with_certificate(capsys):
+    code, out = run_text(
+        capsys, "synthesize", PROBLEMS / "ternary_demo.yaml", "--target", "1,0,0"
+    )
+    assert (code, out) == (2, "INFEASIBLE V={1,2} lhs=0 rhs=0.2\n")
+
+
+def test_synthesize_binary_pair(capsys):
+    code, out = run_text(
+        capsys, "synthesize", PROBLEMS / "binary_pair.yaml", "--target", "0.7,0.3"
+    )
+    assert (code, out) == (0, "1: 1 0\n2: 0 1\n3: 0.48 0.52\n")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,23 @@ BINARY_PAIR = SourceList.independent(
 def random_sources(rng, k, m):
     rows = rng.dirichlet(np.ones(k), size=m)
     return SourceList.independent(rows.tolist())
+
+
+def random_pmf(rng, size):
+    """Exact PMF with small integer weights, some of them zero."""
+    weights = rng.integers(0, 4, size=size)
+    weights[rng.integers(size)] += 1
+    return [Fraction(int(w), int(weights.sum())) for w in weights]
+
+
+def brute_force(k, outcomes):
+    """(Q, beta, realizable) from (source tuple, probability) pairs, by
+    enumerating every outcome."""
+    beta = {mask: 0 for mask in range(1, 1 << k)}
+    for symbols, prob in outcomes:
+        beta[mask_of(symbols)] += prob
+    q = {v: sum(b for u, b in beta.items() if u & ~v == 0) for v in beta}
+    return q, beta, tuple(mask for mask, b in beta.items() if b > 0)
 
 
 class TestSubsetHelpers:
@@ -173,6 +191,14 @@ class TestConstraintListing:
         with pytest.raises(GuardError):
             enumerate_constraints(RegionSpec(wide, 0))
 
+    def test_guard_refuses_twenty_symbols(self):
+        wide = SourceList.independent([[Fraction(1, 20)] * 20])
+        for build in (beta_table, realizable_subsets, lambda s: q_of_subset(s, 1)):
+            with pytest.raises(GuardError):
+                build(wide)
+        with pytest.raises(GuardError):
+            is_member(Distribution([0.05] * 20), RegionSpec(wide, 0))
+
 
 class TestHull:
     def test_vertices_belong(self):
@@ -191,6 +217,38 @@ class TestHull:
             hull_member(Distribution([0.5, 0.5]), joint)
 
 
+class TestAgainstEnumeration:
+    """The transform tables equal exact enumeration of every joint outcome."""
+
+    def assert_matches(self, srcs, outcomes):
+        k = srcs.alphabet_size
+        q, beta, realizable = brute_force(k, outcomes)
+        assert {mask: q_of_subset(srcs, mask) for mask in q} == q
+        assert {mask: beta_of_subset(srcs, mask) for mask in beta} == beta
+        assert beta_table(srcs) == beta
+        assert list(beta_table(srcs)) == list(range(1, 1 << k))
+        assert realizable_subsets(srcs) == realizable
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), m=st.integers(1, 3))
+    def test_independent(self, seed, k, m):
+        rng = np.random.default_rng(seed)
+        rows = [random_pmf(rng, k) for _ in range(m)]
+        outcomes = [
+            (symbols, np.prod([row[s] for row, s in zip(rows, symbols)]))
+            for symbols in itertools.product(range(k), repeat=m)
+        ]
+        self.assert_matches(SourceList.independent(rows), outcomes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3), m=st.integers(1, 2))
+    def test_joint(self, seed, k, m):
+        pmf = random_pmf(np.random.default_rng(seed), k**m)
+        # row-major joint order: source 0 varies slowest, as in product()
+        outcomes = list(zip(itertools.product(range(k), repeat=m), pmf))
+        self.assert_matches(SourceList.joint(pmf, k, m), outcomes)
+
+
 class TestRealizableSubsets:
     def test_binary_pair(self):
         assert realizable_subsets(BINARY_PAIR) == (0b01, 0b10, 0b11)
@@ -203,3 +261,8 @@ class TestRealizableSubsets:
         joint = SourceList.joint([0.5, 0.5, 0.0, 0.0], alphabet_size=2, num_sources=2)
         # outcomes (0,0) and (0,1) only: offered sets {0} and {0,1}
         assert realizable_subsets(joint) == (0b01, 0b11)
+
+    def test_counts_beyond_int64(self):
+        # 2^64 - 2 source tuples offer {0,1}: the count must not wrap around
+        srcs = SourceList.independent([[Fraction(1, 2)] * 2] * 64)
+        assert realizable_subsets(srcs) == (1, 2, 3)
