@@ -298,33 +298,6 @@ def _best_response_enumerate(options, add, n):
     return best_val, best_vec
 
 
-def _best_response_memo(options, add, n):
-    memo: dict = {}
-
-    def value(k, acc):
-        if k == n:
-            return float(acc.min())
-        shift = float(acc.min())
-        key = (k, tuple(acc - shift))
-        hit = memo.get(key)
-        if hit is None:
-            hit = max(value(k + 1, (acc - shift) + add[k][pos]) for pos in range(len(options[k])))
-            memo[key] = hit
-        return hit + shift
-
-    acc = np.zeros(add[0].shape[1])
-    best_val = value(0, acc)
-    # walk forward, taking the smallest symbol that preserves the optimum
-    out = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        for pos, sym in enumerate(options[k]):
-            if value(k + 1, acc + add[k][pos]) >= best_val - 1e-12:
-                out[k] = sym
-                acc = acc + add[k][pos]
-                break
-    return best_val, out
-
-
 def best_response_distortion(
     realizations: np.ndarray, codebook: Codebook, d: DistortionMatrix
 ) -> tuple[float, np.ndarray]:
@@ -348,10 +321,7 @@ def best_response_distortion(
         )
     # add[k][pos] = distortion added at time k to each codeword by symbol pos
     add = [d.values[options[k]][:, codebook.words[:, k]] for k in range(n)]
-    if codebook.size <= 8:
-        best_sum, vec = _best_response_memo(options, add, n)
-    else:
-        best_sum, vec = _best_response_enumerate(options, add, n)
+    best_sum, vec = _best_response_enumerate(options, add, n)
     return best_sum / n, vec
 
 

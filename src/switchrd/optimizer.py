@@ -1,13 +1,14 @@
 """Worst-case rate search: the largest rate-distortion value over the
 attainable region, plus the no-lookahead baseline over the convex hull of the
-sources.
+sources. Both are one search over parameters mapped linearly to a source: the
+identity for the region, the mixture of the sources for the hull.
 
-The objective R_p(D) is not concave in p, so the search is a dense simplex
-grid (small alphabets) or multistart projected ascent (larger ones); either
-way the result is a certified feasible lower bound on the true maximum, exact
-only up to the grid/ascent resolution. Results are deterministic for a fixed
-config and seed, and merging uses value-then-lexicographic order so the
-outcome does not depend on evaluation order.
+R_p(D) is not concave in p, so the search is a dense simplex grid (small
+dimension) or multistart projected ascent (larger ones); either way the
+result is a certified feasible lower bound on the true maximum, exact only up
+to the grid/ascent resolution. Results are deterministic for a fixed config
+and seed, and merging uses value-then-lexicographic order so the outcome does
+not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -24,16 +25,19 @@ from .strategy import greedy_max_rule, induced_distribution
 
 _GRID_STEPS = {2: 0.005, 3: 0.02}
 _HULL_STEPS = {1: 1.0, 2: 0.005, 3: 0.02, 4: 0.05}
+#: Step of the central finite differences in the ascent.
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the maximizers.
+    """Knobs for the one search behind both maximizers.
 
-    ``method`` "auto" picks a dense grid for small parameter dimension and
-    multistart ascent otherwise; "grid"/"multistart" force one. ``grid_step``
-    None uses the per-dimension defaults. Tolerances are passed through to the
-    rate solver.
+    ``method`` "auto" picks a dense grid for small parameter dimension (at
+    most 3 symbols for the region, 4 sources for the hull) and multistart
+    ascent otherwise; "grid"/"multistart" force one. ``grid_step``, in
+    (0, 1], overrides the per-dimension lattice step; None uses the defaults.
+    Tolerances are passed through to the rate solver.
     """
 
     method: str = "auto"
@@ -41,7 +45,6 @@ class SearchConfig:
     starts: int = 16
     seed: int = 0
     ascent_iters: int = 40
-    fd_step: float = 1e-5
     distortion_tol: float = 1e-6
     ba_tol: float = 1e-9
 
@@ -50,6 +53,8 @@ class SearchConfig:
             raise ValidationError(f"unknown search method {self.method!r}")
         if self.starts < 1:
             raise ValidationError("need at least one start")
+        if self.grid_step is not None and not 0 < self.grid_step <= 1:
+            raise ValidationError("grid step must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,14 +122,13 @@ def _ascend(seeds, batch_value, repair, config: SearchConfig):
     vs = [float(v0) for v0, _ in seeds]
     base_steps = [0.05] * len(xs)
     k = xs[0].size
-    h = config.fd_step
     units = np.eye(k) - 1.0 / k
     moving = list(range(len(xs)))
     for _ in range(config.ascent_iters):
         if not moving:
             break
         probes = [
-            repair(xs[j] + sign * h * u)
+            repair(xs[j] + sign * _FD_STEP * u)
             for j in moving
             for u in units
             for sign in (1.0, -1.0)
@@ -136,7 +140,7 @@ def _ascend(seeds, batch_value, repair, config: SearchConfig):
                 xs[j] = probes[2 * k * r + int(np.argmax(np.isinf(vals[r])))]
                 vs[j] = np.inf
                 continue
-            slopes = (vals[r, 0::2] - vals[r, 1::2]) / (2.0 * h)
+            slopes = (vals[r, 0::2] - vals[r, 1::2]) / (2.0 * _FD_STEP)
             direction = slopes - slopes.mean()
             norm = float(np.linalg.norm(direction))
             if norm < 1e-12:
@@ -160,11 +164,49 @@ def _ascend(seeds, batch_value, repair, config: SearchConfig):
     return list(zip(xs, vs))
 
 
-def _region_repair(subset_mat, rhs, anchor):
+def _candidates(
+    dim: int, steps: dict, config: SearchConfig, inside=None, repair=None, anchor=None
+):
+    """Starting points in a polytope within the ``dim``-simplex, and their
+    method. ``steps`` maps dimensions to grid steps ("auto" uses the grid up
+    to its largest key, whose step is also the default). If the polytope cuts
+    the simplex, the lattice keeps the points ``inside`` accepts and random
+    starts go through ``repair``. A known feasible ``anchor`` comes last."""
+    method = config.method
+    if method == "auto":
+        method = "grid" if dim <= max(steps) else "multistart"
+    if method == "grid":
+        step = config.grid_step or steps.get(dim, steps[max(steps)])
+        points = _simplex_grid(dim, step)
+        if inside is not None:
+            points = points[inside(points)]
+    else:
+        rng = np.random.default_rng(config.seed)
+        points = rng.dirichlet(np.ones(dim), size=config.starts)
+        if repair is not None:
+            points = np.array([repair(x) for x in points])
+    if anchor is not None:
+        points = np.vstack([points, anchor[None, :]])
+    return points, method
+
+
+def _region_candidates(spec: RegionSpec, config: SearchConfig):
+    """Deterministic candidate set inside the region, the guaranteed feasible
+    anchor (the greedy largest-symbol rule's output distribution) included."""
+    k = spec.sources.alphabet_size
+    anchor = induced_distribution(greedy_max_rule(spec.sources), spec.sources).probs
+    subset_mat = _subset_matrix(k)
+    rhs = np.array([float(r) for _, r in enumerate_constraints(spec)])
+
+    def inside(points):
+        return np.all(points @ subset_mat.T >= rhs - MEMBER_ATOL, axis=1)
+
     def ok(x):
         return bool(np.all(subset_mat @ x >= rhs - MEMBER_ATOL))
 
     def repair(y):
+        """Back onto the simplex, then toward the anchor by bisection until
+        every constraint holds."""
         y = np.clip(y, 0.0, None)
         total = y.sum()
         y = y / total if total > 0 else anchor.copy()
@@ -181,30 +223,57 @@ def _region_repair(subset_mat, rhs, anchor):
                 lo = mid
         return (1.0 - hi) * y + hi * anchor
 
-    return repair, ok
-
-
-def _region_candidates(spec: RegionSpec, config: SearchConfig):
-    """Deterministic candidate set inside the region, the guaranteed feasible
-    anchor (the greedy largest-symbol rule's output distribution) included."""
-    k = spec.sources.alphabet_size
-    anchor = induced_distribution(greedy_max_rule(spec.sources), spec.sources).probs
-    method = config.method
-    if method == "auto":
-        method = "grid" if k <= 3 else "multistart"
-    subset_mat = _subset_matrix(k)
-    rhs = np.array([float(r) for _, r in enumerate_constraints(spec)])
-    repair, ok = _region_repair(subset_mat, rhs, anchor)
-    if method == "grid":
-        step = config.grid_step if config.grid_step else _GRID_STEPS.get(k, 0.02)
-        grid = _simplex_grid(k, step)
-        feasible = grid[np.all(grid @ subset_mat.T >= rhs - MEMBER_ATOL, axis=1)]
-        candidates = np.vstack([feasible, anchor[None, :]])
-    else:
-        rng = np.random.default_rng(config.seed)
-        raw = rng.dirichlet(np.ones(k), size=config.starts)
-        candidates = np.vstack([[repair(x) for x in raw], anchor[None, :]])
+    candidates, method = _candidates(k, _GRID_STEPS, config, inside, repair, anchor)
     return candidates, method, repair
+
+
+def _maximize(candidates, method, repair, to_source, d, target, config):
+    """Largest R_p(D) over parameters ``x`` with source ``p = to_source(x)``:
+    one batch over the candidates, then ascent from the best (grid) or from
+    all (multistart); ties go to the lexicographically smallest ``x``. +inf
+    means a candidate's distortion floor lies above the target."""
+    if target < 0:
+        raise ValidationError("distortion target must be nonnegative")
+    evaluations = 0
+
+    def batch_value(xs):
+        nonlocal evaluations
+        evaluations += len(xs)
+        return rates_at_distortion_batch(
+            to_source(xs), d, target, tol=config.distortion_tol, ba_tol=config.ba_tol
+        )
+
+    values = batch_value(candidates)
+    if np.isinf(values).any():
+        x = np.array(min(map(tuple, candidates[np.isinf(values)])))
+        return MaximizerResult(np.inf, Distribution(to_source(x)), method, evaluations, 0)
+    best_value, best_x = _pick_best(values, candidates)
+    if method == "grid":
+        seeds = [(best_value, best_x)]
+    else:
+        seeds = list(zip(values.tolist(), candidates))
+    for x, v in _ascend(seeds, batch_value, repair, config):
+        if _better(v, x, best_value, best_x):
+            best_value, best_x = v, x
+    return MaximizerResult(
+        best_value, Distribution(to_source(best_x)), method, evaluations, len(seeds)
+    )
+
+
+def _region_maximizer(spec: RegionSpec, d: DistortionMatrix, config: SearchConfig):
+    """The region's candidates, built once, and its maximization at one target,
+    with the argmax checked against the region."""
+    if d.num_inputs != spec.sources.alphabet_size:
+        raise ValidationError("distortion and sources use different alphabets")
+    candidates, method, repair = _region_candidates(spec, config)
+
+    def at(target: float) -> MaximizerResult:
+        result = _maximize(candidates, method, repair, lambda p: p, d, target, config)
+        if np.isfinite(result.value) and not is_member(result.argmax, spec).satisfied:
+            raise AssertionError("maximizer left the feasible region")
+        return result
+
+    return candidates, at
 
 
 def maximize_over_region(
@@ -220,41 +289,8 @@ def maximize_over_region(
     A +inf value means some attainable distribution has a distortion floor
     above the target, so no finite rate suffices.
     """
-    config = config or SearchConfig()
-    if target < 0:
-        raise ValidationError("distortion target must be nonnegative")
-    if d.num_inputs != spec.sources.alphabet_size:
-        raise ValidationError("distortion and sources use different alphabets")
-    candidates, method, repair = _region_candidates(spec, config)
-    evaluations = 0
-
-    def batch_value(ps):
-        nonlocal evaluations
-        evaluations += len(ps)
-        return rates_at_distortion_batch(
-            ps, d, target, tol=config.distortion_tol, ba_tol=config.ba_tol
-        )
-
-    values = batch_value(candidates)
-    if np.isinf(values).any():
-        inf_rows = candidates[np.isinf(values)]
-        _, vec = _pick_best(np.zeros(len(inf_rows)), inf_rows)
-        return MaximizerResult(np.inf, Distribution(vec), method, evaluations, 0)
-    if method == "grid":
-        seeds = [_pick_best(values, candidates)]
-    else:
-        seeds = list(zip(values.tolist(), candidates))
-    best_value, best_vec = _pick_best(values, candidates)
-    for x, v in _ascend(seeds, batch_value, repair, config):
-        if _better(v, x, best_value, best_vec):
-            best_value, best_vec = v, x
-    argmax = Distribution(best_vec)
-    report = is_member(argmax, spec)
-    if not report.satisfied:
-        raise AssertionError("maximizer left the feasible region")
-    return MaximizerResult(
-        best_value, argmax, method, evaluations, len(seeds)
-    )
+    _, at = _region_maximizer(spec, d, config or SearchConfig())
+    return at(target)
 
 
 def maximize_over_hull(
@@ -268,53 +304,16 @@ def maximize_over_hull(
     config = config or SearchConfig()
     if sources.is_joint:
         raise ValidationError("the hull baseline is defined for independent sources")
-    if target < 0:
-        raise ValidationError("distortion target must be nonnegative")
     rows = sources.as_array()
     m = rows.shape[0]
-    evaluations = 0
-
-    def batch_value(lams):
-        nonlocal evaluations
-        evaluations += len(lams)
-        return rates_at_distortion_batch(
-            lams @ rows, d, target, tol=config.distortion_tol, ba_tol=config.ba_tol
-        )
 
     def repair(lam):
         lam = np.clip(lam, 0.0, None)
         total = lam.sum()
         return lam / total if total > 0 else np.full(m, 1.0 / m)
 
-    if m == 1:
-        value = float(batch_value(np.ones((1, 1)))[0])
-        return MaximizerResult(value, Distribution(rows[0]), "grid", evaluations, 1)
-
-    method = config.method
-    if method == "auto":
-        method = "grid" if m <= 4 else "multistart"
-    if method == "grid":
-        step = config.grid_step if config.grid_step else _HULL_STEPS.get(m, 0.05)
-        lams = _simplex_grid(m, step)
-    else:
-        rng = np.random.default_rng(config.seed)
-        lams = rng.dirichlet(np.ones(m), size=config.starts)
-    values = batch_value(lams)
-    if np.isinf(values).any():
-        inf_rows = lams[np.isinf(values)]
-        _, lam = _pick_best(np.zeros(len(inf_rows)), inf_rows)
-        return MaximizerResult(np.inf, Distribution(lam @ rows), method, evaluations, 0)
-    if method == "grid":
-        seeds = [_pick_best(values, lams)]
-    else:
-        seeds = list(zip(values.tolist(), lams))
-    best_value, best_lam = _pick_best(values, lams)
-    for lam, v in _ascend(seeds, batch_value, repair, config):
-        if _better(v, lam, best_value, best_lam):
-            best_value, best_lam = v, lam
-    return MaximizerResult(
-        best_value, Distribution(best_lam @ rows), method, evaluations, len(seeds)
-    )
+    lams, method = _candidates(m, _HULL_STEPS, config)
+    return _maximize(lams, method, repair, lambda lam: lam @ rows, d, target, config)
 
 
 def rd_tilde_curve(
@@ -324,14 +323,13 @@ def rd_tilde_curve(
     config: SearchConfig | None = None,
 ) -> list[tuple[float, MaximizerResult]]:
     """Worst-case rate over a distortion grid spanning the smallest floor and
-    the largest ceiling seen across the candidate set."""
+    the largest ceiling seen across the candidate set, which every target
+    reuses."""
     config = config or SearchConfig()
     if num_points < 2:
         raise ValidationError("need at least two curve points")
-    candidates, _, _ = _region_candidates(spec, config)
+    candidates, at = _region_maximizer(spec, d, config)
     floors = candidates @ d.values.min(axis=1)
     ceilings = (candidates @ d.values).min(axis=1)
     targets = np.linspace(float(floors.min()), float(ceilings.max()), num_points)
-    return [
-        (float(t), maximize_over_region(spec, d, float(t), config)) for t in targets
-    ]
+    return [(float(t), at(float(t))) for t in targets]

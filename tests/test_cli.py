@@ -95,3 +95,54 @@ def test_synthesize_binary_pair(capsys):
         capsys, "synthesize", PROBLEMS / "binary_pair.yaml", "--target", "0.7,0.3"
     )
     assert (code, out) == (0, "1: 1 0\n2: 0 1\n3: 0.48 0.52\n")
+
+
+@pytest.mark.parametrize("step", ["-0.1", "0", "2"])
+def test_grid_step_outside_the_unit_interval_exits_3(capsys, step):
+    code, out = run_text(
+        capsys, "optimize", PROBLEMS / "binary_pair.yaml", "--distortion", "0.1",
+        "--grid-step", step,
+    )
+    assert (code, out) == (3, "")
+
+
+def test_optimize_curve_binary_pair(capsys):
+    code, rows = run(capsys, "optimize", PROBLEMS / "binary_pair.yaml", "--curve", 3)
+    assert code == 0
+    assert rows[0] == ["D", "R_tilde", "R_star", "p_0", "p_1", "method"]
+    expected = [
+        [0, 1, 0.918295834054, 0.5, 0.5],
+        [0.25, 0.188721875541, 0.107017699391, 0.5, 0.5],
+        [0.5, 0, 0, 0.5, 0.5],
+    ]
+    assert len(rows) == 1 + len(expected)
+    for row, numbers in zip(rows[1:], expected):
+        assert [float(x) for x in row[:5]] == pytest.approx(numbers, abs=1e-9)
+        assert row[5] == "grid"
+
+
+def test_simulate_infeasible_target_exits_2_with_certificate(capsys):
+    code, out = run_text(
+        capsys, "simulate", PROBLEMS / "ternary_demo.yaml", "--target", "1,0,0",
+        "--n", 20, "--trials", 10,
+    )
+    assert (code, out) == (2, "INFEASIBLE V={1,2} lhs=0 rhs=0.2\n")
+
+
+def test_simulate_binary_pair(capsys):
+    code, out = run_text(
+        capsys, "simulate", PROBLEMS / "binary_pair.yaml", "--target", "0.7,0.3",
+        "--n", 20, "--trials", 50, "--seed", 1,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "out_of_region_fraction=0" in lines
+    assert "empirical_type=0.699 0.301" in lines
+
+
+def test_simulate_codebook_past_the_enumeration_guard_exits_4(capsys):
+    code, out = run_text(
+        capsys, "simulate", PROBLEMS / "binary_pair.yaml", "--target", "0.7,0.3",
+        "--n", 21, "--trials", 5, "--codebook-D", "0.2",
+    )
+    assert (code, out) == (4, "")

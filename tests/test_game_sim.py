@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from switchrd import (
@@ -12,6 +14,7 @@ from switchrd import (
     greedy_max_rule,
     simulate_game,
 )
+from switchrd.game_sim import Codebook, best_response_distortion
 
 HAMMING = DistortionMatrix([[0, 1], [1, 0]])
 
@@ -44,3 +47,35 @@ class TestConverseBound:
         for args in ((0, 0.1, 2), (10, 0, 2), (10, 0.1, 1)):
             with pytest.raises(ValidationError):
                 converse_bound(*args)
+
+
+def brute_force_best_response(realizations, words, d):
+    """Every selection in lexicographic order; the first maximizer wins."""
+    options = [sorted(set(col)) for col in realizations.T]
+    best = None
+    for selection in itertools.product(*options):
+        value = min(sum(d[x, y] for x, y in zip(selection, w)) for w in words)
+        if best is None or value > best[0]:
+            best = (value, selection)
+    return best[0] / len(options), list(best[1])
+
+
+class TestBestResponse:
+    @pytest.mark.parametrize("trial", range(20))
+    def test_matches_brute_force(self, trial):
+        # integer distortions keep every sum exact, so ties are real ties and
+        # the lexicographically smallest maximizer is well defined
+        rng = np.random.default_rng(trial)
+        k, n = int(rng.integers(2, 4)), int(rng.integers(1, 7))
+        hamming = trial % 2 == 0
+        d = 1 - np.eye(k, dtype=int) if hamming else rng.integers(0, 4, size=(k, k))
+        realizations = rng.integers(0, k, size=(int(rng.integers(1, 4)), n))
+        size = int(rng.integers(1, min(k**n, 12) + 1))
+        words = rng.permutation(k**n)[:size]
+        words = np.array([[w // k ** (n - 1 - t) % k for t in range(n)] for w in words])
+        value, vec = best_response_distortion(
+            realizations, Codebook(words, n), DistortionMatrix(d.tolist())
+        )
+        expected_value, expected_vec = brute_force_best_response(realizations, words, d)
+        assert value == expected_value
+        assert vec.tolist() == expected_vec
