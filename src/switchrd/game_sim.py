@@ -4,8 +4,17 @@ Includes exhaustive small-blocklength machinery: greedy covering codebooks
 over all strings whose empirical type lies in the (relaxed) attainable region,
 an exact best-response search for the switch against a fixed codebook, and a
 Hoeffding bound on the probability of the output type escaping the relaxed
-region. Trials draw their randomness from streams derived from (seed, trial),
-so parallel execution cannot change results.
+region.
+
+Trial t draws from its own stream, ``np.random.default_rng([seed, t])``, so
+results do not depend on how trials are grouped. Each trial takes
+``(rows + 1) * n`` uniforms from its stream in one call, where ``rows`` is
+the number of sources (1 in joint mode, which draws source tuples): first n
+per source row, in source order, then n for the switch. The sampler and the
+rule map them exactly as per-row ``Generator.choice`` calls followed by
+``strategy.apply_rule`` on the same stream would, so trials are simulated in
+chunks, with sampling, rule draws, type counts, codebook distortion and
+region membership vectorized over each chunk.
 """
 
 from __future__ import annotations
@@ -16,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InfeasibleError, ValidationError
-from .probcore import Distribution, DistortionMatrix, SourceList
+from .probcore import Distribution, DistortionMatrix, SourceList, choice_cdf
 from .rate_distortion import rate_at_distortion
-from .region import RegionSpec, is_member
+from .region import RegionSpec, in_region, is_member
 from .strategy import SwitchRule, _apply_rule
 
 #: Largest string-space enumerated exhaustively (source and reproduction).
@@ -29,6 +38,11 @@ COVER_CELL_GUARD = 2**26
 BEST_RESPONSE_GUARD = 2**22
 
 _CHUNK = 1 << 16
+#: Cells of the cover table computed per matrix product.
+_COVER_CELLS = 1 << 19
+#: Cells per chunk of trials: each trial holds n uniforms per source row and
+#: for the switch, n symbols per source, and n distortion terms per codeword.
+_SIM_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,34 +149,51 @@ class SimReport:
         ] + [f"{x:.12g}" for x in self.empirical_type.probs]
 
 
-def _sample(sources: SourceList, n: int, gen: np.random.Generator) -> np.ndarray:
-    k = sources.alphabet_size
+def _source_cdfs(sources: SourceList) -> np.ndarray:
+    """The CDF each row of source uniforms maps through: one per source, or
+    a single one over source tuples in joint mode."""
+    return choice_cdf(sources.joint_array()[None] if sources.is_joint else sources.as_array())
+
+
+def _sample(sources: SourceList, cdfs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Blocks x sources x time symbols from blocks x rows x time uniforms,
+    each the count of entries of its row's CDF that are <= it."""
     if sources.is_joint:
-        m = sources.num_sources
-        flat = gen.choice(k**m, size=n, p=sources.joint_array())
-        rows = [(flat // k ** (m - 1 - l)) % k for l in range(m)]
-        return np.stack(rows)
-    rows = [gen.choice(k, size=n, p=row) for row in sources.as_array()]
-    return np.stack(rows)
+        # a joint CDF has k^m entries, so it is searched rather than scanned
+        flat = cdfs[0].searchsorted(uniforms[:, 0], side="right")
+        k, m = sources.alphabet_size, sources.num_sources
+        return np.stack([(flat // k ** (m - 1 - l)) % k for l in range(m)], axis=1)
+    drawn = np.zeros(uniforms.shape, dtype=np.int64)
+    for cdf, u, out in zip(cdfs, uniforms.swapaxes(0, 1), drawn.swapaxes(0, 1)):
+        # every CDF ends at exactly 1, above every uniform
+        for edge in cdf[:-1]:
+            out += u >= edge
+    return drawn
 
 
 def sample_sources(sources: SourceList, n: int, seed: int) -> np.ndarray:
     """One block of source output: one row per source, one column per time."""
     if n < 1:
         raise ValidationError("blocklength must be at least 1")
-    return _sample(sources, n, np.random.default_rng(seed))
+    cdfs = _source_cdfs(sources)
+    return _sample(sources, cdfs, np.random.default_rng(seed).random((1, len(cdfs), n)))[0]
+
+
+def _distortions(strings: np.ndarray, codebook: Codebook, d: DistortionMatrix) -> np.ndarray:
+    """Average per-letter distortion of each string (rows) to its closest
+    codeword."""
+    if codebook.size == 0:
+        raise ValidationError("cannot measure distortion to an empty codebook")
+    if strings.ndim != 2 or strings.shape[1] != codebook.n:
+        raise ValidationError("string length and codebook blocklength disagree")
+    return d.values[strings[:, None, :], codebook.words[None]].mean(axis=2).min(axis=1)
 
 
 def distortion_to_codebook(
     x: np.ndarray, codebook: Codebook, d: DistortionMatrix
 ) -> float:
     """Average per-letter distortion to the closest codeword."""
-    if codebook.size == 0:
-        raise ValidationError("cannot measure distortion to an empty codebook")
-    x = np.asarray(x, dtype=np.int64)
-    if x.ndim != 1 or x.size != codebook.n:
-        raise ValidationError("string length and codebook blocklength disagree")
-    return float(d.values[x[None, :], codebook.words].mean(axis=1).min())
+    return float(_distortions(np.asarray(x, dtype=np.int64)[None], codebook, d)[0])
 
 
 def _enumerate_strings(k: int, n: int) -> np.ndarray:
@@ -253,16 +284,26 @@ def build_covering_codebook(
         raise GuardError(
             f"cover table would hold {num_c * num_t} cells, guard is {COVER_CELL_GUARD}"
         )
-    cover = np.empty((num_c, num_t), dtype=bool)
-    chunk = max(1, _CHUNK // max(1, num_t))
+    # covered[t, c]: candidate c is within the target distortion of target t.
+    # Each chunk of candidates is one product, one-hot targets times the
+    # candidates' per-position distortion columns; on integer-valued
+    # distortion the sums are exact in any order.
+    onehot = np.zeros((num_t, n, d.num_inputs))
+    np.put_along_axis(onehot, targets[:, :, None].astype(np.int64), 1.0, axis=2)
+    onehot = onehot.reshape(num_t, -1)
+    covered = np.empty((num_t, num_c), dtype=bool)
+    chunk = max(1, _COVER_CELLS // num_t)
     for start in range(0, num_c, chunk):
         block = cands[start : start + chunk]
-        dist = d.values[targets[None, :, :], block[:, None, :]].mean(axis=2)
-        cover[start : start + block.shape[0]] = dist <= target_distortion + 1e-12
+        dist = onehot @ d.values.T[block].reshape(block.shape[0], -1).T
+        dist /= n
+        covered[:, start : start + block.shape[0]] = dist <= target_distortion + 1e-12
+    # each pick's gain is kept current by subtracting what the previous pick
+    # newly covered; argmax ties go to the earliest candidate
     chosen = []
+    gains = covered.sum(axis=0)
     uncovered = np.ones(num_t, dtype=bool)
     while uncovered.any():
-        gains = cover[:, uncovered].sum(axis=1)
         best = int(np.argmax(gains))
         if gains[best] == 0:
             raise InfeasibleError(
@@ -270,7 +311,9 @@ def build_covering_codebook(
                 "(target below the distortion floor of an admitted type)"
             )
         chosen.append(best)
-        uncovered &= ~cover[best]
+        newly = uncovered & covered[:, best]
+        gains -= covered[newly].sum(axis=0)
+        uncovered &= ~newly
     return Codebook(cands[chosen].astype(np.int64), n)
 
 
@@ -341,21 +384,27 @@ def simulate_game(
     the (relaxed) region."""
     if n < 1 or trials < 1:
         raise ValidationError("need at least one trial and one symbol")
+    if rule.alphabet_size != sources.alphabet_size:
+        raise ValidationError("rule and sources use different alphabets")
     k = sources.alphabet_size
+    cdfs = _source_cdfs(sources)
+    rows = len(cdfs)
+    words = codebook.size if codebook is not None else 0
+    chunk = max(1, _SIM_CELLS // (n * (rows + 1 + sources.num_sources + words)))
     counts = np.zeros(k, dtype=np.int64)
     dists = np.empty(trials) if codebook is not None else None
     outside = 0
-    for t in range(trials):
-        gen = np.random.default_rng([seed, t])
-        block = _sample(sources, n, gen)
-        out = _apply_rule(rule, block, gen)
-        block_counts = np.bincount(out, minlength=k)
-        counts += block_counts
+    for start in range(0, trials, chunk):
+        uniforms = np.empty((min(chunk, trials - start), rows + 1, n))
+        for i, block in enumerate(uniforms):
+            np.random.default_rng([seed, start + i]).random(out=block)
+        out = _apply_rule(rule, _sample(sources, cdfs, uniforms[:, :rows]), uniforms[:, rows])
+        block_counts = _type_counts(out, k)
+        counts += block_counts.sum(axis=0)
         if dists is not None:
-            dists[t] = distortion_to_codebook(out, codebook, d)
+            dists[start : start + out.shape[0]] = _distortions(out, codebook, d)
         if region is not None:
-            if not is_member(Distribution(block_counts / n), region).satisfied:
-                outside += 1
+            outside += int(np.count_nonzero(~in_region(block_counts / n, region)))
     mean = float(dists.mean()) if dists is not None else None
     if dists is not None and trials > 1:
         stderr = float(dists.std(ddof=1) / math.sqrt(trials))

@@ -275,3 +275,14 @@ def entropy(p: Distribution) -> float:
     """Shannon entropy in bits."""
     probs = p.probs[p.probs > 0]
     return float(-(probs * np.log2(probs)).sum())
+
+
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """CDF of each PMF along the last axis, normalized as
+    ``Generator.choice(k, size, p=probs)`` normalizes it. That call draws
+    ``size`` uniforms u and returns, for each, the number of CDF entries that
+    are <= u; mapping the same uniforms through this CDF reproduces it
+    exactly."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf

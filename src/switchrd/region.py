@@ -124,27 +124,30 @@ _TABLE_KINDS = {
 
 
 @lru_cache(maxsize=64)
-def _tables(sources: SourceList, kind: str) -> tuple[np.ndarray, np.ndarray]:
+def _tables(sources: SourceList, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
     """(Q, beta) over all 2^k masks, index 0 holding 0, as read-only arrays.
 
     ``kind`` "exact" keeps the source entries as given, "float" runs in
     float64, and "support" replaces each entry by its 0/1 support indicator,
     so that beta counts the source tuples offering each set (Python ints,
-    since counts reach k^m).
+    since counts reach k^m). Only membership reads the float kind, and it
+    reads Q alone, so that kind returns None for beta.
     """
     k = sources.alphabet_size
     _check_alphabet_guard(k)
     read, dtype = _TABLE_KINDS[kind]
     entries = np.array([[read(x) for x in row] for row in sources.table], dtype=dtype)
     if sources.is_joint:
-        beta = np.zeros(1 << k, dtype=dtype)
-        np.add.at(beta, _tuple_masks(k, sources.num_sources), entries[0])
-        q = _transform(beta.copy())
+        q = np.zeros(1 << k, dtype=dtype)
+        np.add.at(q, _tuple_masks(k, sources.num_sources), entries[0])
+        beta = None if kind == "float" else q.copy()
+        _transform(q)
     else:
         q = np.multiply.reduce(_transform(_on_singletons(entries)), axis=0)
-        beta = _transform(q.copy(), -1)
-    q.setflags(write=False)
-    beta.setflags(write=False)
+        beta = None if kind == "float" else _transform(q.copy(), -1)
+    for table in (q, beta):
+        if table is not None:
+            table.setflags(write=False)
     return q, beta
 
 
@@ -203,17 +206,28 @@ class ConstraintReport:
     violations: tuple[tuple[int, float, float], ...]
 
 
+def _shortfalls(probs: np.ndarray, spec: RegionSpec):
+    """Subset masses of each row of ``probs`` (last axis: symbols), the
+    required masses, and which masks fall short of them."""
+    if probs.shape[-1] != spec.sources.alphabet_size:
+        raise ValidationError("distribution and sources use different alphabets")
+    rhs = _tables(spec.sources, "float")[0] - float(spec.delta)
+    lhs = _transform(_on_singletons(probs))
+    return lhs, rhs, lhs < rhs - MEMBER_ATOL
+
+
+def in_region(probs: np.ndarray, spec: RegionSpec) -> np.ndarray:
+    """Membership verdict for each row of a batch of probability vectors, by
+    the same comparison as ``is_member``. The rows are not validated."""
+    return ~_shortfalls(np.asarray(probs, dtype=float), spec)[2].any(axis=-1)
+
+
 def is_member(p: Distribution, spec: RegionSpec) -> ConstraintReport:
     """Check every subset constraint; report each violated subset with both
     sides. The full-alphabet constraint holds trivially but is checked too."""
-    if p.size != spec.sources.alphabet_size:
-        raise ValidationError("distribution and sources use different alphabets")
-    q = _tables(spec.sources, "float")[0]
-    lhs = _transform(_on_singletons(p.probs))
-    rhs = q - float(spec.delta)
+    lhs, rhs, short = _shortfalls(p.probs, spec)
     violations = tuple(
-        (mask, float(lhs[mask]), float(rhs[mask]))
-        for mask in (lhs < rhs - MEMBER_ATOL).nonzero()[0].tolist()
+        (mask, float(lhs[mask]), float(rhs[mask])) for mask in short.nonzero()[0].tolist()
     )
     return ConstraintReport(not violations, violations)
 

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .probcore import Distribution, SourceList
+from .probcore import Distribution, SourceList, choice_cdf
 from .region import (
     beta_table,
     format_subset,
@@ -242,10 +242,6 @@ def synthesize_rule(
     return rule
 
 
-def _column_masks(realizations: np.ndarray) -> np.ndarray:
-    return np.bitwise_or.reduce(1 << realizations.astype(np.int64), axis=0)
-
-
 def apply_rule(
     rule: SwitchRule, realizations: np.ndarray, seed: int
 ) -> np.ndarray:
@@ -256,27 +252,47 @@ def apply_rule(
     output is drawn from the rule's conditional for it. Deterministic given
     ``seed``; the output symbol always comes from the offered set.
     """
-    return _apply_rule(rule, realizations, np.random.default_rng(seed))
-
-
-def _apply_rule(
-    rule: SwitchRule, realizations: np.ndarray, gen: np.random.Generator
-) -> np.ndarray:
     realizations = np.asarray(realizations)
     if realizations.ndim != 2:
         raise ValidationError("realizations must be a sources-by-time matrix")
-    k = rule.alphabet_size
-    if realizations.min() < 0 or realizations.max() >= k:
+    if realizations.min() < 0 or realizations.max() >= rule.alphabet_size:
         raise ValidationError("realization symbols out of alphabet range")
-    masks = _column_masks(realizations)
-    out = np.empty(realizations.shape[1], dtype=np.int64)
-    # unique masks visited in ascending order keeps the draw order canonical
-    for mask in np.unique(masks):
-        f = rule.rules.get(int(mask))
-        if f is None:
-            raise ValidationError(
-                f"rule has no entry for offered subset {format_subset(int(mask))}"
-            )
-        cols = np.nonzero(masks == mask)[0]
-        out[cols] = gen.choice(k, size=cols.size, p=f.probs)
+    uniforms = np.random.default_rng(seed).random((1, realizations.shape[1]))
+    return _apply_rule(rule, realizations[None], uniforms)[0]
+
+
+def _apply_rule(
+    rule: SwitchRule, realizations: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Run the switch over a batch of blocks, given one uniform per step.
+
+    ``realizations`` is blocks x sources x time with symbols in range, and
+    ``uniforms`` is blocks x time. Each block reproduces one
+    ``Generator.choice`` call per offered mask, in ascending mask order, each
+    drawing for that mask's columns in ascending time: the block's uniforms
+    are consumed in that order, a stable sort of its columns by mask, and each
+    becomes the count of entries of its mask's CDF (``choice_cdf``) that are
+    <= it. A mask the rule lacks is an error, named for the first block that
+    offers one.
+    """
+    masks = np.bitwise_or.reduce(np.left_shift(1, realizations, dtype=np.int64), axis=1)
+    # each block's columns in the order its uniforms are consumed, as flat
+    # positions; a dtype of at most 16 bits makes the stable sort a radix sort
+    order = np.argsort(masks.astype(np.min_scalar_type(masks.max())), axis=-1, kind="stable")
+    order += np.arange(0, masks.size, masks.shape[1])[:, None]
+    offered = masks.take(order)
+    keys = np.array(sorted(rule.rules), dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, offered), keys.size - 1)
+    missing = keys[pos] != offered
+    if missing.any():
+        # masks ascend within each block: this is the first block's smallest
+        mask = int(offered[missing][0])
+        raise ValidationError(f"rule has no entry for offered subset {format_subset(mask)}")
+    cdfs = choice_cdf(np.array([rule.rules[key].probs for key in keys.tolist()]))
+    drawn = np.zeros(masks.shape, dtype=np.int64)
+    # every CDF ends at exactly 1, above every uniform
+    for column in cdfs.T[:-1]:
+        drawn += column[pos] <= uniforms
+    out = np.empty_like(drawn)
+    out.put(order, drawn)
     return out

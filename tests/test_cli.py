@@ -146,3 +146,43 @@ def test_simulate_codebook_past_the_enumeration_guard_exits_4(capsys):
         "--n", 21, "--trials", 5, "--codebook-D", "0.2",
     )
     assert (code, out) == (4, "")
+
+
+def test_simulate_ternary_demo(capsys):
+    code, out = run_text(
+        capsys, "simulate", PROBLEMS / "ternary_demo.yaml", "--target", "0.55,0.25,0.2",
+        "--n", 200, "--trials", 40, "--seed", 11,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "out_of_region_fraction=0" in lines
+    assert "empirical_type=0.5445 0.259625 0.195875" in lines
+
+
+def test_simulate_binary_pair_against_a_covering_codebook(capsys):
+    code, out = run_text(
+        capsys, "simulate", PROBLEMS / "binary_pair.yaml", "--target", "0.7,0.3",
+        "--n", 12, "--trials", 50, "--seed", 3, "--codebook-D", "0.25",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    for line in (
+        "mean_distortion=0.173333333333",
+        "stderr=0.00917207632584",
+        "out_of_region_fraction=0.06",
+        "codebook_rate=0.408907549634",
+        "empirical_type=0.688333333333 0.311666666667",
+    ):
+        assert line in lines
+
+
+def test_simulate_rule_over_another_alphabet_exits_3(capsys, tmp_path):
+    # a valid 4-symbol rule with an entry for every subset the binary pair
+    # can offer
+    rule = tmp_path / "rule.txt"
+    rule.write_text("1: 1 0 0 0\n2: 0 1 0 0\n3: 0.5 0.5 0 0\n")
+    code, out = run_text(
+        capsys, "simulate", PROBLEMS / "binary_pair.yaml", "--rule", rule,
+        "--n", 10, "--trials", 5,
+    )
+    assert (code, out) == (3, "")

@@ -1,22 +1,36 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from switchrd import (
+    Distribution,
     DistortionMatrix,
+    GuardError,
+    InfeasibleError,
     RegionSpec,
     SourceList,
+    SwitchRule,
     ValidationError,
+    apply_rule,
+    build_covering_codebook,
     converse_bound,
+    distortion_to_codebook,
     greedy_max_rule,
+    is_member,
+    load_problem,
+    sample_sources,
     simulate_game,
+    synthesize_rule,
 )
+from switchrd import game_sim
 from switchrd.game_sim import Codebook, best_response_distortion
 
 HAMMING = DistortionMatrix([[0, 1], [1, 0]])
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 class TestConverseBound:
@@ -79,3 +93,202 @@ class TestBestResponse:
         expected_value, expected_vec = brute_force_best_response(realizations, words, d)
         assert value == expected_value
         assert vec.tolist() == expected_vec
+
+
+def reference_sample(sources, n, gen):
+    """One block drawn the way the simulator's stream contract is defined:
+    one ``gen.choice`` per source row in source order (one over source
+    tuples in joint mode)."""
+    k = sources.alphabet_size
+    if sources.is_joint:
+        m = sources.num_sources
+        flat = gen.choice(k**m, size=n, p=sources.joint_array())
+        return np.stack([(flat // k ** (m - 1 - l)) % k for l in range(m)])
+    return np.stack([gen.choice(k, size=n, p=row) for row in sources.as_array()])
+
+
+def reference_apply(rule, block, gen):
+    """One ``gen.choice`` per offered mask in ascending order, drawing for
+    that mask's columns in ascending time."""
+    masks = np.bitwise_or.reduce(1 << block.astype(np.int64), axis=0)
+    out = np.empty(block.shape[1], dtype=np.int64)
+    for mask in np.unique(masks):
+        cols = np.nonzero(masks == mask)[0]
+        out[cols] = gen.choice(rule.alphabet_size, size=cols.size, p=rule.rules[int(mask)].probs)
+    return out
+
+
+def reference_simulate(sources, rule, codebook, d, n, trials, seed, region):
+    """The per-trial loop: trial t draws its block and its switch choices
+    from ``default_rng([seed, t])``."""
+    k = sources.alphabet_size
+    counts = np.zeros(k, dtype=np.int64)
+    dists, outside = [], 0
+    for t in range(trials):
+        gen = np.random.default_rng([seed, t])
+        out = reference_apply(rule, reference_sample(sources, n, gen), gen)
+        block_counts = np.bincount(out, minlength=k)
+        counts += block_counts
+        if codebook is not None:
+            dists.append(float(d.values[out[None, :], codebook.words].mean(axis=1).min()))
+        if region is not None:
+            outside += not is_member(Distribution(block_counts / n), region).satisfied
+    dists = np.array(dists)
+    return {
+        "empirical_type": (counts / (n * trials)).tolist(),
+        "mean_distortion": float(dists.mean()) if codebook is not None else None,
+        "stderr": (
+            float(dists.std(ddof=1) / math.sqrt(trials)) if codebook is not None else None
+        ),
+        "out_of_region_fraction": outside / trials if region is not None else None,
+    }
+
+
+def shipped(name):
+    problem = load_problem(str(PROBLEMS / name))
+    return problem.sources, problem.distortion
+
+
+JOINT = SourceList.joint(
+    [Fraction(1, 4), Fraction(1, 8), 0, Fraction(1, 8), Fraction(1, 4), 0,
+     Fraction(1, 16), Fraction(1, 16), Fraction(1, 8)],
+    3, 2,
+)
+# non-integer distortion, so that per-trial sums are not exact in any order
+UNEVEN = DistortionMatrix([[0, 0.3, 1.7], [0.9, 0.1, 0.45], [1.3, 0.55, 0.05]])
+
+
+def sim_cases():
+    """(sources, rule, distortion, delta, codebook words or None), covering
+    both shipped files, joint mode, a relaxed region and non-integer
+    distortion."""
+    binary, hamming2 = shipped("binary_pair.yaml")
+    ternary, hamming3 = shipped("ternary_demo.yaml")
+    rng = np.random.default_rng(5)
+    yield binary, synthesize_rule(Distribution([0.7, 0.3]), binary), hamming2, 0, None
+    yield binary, greedy_max_rule(binary), hamming2, 0.05, rng.integers(0, 2, (5, 9))
+    yield ternary, synthesize_rule(Distribution([0.55, 0.25, 0.2]), ternary), hamming3, 0, None
+    yield ternary, greedy_max_rule(ternary), UNEVEN, 0.02, rng.integers(0, 3, (7, 9))
+    yield JOINT, greedy_max_rule(JOINT), UNEVEN, 0, rng.integers(0, 3, (4, 9))
+    yield JOINT, greedy_max_rule(JOINT), hamming3, 0.1, None
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("cells", [1, 500, game_sim._SIM_CELLS])
+    def test_every_field_equals_the_per_trial_loop(self, monkeypatch, case, cells):
+        # cells=1 puts every trial in a chunk of its own, 500 packs a few
+        # trials per chunk and leaves a partial last one, and the default
+        # runs all 301 trials as one chunk
+        monkeypatch.setattr(game_sim, "_SIM_CELLS", cells)
+        sources, rule, d, delta, words = list(sim_cases())[case]
+        n, trials, seed = 9, 301, 17 + case
+        codebook = None if words is None else Codebook(np.unique(words, axis=0), n)
+        region = RegionSpec(sources, delta)
+        report = simulate_game(sources, rule, codebook, d, n, trials, seed, region=region)
+        expected = reference_simulate(sources, rule, codebook, d, n, trials, seed, region)
+        assert report.empirical_type.probs.tolist() == expected["empirical_type"]
+        assert report.mean_distortion == expected["mean_distortion"]
+        assert report.stderr == expected["stderr"]
+        assert report.out_of_region_fraction == expected["out_of_region_fraction"]
+        assert (report.trials, report.n, report.seed) == (trials, n, seed)
+        assert report.codebook_rate == (codebook.rate if codebook is not None else None)
+
+    def test_long_blocks_span_several_chunks(self):
+        sources, _ = shipped("binary_pair.yaml")
+        rule = synthesize_rule(Distribution([0.7, 0.3]), sources)
+        region = RegionSpec(sources, 0)
+        report = simulate_game(sources, rule, None, HAMMING, 1000, 60, 4, region=region)
+        expected = reference_simulate(sources, rule, None, HAMMING, 1000, 60, 4, region)
+        assert report.empirical_type.probs.tolist() == expected["empirical_type"]
+        assert report.out_of_region_fraction == expected["out_of_region_fraction"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_sample_sources_and_apply_rule_equal_choice(self, seed):
+        for sources, rule, *_ in sim_cases():
+            block = sample_sources(sources, 40, seed)
+            expected = reference_sample(sources, 40, np.random.default_rng(seed))
+            np.testing.assert_array_equal(block, expected)
+            np.testing.assert_array_equal(
+                apply_rule(rule, block, seed + 1),
+                reference_apply(rule, block, np.random.default_rng(seed + 1)),
+            )
+
+    def test_rule_over_another_alphabet_is_rejected(self):
+        sources, _ = shipped("binary_pair.yaml")
+        rule = SwitchRule({1: Distribution([1, 0, 0, 0]), 2: Distribution([0, 1, 0, 0]),
+                           3: Distribution([0.5, 0.5, 0, 0])})
+        with pytest.raises(ValidationError, match="different alphabets"):
+            simulate_game(sources, rule, None, HAMMING, 10, 5, 0)
+
+    @pytest.mark.parametrize("cells", [1, game_sim._SIM_CELLS])
+    def test_missing_rule_entry_is_named_for_the_first_trial_offering_one(
+        self, monkeypatch, cells
+    ):
+        # at seed 8 trial 3 is the first to offer {0,2} and trial 4 the first
+        # to offer {0,1}; both fall in one chunk by default
+        monkeypatch.setattr(game_sim, "_SIM_CELLS", cells)
+        sources, d = shipped("ternary_demo.yaml")
+        missing = {3, 5}
+        rule = SwitchRule({
+            mask: Distribution.point_mass(mask.bit_length() - 1, 3)
+            for mask in range(1, 8) if mask not in missing
+        })
+        for t in itertools.count():
+            block = reference_sample(sources, 2, np.random.default_rng([8, t]))
+            offered = set(np.bitwise_or.reduce(1 << block, axis=0).tolist()) & missing
+            if offered:
+                break
+        assert (t, offered) == (3, {5})
+        with pytest.raises(ValidationError) as err:
+            simulate_game(sources, rule, None, d, 2, 40, 8)
+        assert str(err.value) == "rule has no entry for offered subset {0,2}"
+
+
+def admitted_strings(spec, k, n):
+    return [
+        s for s in itertools.product(range(k), repeat=n)
+        if is_member(Distribution(np.bincount(s, minlength=k) / n), spec).satisfied
+    ]
+
+
+def brute_force_cover(spec, d, target, n):
+    """Greedy cover over every reproduction word in lexicographic order,
+    recomputing each candidate's gain at every pick from per-cell means."""
+    targets = np.array(admitted_strings(spec, spec.sources.alphabet_size, n))
+    cands = np.array(list(itertools.product(range(d.num_outputs), repeat=n)))
+    cover = d.values[targets[None, :, :], cands[:, None, :]].mean(axis=2) <= target + 1e-12
+    chosen, uncovered = [], np.ones(len(targets), dtype=bool)
+    while uncovered.any():
+        gains = cover[:, uncovered].sum(axis=1)
+        chosen.append(int(np.argmax(gains)))
+        uncovered &= ~cover[chosen[-1]]
+    return cands[chosen]
+
+
+class TestCoveringCodebook:
+    @pytest.mark.parametrize(
+        "name, n, target",
+        [("binary_pair.yaml", 7, 0.25), ("binary_pair.yaml", 8, 0.1),
+         ("ternary_demo.yaml", 5, 0.25), ("ternary_demo.yaml", 4, 0.5)],
+    )
+    def test_equals_brute_force_greedy_and_covers(self, name, n, target):
+        sources, d = shipped(name)
+        spec = RegionSpec(sources, 0)
+        book = build_covering_codebook(spec, d, target, n)
+        np.testing.assert_array_equal(book.words, brute_force_cover(spec, d, target, n))
+        for s in admitted_strings(spec, sources.alphabet_size, n):
+            assert distortion_to_codebook(np.array(s), book, d) <= target + 1e-12
+
+    def test_target_below_a_type_floor_is_infeasible(self):
+        # every letter costs at least 0.5, so no word comes within 0.4
+        sources, _ = shipped("binary_pair.yaml")
+        d = DistortionMatrix([[0.5, 1], [1, 0.5]])
+        with pytest.raises(InfeasibleError):
+            build_covering_codebook(RegionSpec(sources, 0), d, 0.4, 6)
+
+    def test_cover_table_past_the_cell_guard_is_refused(self):
+        # 2^14 candidate words against the 9,893 admitted 14-symbol strings
+        sources, d = shipped("binary_pair.yaml")
+        with pytest.raises(GuardError, match="cover table"):
+            build_covering_codebook(RegionSpec(sources, 0), d, 0.25, 14)
