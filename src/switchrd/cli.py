@@ -144,8 +144,6 @@ def cmd_optimize(args) -> int:
     problem = load_problem(args.problem)
     ba_tol, bisect_tol = _tolerances(args)
     config = SearchConfig(
-        method=args.method,
-        grid_step=args.grid_step,
         starts=args.starts,
         seed=args.seed,
         distortion_tol=bisect_tol,
@@ -179,7 +177,6 @@ def cmd_optimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
-    ba_tol, bisect_tol = _tolerances(args)
     spec = _region_spec(problem)
     if args.rule is not None:
         try:
@@ -230,6 +227,10 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub) -> None:
     sub.add_argument("problem", help="problem file (YAML)")
     sub.add_argument("--output", help="write output to this file instead of stdout")
+
+
+def _add_tolerances(sub) -> None:
+    """The rate solver's tolerances, for the subcommands that solve rates."""
     sub.add_argument(
         "--ba-tol",
         type=float,
@@ -252,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rd = subs.add_parser("rd", help="rate-distortion of a fixed source")
     _add_common(rd)
+    _add_tolerances(rd)
     rd.add_argument("--p", required=True, help="source PMF, e.g. '1/2,1/2'")
     group = rd.add_mutually_exclusive_group(required=True)
     group.add_argument("--distortion", help="target distortion")
@@ -272,15 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = subs.add_parser("optimize", help="worst-case rates over the region")
     _add_common(opt)
+    _add_tolerances(opt)
     group = opt.add_mutually_exclusive_group(required=True)
     group.add_argument("--distortion", help="target distortion")
     group.add_argument("--curve", type=int, help="number of curve points")
-    opt.add_argument("--seed", type=int, default=0)
-    opt.add_argument("--starts", type=int, default=16)
-    opt.add_argument("--grid-step", type=float, default=None)
-    opt.add_argument(
-        "--method", choices=["auto", "grid", "multistart"], default="auto"
-    )
+    multistart = "; read only by searches over more than 4 symbols or sources"
+    opt.add_argument("--seed", type=int, default=0, help="seed of the random starts" + multistart)
+    opt.add_argument("--starts", type=int, default=16, help="number of random starts" + multistart)
     opt.set_defaults(func=cmd_optimize)
 
     sim = subs.add_parser("simulate", help="Monte Carlo game simulation")

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InfeasibleError, ValidationError
-from .probcore import Distribution, DistortionMatrix, SourceList, choice_cdf
+from .probcore import Distribution, DistortionMatrix, SourceList, choice_cdf, compositions
 from .rate_distortion import rate_at_distortion
-from .region import RegionSpec, in_region, is_member
+# is_member is not called here; bench/test_bench.py traces the game_sim.is_member binding
+from .region import RegionSpec, in_region, is_member  # noqa: F401
 from .strategy import SwitchRule, _apply_rule
 
 #: Largest string-space enumerated exhaustively (source and reproduction).
@@ -216,40 +217,41 @@ def _type_counts(strings: np.ndarray, k: int) -> np.ndarray:
     return counts
 
 
-def _admitted_strings(spec: RegionSpec, n: int) -> np.ndarray:
-    """All source strings whose empirical type satisfies the relaxed region."""
+def _admitted_types(spec: RegionSpec, n: int) -> np.ndarray:
+    """Symbol counts, in lexicographic order, of every type of length-n source
+    strings that satisfies the relaxed region; refused past ``ENUM_GUARD``
+    strings."""
     k = spec.sources.alphabet_size
     if k**n > ENUM_GUARD:
         raise GuardError(f"{k}^{n} source strings exceed the enumeration guard")
+    counts = compositions(n, k)
+    return counts[in_region(counts / n, spec)]
+
+
+def _admitted_strings(spec: RegionSpec, n: int, types: np.ndarray) -> np.ndarray:
+    """All source strings whose symbol counts are a row of ``types``, in
+    lexicographic order."""
+    k = spec.sources.alphabet_size
     strings = _enumerate_strings(k, n)
-    counts = _type_counts(strings, k)
-    unique, inverse = np.unique(counts, axis=0, return_inverse=True)
-    admitted = np.array(
-        [is_member(Distribution(row / n), spec).satisfied for row in unique]
-    )
-    return strings[admitted[inverse]]
+    # each count row read as one base-(n + 1) number
+    codes = (n + 1) ** np.arange(k, dtype=np.int64)
+    return strings[np.isin(_type_counts(strings, k) @ codes, types @ codes)]
 
 
-def _candidate_words(
-    spec: RegionSpec,
+def _sampled_words(
     d: DistortionMatrix,
     target_distortion: float,
     n: int,
     max_candidates: int,
     seed: int,
+    types: np.ndarray,
 ) -> np.ndarray:
-    """Reproduction words the greedy cover may use: the whole space when it is
-    small, otherwise randomly coded words drawn from each admitted type's
-    rate-optimal output marginal."""
+    """Randomly coded reproduction words drawn from each admitted type's
+    rate-optimal output marginal, in lexicographic order."""
     ky = d.num_outputs
-    if ky**n <= max_candidates:
-        return _enumerate_strings(ky, n)
-    k = spec.sources.alphabet_size
-    strings = _admitted_strings(spec, n)
-    unique = np.unique(_type_counts(strings, k), axis=0)
-    per_type = max(1, max_candidates // max(1, len(unique)))
+    per_type = max(1, max_candidates // max(1, len(types)))
     pool = []
-    for idx, row in enumerate(unique):
+    for idx, row in enumerate(types):
         point = rate_at_distortion(Distribution(row / n), d, target_distortion)
         marginal = (row / n) @ point.channel.rows
         marginal = np.clip(marginal, 0.0, None)
@@ -269,21 +271,33 @@ def build_covering_codebook(
     seed: int = 0,
 ) -> Codebook:
     """Greedy set cover of every admitted source string within the target
-    distortion. Candidate order is lexicographic and ties go to the earliest
-    candidate, so the construction is fully deterministic."""
+    distortion. The candidates are every reproduction word when there are at
+    most ``max_candidates``, otherwise words sampled per admitted type.
+    Candidate order is lexicographic and ties go to the earliest candidate,
+    so the construction is fully deterministic."""
     if n < 1:
         raise ValidationError("blocklength must be at least 1")
     if target_distortion < 0:
         raise ValidationError("distortion target must be nonnegative")
-    targets = _admitted_strings(spec, n)
-    if targets.shape[0] == 0:
+    types = _admitted_types(spec, n)
+    # strings of each admitted type, by the multinomial coefficient
+    num_t = sum(
+        math.factorial(n) // math.prod(map(math.factorial, row)) for row in types.tolist()
+    )
+    if num_t == 0:
         return Codebook(np.empty((0, n), dtype=np.int64), n)
-    cands = _candidate_words(spec, d, target_distortion, n, max_candidates, seed)
-    num_c, num_t = cands.shape[0], targets.shape[0]
+    cands = None
+    if d.num_outputs**n > max_candidates:
+        cands = _sampled_words(d, target_distortion, n, max_candidates, seed, types)
+    num_c = d.num_outputs**n if cands is None else cands.shape[0]
+    # refused before either side's strings are enumerated
     if num_c * num_t > COVER_CELL_GUARD:
         raise GuardError(
             f"cover table would hold {num_c * num_t} cells, guard is {COVER_CELL_GUARD}"
         )
+    if cands is None:
+        cands = _enumerate_strings(d.num_outputs, n)
+    targets = _admitted_strings(spec, n, types)
     # covered[t, c]: candidate c is within the target distortion of target t.
     # Each chunk of candidates is one product, one-hot targets times the
     # candidates' per-position distortion columns; on integer-valued

@@ -3,12 +3,14 @@ attainable region, plus the no-lookahead baseline over the convex hull of the
 sources. Both are one search over parameters mapped linearly to a source: the
 identity for the region, the mixture of the sources for the hull.
 
-R_p(D) is not concave in p, so the search is a dense simplex grid (small
-dimension) or multistart projected ascent (larger ones); either way the
-result is a certified feasible lower bound on the true maximum, exact only up
-to the grid/ascent resolution. Results are deterministic for a fixed config
-and seed, and merging uses value-then-lexicographic order so the outcome does
-not depend on evaluation order.
+R_p(D) is not concave in p, so the search depends only on the parameter
+dimension (symbols for the region, sources for the hull): up to 4 it is a
+dense simplex lattice refined by ascent, above that multistart projected
+ascent from seeded random starts. One step table serves both polytopes.
+Either way the result is a feasible lower bound on the true maximum, exact
+only up to the lattice/ascent resolution. Results are deterministic for a
+fixed config and seed, and merging uses value-then-lexicographic order so the
+outcome does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -18,43 +20,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probcore import Distribution, DistortionMatrix, SourceList
+from .probcore import Distribution, DistortionMatrix, SourceList, compositions
 from .rate_distortion import rates_at_distortion_batch
-from .region import MEMBER_ATOL, RegionSpec, enumerate_constraints, is_member
+from .region import RegionSpec, _shortfalls, in_region, is_member
 from .strategy import greedy_max_rule, induced_distribution
 
-_GRID_STEPS = {2: 0.005, 3: 0.02}
-_HULL_STEPS = {1: 1.0, 2: 0.005, 3: 0.02, 4: 0.05}
+#: Lattice step per parameter dimension, for the region and the hull alike;
+#: larger dimensions take multistart ascent.
+_GRID_STEPS = {1: 1.0, 2: 0.005, 3: 0.02, 4: 0.05}
+#: Rounds of the ascent.
+_ASCENT_ITERS = 40
 #: Step of the central finite differences in the ascent.
 _FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the one search behind both maximizers.
+    """Settings of the one search behind both maximizers.
 
-    ``method`` "auto" picks a dense grid for small parameter dimension (at
-    most 3 symbols for the region, 4 sources for the hull) and multistart
-    ascent otherwise; "grid"/"multistart" force one. ``grid_step``, in
-    (0, 1], overrides the per-dimension lattice step; None uses the defaults.
+    ``starts`` random starts, drawn from ``seed``, seed the multistart ascent
+    that parameter dimensions above 4 take; the lattice path reads neither.
     Tolerances are passed through to the rate solver.
     """
 
-    method: str = "auto"
-    grid_step: float | None = None
     starts: int = 16
     seed: int = 0
-    ascent_iters: int = 40
     distortion_tol: float = 1e-6
     ba_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.method not in ("auto", "grid", "multistart"):
-            raise ValidationError(f"unknown search method {self.method!r}")
         if self.starts < 1:
             raise ValidationError("need at least one start")
-        if self.grid_step is not None and not 0 < self.grid_step <= 1:
-            raise ValidationError("grid step must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,26 +66,13 @@ class MaximizerResult:
     starts: int
 
 
-def _simplex_grid(dim: int, step: float) -> np.ndarray:
-    """Lattice points with coordinates that are multiples of ``step`` and sum
-    to 1, in lexicographic order."""
-    ticks = round(1.0 / step)
-    points = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            points.append(prefix + [remaining])
-            return
-        for head in range(remaining + 1):
-            rec(prefix + [head], remaining - head, slots - 1)
-
-    rec([], ticks, dim)
-    return np.array(points, dtype=float) / ticks
-
-
-def _subset_matrix(k: int) -> np.ndarray:
-    masks = np.arange(1, 1 << k)
-    return ((masks[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
+def _to_simplex(points: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Each row clipped at 0 and rescaled to sum 1; an all-zero row becomes
+    ``fallback``."""
+    points = np.clip(points, 0.0, None)
+    totals = points.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(totals > 0, points / totals, fallback)
 
 
 def _better(value, vec, best_value, best_vec) -> bool:
@@ -106,7 +89,7 @@ def _pick_best(values, vecs):
     return best_value, best_vec
 
 
-def _ascend(seeds, batch_value, repair, config: SearchConfig):
+def _ascend(seeds, batch_value, repair):
     """Projected coordinate ascent with central finite differences, run from
     every ``(value, point)`` seed in lockstep; returns ``(point, value)`` per
     seed.
@@ -115,25 +98,22 @@ def _ascend(seeds, batch_value, repair, config: SearchConfig):
     candidates over every start that is still moving. The rate solver treats
     the rows of a batch independently, so each start follows the same path
     as it would alone. Probe and candidate points are repaired back into the
-    feasible set, so the effective motion is along the feasible boundary when
-    constraints bind.
+    feasible set (``repair`` maps each row of a batch), so the effective
+    motion is along the feasible boundary when constraints bind.
     """
     xs = [np.array(x0, dtype=float) for _, x0 in seeds]
     vs = [float(v0) for v0, _ in seeds]
     base_steps = [0.05] * len(xs)
     k = xs[0].size
     units = np.eye(k) - 1.0 / k
+    # +u, -u for each unit direction u, in that order
+    offsets = (_FD_STEP * units[:, None, :] * np.array([[1.0], [-1.0]])).reshape(2 * k, k)
     moving = list(range(len(xs)))
-    for _ in range(config.ascent_iters):
+    for _ in range(_ASCENT_ITERS):
         if not moving:
             break
-        probes = [
-            repair(xs[j] + sign * _FD_STEP * u)
-            for j in moving
-            for u in units
-            for sign in (1.0, -1.0)
-        ]
-        vals = batch_value(np.array(probes)).reshape(len(moving), 2 * k)
+        probes = repair(np.concatenate([xs[j] + offsets for j in moving]))
+        vals = batch_value(probes).reshape(len(moving), 2 * k)
         searching = []
         for r, j in enumerate(moving):
             if np.isinf(vals[r]).any():
@@ -147,14 +127,12 @@ def _ascend(seeds, batch_value, repair, config: SearchConfig):
                 continue
             direction /= norm
             steps = base_steps[j] * 0.5 ** np.arange(10)
-            group = [repair(xs[j] + s * direction) for s in steps]
-            searching.append((j, steps, group))
+            searching.append((j, steps, repair(xs[j] + steps[:, None] * direction)))
         if not searching:
             break
-        cands = np.array([c for _, _, group in searching for c in group])
-        cvals = batch_value(cands).reshape(len(searching), -1)
+        cvals = batch_value(np.concatenate([group for _, _, group in searching]))
         moving = []
-        for (j, steps, group), cv in zip(searching, cvals):
+        for (j, steps, group), cv in zip(searching, cvals.reshape(len(searching), -1)):
             best = int(np.argmax(cv))
             if cv[best] > vs[j] + 1e-12:
                 xs[j] = group[best]
@@ -164,27 +142,23 @@ def _ascend(seeds, batch_value, repair, config: SearchConfig):
     return list(zip(xs, vs))
 
 
-def _candidates(
-    dim: int, steps: dict, config: SearchConfig, inside=None, repair=None, anchor=None
-):
+def _candidates(dim: int, config: SearchConfig, inside=None, repair=None, anchor=None):
     """Starting points in a polytope within the ``dim``-simplex, and their
-    method. ``steps`` maps dimensions to grid steps ("auto" uses the grid up
-    to its largest key, whose step is also the default). If the polytope cuts
-    the simplex, the lattice keeps the points ``inside`` accepts and random
-    starts go through ``repair``. A known feasible ``anchor`` comes last."""
-    method = config.method
-    if method == "auto":
-        method = "grid" if dim <= max(steps) else "multistart"
-    if method == "grid":
-        step = config.grid_step or steps.get(dim, steps[max(steps)])
-        points = _simplex_grid(dim, step)
+    method: the ``_GRID_STEPS`` lattice ("grid") for the dimensions it lists,
+    ``config.starts`` random starts ("multistart") above them. If the polytope
+    cuts the simplex, the lattice keeps the points ``inside`` accepts and
+    random starts go through ``repair``. A known feasible ``anchor`` comes
+    last."""
+    if dim in _GRID_STEPS:
+        ticks = round(1.0 / _GRID_STEPS[dim])
+        points, method = compositions(ticks, dim) / ticks, "grid"
         if inside is not None:
             points = points[inside(points)]
     else:
         rng = np.random.default_rng(config.seed)
-        points = rng.dirichlet(np.ones(dim), size=config.starts)
+        points, method = rng.dirichlet(np.ones(dim), size=config.starts), "multistart"
         if repair is not None:
-            points = np.array([repair(x) for x in points])
+            points = repair(points)
     if anchor is not None:
         points = np.vstack([points, anchor[None, :]])
     return points, method
@@ -192,38 +166,25 @@ def _candidates(
 
 def _region_candidates(spec: RegionSpec, config: SearchConfig):
     """Deterministic candidate set inside the region, the guaranteed feasible
-    anchor (the greedy largest-symbol rule's output distribution) included."""
+    anchor (the greedy largest-symbol rule's output distribution) included,
+    and the region's repair."""
     k = spec.sources.alphabet_size
     anchor = induced_distribution(greedy_max_rule(spec.sources), spec.sources).probs
-    subset_mat = _subset_matrix(k)
-    rhs = np.array([float(r) for _, r in enumerate_constraints(spec)])
+    anchor_mass = _shortfalls(anchor, spec)[0]
 
-    def inside(points):
-        return np.all(points @ subset_mat.T >= rhs - MEMBER_ATOL, axis=1)
+    def repair(ys):
+        """Each row back onto the simplex, then the shortest step toward the
+        anchor after which every subset holds its required mass: each mass is
+        linear along that segment, so the step is exact."""
+        ys = _to_simplex(ys, anchor)
+        mass, rhs, short = _shortfalls(ys, spec)
+        steps = np.divide(rhs - mass, anchor_mass - mass, out=np.zeros_like(mass), where=short)
+        t = np.minimum(steps.max(axis=1), 1.0)[:, None]
+        return (1.0 - t) * ys + t * anchor
 
-    def ok(x):
-        return bool(np.all(subset_mat @ x >= rhs - MEMBER_ATOL))
-
-    def repair(y):
-        """Back onto the simplex, then toward the anchor by bisection until
-        every constraint holds."""
-        y = np.clip(y, 0.0, None)
-        total = y.sum()
-        y = y / total if total > 0 else anchor.copy()
-        if ok(y):
-            return y
-        lo, hi = 0.0, 1.0
-        if not ok(anchor):
-            return anchor.copy()
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if ok((1.0 - mid) * y + mid * anchor):
-                hi = mid
-            else:
-                lo = mid
-        return (1.0 - hi) * y + hi * anchor
-
-    candidates, method = _candidates(k, _GRID_STEPS, config, inside, repair, anchor)
+    candidates, method = _candidates(
+        k, config, lambda points: in_region(points, spec), repair, anchor
+    )
     return candidates, method, repair
 
 
@@ -252,7 +213,7 @@ def _maximize(candidates, method, repair, to_source, d, target, config):
         seeds = [(best_value, best_x)]
     else:
         seeds = list(zip(values.tolist(), candidates))
-    for x, v in _ascend(seeds, batch_value, repair, config):
+    for x, v in _ascend(seeds, batch_value, repair):
         if _better(v, x, best_value, best_x):
             best_value, best_x = v, x
     return MaximizerResult(
@@ -284,8 +245,9 @@ def maximize_over_region(
 ) -> MaximizerResult:
     """Largest R_p(D) over attainable p, with the achieving distribution.
 
-    Grid mode enumerates the feasible simplex lattice and refines the best
-    cell by ascent; multistart mode ascends from every repaired random start.
+    Up to 4 symbols the search enumerates the feasible simplex lattice and
+    refines the best point by ascent ("grid"); above that it ascends from
+    every repaired random start ("multistart").
     A +inf value means some attainable distribution has a distortion floor
     above the target, so no finite rate suffices.
     """
@@ -307,12 +269,10 @@ def maximize_over_hull(
     rows = sources.as_array()
     m = rows.shape[0]
 
-    def repair(lam):
-        lam = np.clip(lam, 0.0, None)
-        total = lam.sum()
-        return lam / total if total > 0 else np.full(m, 1.0 / m)
+    def repair(lams):
+        return _to_simplex(lams, np.full(m, 1.0 / m))
 
-    lams, method = _candidates(m, _HULL_STEPS, config)
+    lams, method = _candidates(m, config)
     return _maximize(lams, method, repair, lambda lam: lam @ rows, d, target, config)
 
 
@@ -323,8 +283,9 @@ def rd_tilde_curve(
     config: SearchConfig | None = None,
 ) -> list[tuple[float, MaximizerResult]]:
     """Worst-case rate over a distortion grid spanning the smallest floor and
-    the largest ceiling seen across the candidate set, which every target
-    reuses."""
+    the largest ceiling seen across the region's candidate set (its feasible
+    lattice up to 4 symbols, its repaired random starts above), which every
+    target reuses."""
     config = config or SearchConfig()
     if num_points < 2:
         raise ValidationError("need at least two curve points")

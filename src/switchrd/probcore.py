@@ -7,6 +7,7 @@ are base 2; information quantities are in bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -286,3 +287,14 @@ def choice_cdf(probs: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(probs, axis=-1)
     cdf /= cdf[..., -1:]
     return cdf
+
+
+def compositions(total: int, parts: int) -> np.ndarray:
+    """Every vector of ``parts`` nonnegative integers summing to ``total``, as
+    the rows of an int64 matrix in lexicographic order: each row is the gaps
+    between ``parts - 1`` bars placed among ``total + parts - 1`` slots."""
+    slots = total + parts - 1
+    bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64)
+    bars = bars.reshape(math.comb(slots, parts - 1), parts - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots))
+    return np.diff(edges, axis=1) - 1

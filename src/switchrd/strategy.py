@@ -48,6 +48,8 @@ class SwitchRule:
         for mask, f in rules.items():
             if mask <= 0 or mask >= (1 << k):
                 raise ValidationError(f"subset mask {mask} out of range")
+            if (f.probs < 0).any():
+                raise ValidationError(f"rule for {format_subset(mask)} has a negative entry")
             off = [i for i in range(k) if not (mask >> i) & 1]
             if any(f.probs[i] > 1e-12 for i in off):
                 raise ValidationError(

@@ -97,13 +97,45 @@ def test_synthesize_binary_pair(capsys):
     assert (code, out) == (0, "1: 1 0\n2: 0 1\n3: 0.48 0.52\n")
 
 
-@pytest.mark.parametrize("step", ["-0.1", "0", "2"])
-def test_grid_step_outside_the_unit_interval_exits_3(capsys, step):
+@pytest.mark.parametrize("option, value", [("--method", "grid"), ("--grid-step", "0.05")])
+def test_optimize_has_no_search_method_options(capsys, option, value):
+    # the parameter dimension alone picks the lattice or the multistart path
     code, out = run_text(
         capsys, "optimize", PROBLEMS / "binary_pair.yaml", "--distortion", "0.1",
-        "--grid-step", step,
+        option, value,
     )
     assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--list"],
+        ["synthesize", "--target", "0.7,0.3"],
+        ["simulate", "--target", "0.7,0.3", "--n", 20, "--trials", 10],
+    ],
+)
+@pytest.mark.parametrize("option", ["--ba-tol", "--bisect-tol"])
+def test_solver_tolerances_only_on_rate_subcommands(capsys, argv, option):
+    command, *rest = argv
+    code, out = run_text(
+        capsys, command, PROBLEMS / "binary_pair.yaml", *rest, option, "1e-6"
+    )
+    assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("variable", ["SWITCHRD_BA_TOL", "SWITCHRD_BISECT_TOL"])
+def test_simulate_ignores_solver_tolerance_variables(capsys, monkeypatch, variable):
+    monkeypatch.setenv(variable, "x")
+    argv = ["simulate", PROBLEMS / "binary_pair.yaml", "--target", "0.7,0.3",
+            "--n", 20, "--trials", 50, "--seed", 1]
+    code, out = run_text(capsys, *argv)
+    assert code == 0
+    assert "empirical_type=0.699 0.301" in out.splitlines()
+    # the rate subcommands still read it
+    code, _ = run_text(capsys, "rd", PROBLEMS / "binary_pair.yaml", "--p", "1/2,1/2",
+                       "--distortion", "0.1")
+    assert code == 3
 
 
 def test_optimize_curve_binary_pair(capsys):
@@ -174,6 +206,16 @@ def test_simulate_binary_pair_against_a_covering_codebook(capsys):
         "empirical_type=0.688333333333 0.311666666667",
     ):
         assert line in lines
+
+
+def test_simulate_rule_with_a_negative_entry_exits_3(capsys, tmp_path):
+    rule = tmp_path / "rule.txt"
+    rule.write_text("1: 1 0\n2: 0 1\n3: -1e-10 1.0000000001\n")
+    code, out = run_text(
+        capsys, "simulate", PROBLEMS / "binary_pair.yaml", "--rule", rule,
+        "--n", 20, "--trials", 10,
+    )
+    assert (code, out) == (3, "")
 
 
 def test_simulate_rule_over_another_alphabet_exits_3(capsys, tmp_path):

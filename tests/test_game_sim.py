@@ -292,3 +292,14 @@ class TestCoveringCodebook:
         sources, d = shipped("binary_pair.yaml")
         with pytest.raises(GuardError, match="cover table"):
             build_covering_codebook(RegionSpec(sources, 0), d, 0.25, 14)
+
+    def test_cell_guard_is_checked_before_any_enumeration(self, monkeypatch):
+        # 2^20 candidate words against the 616,645 admitted 20-symbol strings,
+        # counted per type without listing a string
+        def refuse(k, n):
+            raise AssertionError("strings were enumerated")
+
+        monkeypatch.setattr(game_sim, "_enumerate_strings", refuse)
+        sources, d = shipped("binary_pair.yaml")
+        with pytest.raises(GuardError, match="cover table would hold 646599147520 cells"):
+            build_covering_codebook(RegionSpec(sources, 0), d, 0.25, 20)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchrd import (
     Distribution,
@@ -25,7 +27,7 @@ BINARY_PAIR = SourceList.independent(
 BINARY_SPEC = RegionSpec(BINARY_PAIR, 0)
 
 #: Loose-but-honest settings for property checks over random instances.
-FAST = SearchConfig(ascent_iters=12, starts=6, distortion_tol=1e-5, ba_tol=1e-8)
+FAST = SearchConfig(starts=6, distortion_tol=1e-5, ba_tol=1e-8)
 
 
 def h2(x):
@@ -34,6 +36,34 @@ def h2(x):
 
 def random_sources(rng, k, m):
     return SourceList.independent(rng.dirichlet(np.ones(k), size=m).tolist())
+
+
+def uniform_hamming_rate(k, target):
+    """R(D) of the uniform source under k-ary Hamming distortion, 0 <= D <= 1 - 1/k."""
+    h = -target * math.log2(target) - (1 - target) * math.log2(1 - target)
+    return math.log2(k) - h - target * math.log2(k - 1)
+
+
+#: (D2) three sources on four symbols whose region contains the uniform point,
+#: at a target where R~ must equal the uniform closed form.
+D2_SOURCES = SourceList.independent(
+    [
+        [0.207779, 0.175252, 0.514738, 0.102231],
+        [0.174610, 0.655466, 0.065014, 0.104910],
+        [0.258326, 0.206629, 0.401393, 0.133652],
+    ]
+)
+D2_TARGET = 0.59073
+#: (D3) an instance whose ascent repairs many points onto the region's
+#: boundary, where a membership test has no slack to spare.
+D3_SOURCES = SourceList.independent(
+    [
+        [0.25804390058453003, 0.22256519889352394, 0.4637733871061953, 0.05561751341575073],
+        [0.050348381226948444, 0.08493843226198874, 0.10917657964187615, 0.7555366068691868],
+    ]
+)
+D3_DISTORTION = DistortionMatrix([[0, 3, 1, 2], [2, 0, 1, 3], [2, 3, 0, 2], [1, 3, 2, 0]])
+D3_TARGET = 0.5030675073631221
 
 
 class TestRegionMaximizer:
@@ -63,42 +93,51 @@ class TestRegionMaximizer:
             assert is_member(res.argmax, RegionSpec(srcs, 0)).satisfied
 
     def test_seed_determinism(self):
-        cfg = SearchConfig(method="multistart", starts=5, seed=77)
-        a = maximize_over_region(BINARY_SPEC, HAMMING, 0.12, cfg)
-        b = maximize_over_region(BINARY_SPEC, HAMMING, 0.12, cfg)
+        spec = RegionSpec(random_sources(np.random.default_rng(9), 5, 2), 0)
+        d = DistortionMatrix.hamming(5)
+        cfg = SearchConfig(starts=5, seed=77)
+        a = maximize_over_region(spec, d, 0.12, cfg)
+        b = maximize_over_region(spec, d, 0.12, cfg)
+        assert a.method == "multistart"
         assert a.value == b.value
         np.testing.assert_array_equal(a.argmax.probs, b.argmax.probs)
         assert a.evaluations == b.evaluations
 
     def test_grid_and_multistart_agree(self):
-        grid = maximize_over_region(BINARY_SPEC, HAMMING, 0.1)
-        multi = maximize_over_region(
-            BINARY_SPEC, HAMMING, 0.1, SearchConfig(method="multistart", starts=8, seed=5)
-        )
-        assert multi.value == pytest.approx(grid.value, abs=1e-3)
-        assert multi.method == "multistart"
+        # delta = 1 frees the whole simplex, whose maximum under Hamming
+        # distortion is the uniform point's closed form: k = 4 takes the
+        # lattice and k = 5 the multistart ascent
+        rng = np.random.default_rng(5)
+        for k, method, config in ((4, "grid", None), (5, "multistart", FAST)):
+            free = RegionSpec(random_sources(rng, k, 2), 1.0)
+            d = DistortionMatrix.hamming(k)
+            for target in (0.1, 0.3):
+                res = maximize_over_region(free, d, target, config)
+                assert res.method == method
+                assert res.value == pytest.approx(uniform_hamming_rate(k, target), abs=1e-6)
 
     def test_unreachable_distortion_reports_inf(self):
         d = DistortionMatrix([[0.5, 1.0], [1.0, 0.5]])
         res = maximize_over_region(BINARY_SPEC, d, 0.4, FAST)
         assert math.isinf(res.value)
 
-    def test_four_symbol_instance_runs_multistart(self):
+    def test_five_symbol_instance_runs_multistart(self):
         rng = np.random.default_rng(9)
-        srcs = random_sources(rng, 4, 2)
-        res = maximize_over_region(
-            RegionSpec(srcs, 0), DistortionMatrix.hamming(4), 0.2, FAST
-        )
+        spec = RegionSpec(random_sources(rng, 5, 2), 0)
+        res = maximize_over_region(spec, DistortionMatrix.hamming(5), 0.2, FAST)
         assert res.method == "multistart"
+        assert res.starts == FAST.starts + 1
         assert res.value >= 0.0
+        assert is_member(res.argmax, spec).satisfied
 
     def test_lockstep_ascent_matches_single_starts(self):
         # the starts share every rate batch, so a start's path must not
         # depend on which other starts are still moving
         rng = np.random.default_rng(9)
-        spec = RegionSpec(random_sources(rng, 4, 2), 0)
-        d = DistortionMatrix.hamming(4)
-        candidates, _, repair = _region_candidates(spec, FAST)
+        spec = RegionSpec(random_sources(rng, 5, 2), 0)
+        d = DistortionMatrix.hamming(5)
+        candidates, method, repair = _region_candidates(spec, FAST)
+        assert method == "multistart"
 
         def batch_value(ps):
             return rates_at_distortion_batch(
@@ -106,11 +145,55 @@ class TestRegionMaximizer:
             )
 
         seeds = list(zip(batch_value(candidates).tolist(), candidates))
-        together = _ascend(seeds, batch_value, repair, FAST)
+        together = _ascend(seeds, batch_value, repair)
         for seed, (x, v) in zip(seeds, together):
-            [(x_alone, v_alone)] = _ascend([seed], batch_value, repair, FAST)
+            [(x_alone, v_alone)] = _ascend([seed], batch_value, repair)
             np.testing.assert_array_equal(x, x_alone)
             assert v == v_alone
+
+
+class TestPinnedInstances:
+    def test_region_maximum_is_never_below_the_hull_maximum(self):
+        # (D2) the hull lies inside the region, and the region here holds the
+        # uniform point, the maximizer of the free simplex
+        d = DistortionMatrix.hamming(4)
+        region = maximize_over_region(RegionSpec(D2_SOURCES, 0), d, D2_TARGET)
+        hull = maximize_over_hull(D2_SOURCES, d, D2_TARGET)
+        assert region.method == "grid"
+        assert region.value == pytest.approx(uniform_hamming_rate(4, D2_TARGET), abs=1e-9)
+        assert hull.value <= region.value
+
+    def test_ascent_stays_in_the_region(self):
+        # (D3) every repaired point must pass is_member, or the search raises
+        # "maximizer left the feasible region"
+        spec = RegionSpec(D3_SOURCES, 0)
+        res = maximize_over_region(spec, D3_DISTORTION, D3_TARGET)
+        assert res.method == "grid"
+        assert math.isfinite(res.value)
+        assert is_member(res.argmax, spec).satisfied
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 5),
+        m=st.integers(1, 3),
+        delta=st.sampled_from([0.0, 0.02, 0.1]),
+    )
+    def test_every_repaired_point_is_a_member(self, seed, k, m, delta):
+        rng = np.random.default_rng(seed)
+        for spec in (RegionSpec(random_sources(rng, k, m), delta), RegionSpec(D3_SOURCES, 0)):
+            _, _, repair = _region_candidates(spec, FAST)
+            size = spec.sources.alphabet_size
+            # points on and off the simplex, and the all-zero row
+            points = np.vstack(
+                [
+                    rng.dirichlet(np.ones(size), size=40),
+                    rng.normal(0.3, 0.5, size=(20, size)),
+                    np.zeros((1, size)),
+                ]
+            )
+            for x in repair(points):
+                assert is_member(Distribution(x), spec).satisfied
 
 
 class TestHullMaximizer:

@@ -62,6 +62,11 @@ class TestSwitchRule:
         with pytest.raises(ValidationError):
             SwitchRule.parse("not a rule line\n")
 
+    def test_negative_entry_rejected(self):
+        # a distribution within the simplex tolerance, but not a probability
+        with pytest.raises(ValidationError, match="negative"):
+            SwitchRule.parse("1: 1 0\n2: 0 1\n3: -1e-10 1.0000000001\n")
+
 
 class TestInducedDistribution:
     def test_always_pick_one(self):
