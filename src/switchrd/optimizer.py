@@ -11,6 +11,11 @@ Either way the result is a feasible lower bound on the true maximum, exact
 only up to the lattice/ascent resolution. Results are deterministic for a
 fixed config and seed, and merging uses value-then-lexicographic order so the
 outcome does not depend on evaluation order.
+
+A candidate whose distortion floor lies above the target has rate +inf, and
+then so does the maximum. The lattice's batch asks the rate solver for its
+best row only, and a row the solver drops as certainly below that row comes
+back as -inf, so it is never picked.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ class SearchConfig:
 class MaximizerResult:
     """Best point found: ``value`` = R_argmax(D) in bits. ``method`` is
     "grid" (dense enumeration plus one refinement) or "multistart" (heuristic
-    lower bound). ``evaluations`` counts rate solves."""
+    lower bound). ``evaluations`` counts the rows submitted to the rate
+    solver, those its early exit dropped included."""
 
     value: float
     argmax: Distribution
@@ -192,21 +198,26 @@ def _maximize(candidates, method, repair, to_source, d, target, config):
     """Largest R_p(D) over parameters ``x`` with source ``p = to_source(x)``:
     one batch over the candidates, then ascent from the best (grid) or from
     all (multistart); ties go to the lexicographically smallest ``x``. +inf
-    means a candidate's distortion floor lies above the target."""
+    means a candidate's distortion floor lies above the target.
+
+    The grid's batch feeds only its best row, so it stops early on rows that
+    are certified to fall below it, which come back as -inf and are never
+    picked; the multistart seeds and the ascent's probes need every value."""
     if target < 0:
         raise ValidationError("distortion target must be nonnegative")
     evaluations = 0
 
-    def batch_value(xs):
+    def batch_value(xs, best_only=False):
         nonlocal evaluations
         evaluations += len(xs)
         return rates_at_distortion_batch(
-            to_source(xs), d, target, tol=config.distortion_tol, ba_tol=config.ba_tol
+            to_source(xs), d, target, tol=config.distortion_tol, ba_tol=config.ba_tol,
+            best_only=best_only,
         )
 
-    values = batch_value(candidates)
-    if np.isinf(values).any():
-        x = np.array(min(map(tuple, candidates[np.isinf(values)])))
+    values = batch_value(candidates, best_only=method == "grid")
+    if np.isposinf(values).any():
+        x = np.array(min(map(tuple, candidates[np.isposinf(values)])))
         return MaximizerResult(np.inf, Distribution(to_source(x)), method, evaluations, 0)
     best_value, best_x = _pick_best(values, candidates)
     if method == "grid":

@@ -333,7 +333,9 @@ def _mix_channels(ps, d_arr, w_low, w_high, targets):
     return (*_rates_and_distortions(ps, w, d_arr), w)
 
 
-def _slope_search(ps, d_arr, targets, tol, ba_tol, max_iters, labels=None):
+def _slope_search(
+    ps, d_arr, targets, tol, ba_tol, max_iters, labels=None, best_only=False
+):
     """R_p(D) for a batch of sources, each row at its own reachable target
     (floor - 1e-12 <= target < ceiling). Returns (rate, dist, w, slope).
 
@@ -350,9 +352,37 @@ def _slope_search(ps, d_arr, targets, tol, ba_tol, max_iters, labels=None):
     does not depend on the rest of the batch. A probe that does not certify a
     ``ba_tol`` gap within ``max_iters`` iterations raises ConvergenceError
     with that row's last iterate; ``labels`` names the rows in its message.
+
+    The probes bracket each row's R_p(target). A probe at slope s with rate
+    r and distortion d certifies its fixed-slope gap, so by Blahut's dual
+    R_p(x) >= r + s (x - d) - ba_tol for every x: the best such line read at
+    the target is a lower end. The (d, r) points of the bracket's two sides
+    are achievable, so their chord read at the target is an upper end. The
+    rate the search still returns for a row lies within two wider ends:
+
+    * at least the best line read at ``target + tol``, since it is the rate
+      of a channel whose distortion is at most ``target + tol``;
+    * at most the chord plus ``|lo| tol + ba_tol``, since the last probe's
+      slope s lies in (lo, 0), its distortion within ``tol`` of the target
+      and its gap below ``ba_tol``, so its rate is at most
+      R_p(target) + |s| tol + ba_tol. A time-shared row returns at most the
+      chord of its final sides, which lie inside the current ones.
+
+    With ``best_only`` the caller reads only the largest rate. Each regula
+    falsi round then first drops every searching row whose wider upper end
+    is below, by more than 1e-12 against rounding, the largest rate some row
+    is sure to return: a finished row's rate or a searching row's wider lower
+    end. A
+    dropped row returns rate -inf, and its full search would have returned
+    less than the batch maximum, so every row that attains the maximum
+    survives. The surviving rows run exactly the probes they run without
+    dropping, so their values are bit-identical.
     """
     m = ps.shape[0]
     q_warm = np.zeros((m, d_arr.shape[1]))
+    # the least value each row can still return: the best supporting line of
+    # its probes read at target + tol
+    least = np.full(m, -np.inf)
 
     def solve(rows, slopes, warm):
         rate, dist, w, q, converged = _solve_fixed_slopes(
@@ -370,6 +400,8 @@ def _slope_search(ps, d_arr, targets, tol, ba_tol, max_iters, labels=None):
                 last_point=at,
             )
         q_warm[rows] = q
+        lines = rate + slopes * (targets[rows] + tol - dist) - ba_tol
+        least[rows] = np.maximum(least[rows], lines)
         return rate, dist, w
 
     slope = np.full(m, -64.0)
@@ -385,16 +417,28 @@ def _slope_search(ps, d_arr, targets, tol, ba_tol, max_iters, labels=None):
     searching = ~finished
 
     # the bracket's two sides, below (0) and above (1) the target: slopes,
-    # D - target, regula falsi weights and converged channels
+    # D - target, rates, regula falsi weights and converged channels
     costs = ps @ d_arr
     ends = np.stack([slope, np.zeros(m)])
     vals = np.stack([dist - targets, costs.min(axis=1) - targets])
+    rates = np.stack([rate, np.zeros(m)])
     weights = vals.copy()
     chans = np.stack([w, np.zeros_like(w)])
     chans[1, np.arange(m), :, np.argmin(costs, axis=1)] = 1.0
     last = np.full(m, -1)  # the side that moved last
+    dropped = np.zeros(m, dtype=bool)
     for _ in range(200):
         rows = np.nonzero(searching)[0]
+        if best_only:
+            # drop every row whose upper end is below what another is sure of
+            sure = max(
+                rate[finished].max(initial=-np.inf), least[rows].max(initial=-np.inf)
+            )
+            (v_lo, v_hi), (r_lo, r_hi) = vals[:, rows], rates[:, rows]
+            chord = (r_lo * v_hi - r_hi * v_lo) / (v_hi - v_lo)
+            out = chord - ends[0, rows] * tol + ba_tol + 1e-12 < sure
+            searching[rows[out]], dropped[rows[out]] = False, True
+            rows = rows[~out]
         if not rows.size:
             break
         lo, hi = ends[:, rows]
@@ -423,17 +467,18 @@ def _slope_search(ps, d_arr, targets, tol, ba_tol, max_iters, labels=None):
         scale = 1.0 - f[twice] / vals[side[twice], rows[twice]]
         weights[1 - side[twice], rows[twice]] *= np.where(scale > 0.0, scale, 0.5)
         ends[side, rows], vals[side, rows], weights[side, rows] = s, f, f
-        chans[side, rows] = w_s
+        rates[side, rows], chans[side, rows] = rate_s[~hit], w_s
         last[rows] = side
         width = ends[1] - ends[0]
         searching &= ~finished & (width > 1e-13 * np.maximum(1.0, -ends[0]))
     # a collapsed bracket, or one still open at the cap: the solver's
     # distortion resolution is coarser than tol there, so time-share its sides
-    mix = np.nonzero(~finished)[0]
+    mix = np.nonzero(~finished & ~dropped)[0]
     rate[mix], dist[mix], w[mix] = _mix_channels(
         ps[mix], d_arr, chans[0, mix], chans[1, mix], targets[mix]
     )
     slope[mix] = ends[:, mix].mean(axis=0)
+    rate[dropped] = -np.inf
     return rate, dist, w, slope
 
 
@@ -511,6 +556,7 @@ def rates_at_distortion_batch(
     tol: float = BISECT_TOL,
     ba_tol: float = BA_TOL,
     max_iters: int = 50_000,
+    best_only: bool = False,
 ) -> np.ndarray:
     """Rates for many sources at one target distortion, searched side by side.
 
@@ -519,6 +565,12 @@ def rates_at_distortion_batch(
     get 0. The rest share one slope search, which stops each row once its
     distortion is within ``tol`` of the target. This is the workhorse behind
     grid searches over sources.
+
+    ``best_only`` is for callers that read only the largest rate: the search
+    then stops early on every row whose certified bracket shows it below
+    another row's value (see ``_slope_search``), and such a row gets -inf.
+    Every row that attains the maximum, and every other row not given -inf,
+    gets the same value, bit for bit, as without ``best_only``.
     """
     ps = np.asarray(ps, dtype=float)
     d_arr = d.values
@@ -529,6 +581,6 @@ def rates_at_distortion_batch(
     idx = np.nonzero((target >= floors - 1e-12) & (target < ceilings))[0]
     rates[idx] = _slope_search(
         ps[idx], d_arr, np.full(idx.size, float(target)), tol, ba_tol, max_iters,
-        labels=idx,
+        labels=idx, best_only=best_only,
     )[0]
     return rates

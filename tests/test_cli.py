@@ -7,8 +7,20 @@ import pytest
 from switchrd.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-# each shipped file with its alphabet size and a target inside its span
-SHIPPED = [("binary_pair.yaml", 2, "0.1"), ("ternary_demo.yaml", 3, "0.2")]
+# each shipped file with its alphabet size, a target inside its span and the
+# data row `optimize` prints there
+SHIPPED = [
+    pytest.param(
+        "binary_pair.yaml", 2, "0.1", "0.1,0.531004406411,0.449300240553,0.5,0.5,grid",
+        id="binary_pair.yaml-2-0.1",
+    ),
+    pytest.param(
+        "ternary_demo.yaml", 3, "0.2",
+        "0.2,0.663034405834,0.56354720234,0.333333323356,0.333333323358,"
+        "0.333333353285,grid",
+        id="ternary_demo.yaml-3-0.2",
+    ),
+]
 
 
 def run_text(capsys, *argv):
@@ -21,8 +33,8 @@ def run(capsys, *argv):
     return code, list(csv.reader(io.StringIO(out)))
 
 
-@pytest.mark.parametrize("name, k, target", SHIPPED)
-def test_rd_curve(capsys, name, k, target):
+@pytest.mark.parametrize("name, k, target, row", SHIPPED)
+def test_rd_curve(capsys, name, k, target, row):
     p = ",".join([f"1/{k}"] * k)
     code, rows = run(capsys, "rd", PROBLEMS / name, "--p", p, "--curve", 11)
     assert code == 0
@@ -33,9 +45,10 @@ def test_rd_curve(capsys, name, k, target):
     assert all(a >= b - 1e-7 for a, b in zip(rates, rates[1:]))
 
 
-@pytest.mark.parametrize("name, k, target", SHIPPED)
-def test_optimize_at_one_distortion(capsys, name, k, target):
-    code, rows = run(capsys, "optimize", PROBLEMS / name, "--distortion", target)
+@pytest.mark.parametrize("name, k, target, row", SHIPPED)
+def test_optimize_at_one_distortion(capsys, name, k, target, row):
+    code, out = run_text(capsys, "optimize", PROBLEMS / name, "--distortion", target)
+    rows = list(csv.reader(io.StringIO(out)))
     assert code == 0
     assert rows[0] == ["D", "R_tilde", "R_star"] + [f"p_{i}" for i in range(k)] + [
         "method"
@@ -43,6 +56,8 @@ def test_optimize_at_one_distortion(capsys, name, k, target):
     assert len(rows) == 2
     r_tilde, r_star = float(rows[1][1]), float(rows[1][2])
     assert r_tilde >= r_star - 1e-6
+    # the printed bytes are pinned: early exits in the rate batch change none
+    assert out.splitlines()[1] == row
 
 
 def test_malformed_source_exits_3(capsys):

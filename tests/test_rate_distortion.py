@@ -20,6 +20,7 @@ from switchrd import (
     rates_at_distortion_batch,
     rd_curve,
 )
+from switchrd.probcore import compositions
 
 HAMMING = DistortionMatrix.hamming(2)
 UNIFORM = Distribution([0.5, 0.5])
@@ -250,6 +251,61 @@ class TestBatch:
             rates_at_distortion_batch(ps, HAMMING, 0.2, ba_tol=1e-15, max_iters=2)
         assert err.value.last_point is not None
         assert err.value.last_point.rate >= 0.0
+
+    def test_best_only_non_convergence_reports_caller_row(self):
+        # the same failing row: no row is dropped before it fails
+        ps = np.array([[0.9, 0.1], [0.3, 0.7]])
+        with pytest.raises(ConvergenceError, match="batch row 1") as err:
+            rates_at_distortion_batch(
+                ps, HAMMING, 0.2, ba_tol=1e-15, max_iters=2, best_only=True
+            )
+        assert err.value.last_point is not None
+        assert err.value.last_point.rate >= 0.0
+
+
+@st.composite
+def lattice_batches(draw):
+    """A simplex lattice of 2 or 3 symbols, a distortion matrix and a target
+    inside the span of the lattice's floors and ceilings."""
+    k = draw(st.sampled_from([2, 3]))
+    ticks = draw(st.integers(1, 20))
+    d = draw(distortion_matrices(k, k))
+    frac = draw(st.floats(0.05, 0.95))
+    ps = compositions(ticks, k) / ticks
+    lo = float((ps @ d.values.min(axis=1)).min())
+    hi = float((ps @ d.values).min(axis=1).max())
+    return ps, d, lo + frac * (hi - lo)
+
+
+class TestBestOnly:
+    @settings(max_examples=20, deadline=None)
+    @given(batch=lattice_batches())
+    def test_keeps_the_maximum_and_every_surviving_row(self, batch):
+        ps, d, target = batch
+        try:
+            full = rates_at_distortion_batch(ps, d, target)
+        except ConvergenceError:
+            return
+        fast = rates_at_distortion_batch(ps, d, target, best_only=True)
+        best = int(np.argmax(full))
+        assert int(np.argmax(fast)) == best
+        assert fast[best] == full[best]
+        kept = ~np.isneginf(fast)
+        assert np.array_equal(fast[kept], full[kept])
+        assert np.all(full[~kept] < full[best])
+
+    def test_drops_a_row_whose_full_search_does_not_converge(self):
+        # batch row 211 of the full search raises at slope -0.0281 after a
+        # 50k-iteration crawl; its bracket falls below the maximum first
+        d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
+        ps = compositions(20, 3) / 20
+        target = 2.6676048388493547
+        rates = rates_at_distortion_batch(ps, d, target, best_only=True)
+        assert np.isneginf(rates[211])
+        best = int(np.argmax(rates))
+        assert rates[best] == 0.0422744629381295
+        assert ps[best].tolist() == [0.65, 0.35, 0.0]
+        assert rates[best] == rate_at_distortion(Distribution(ps[best]), d, target).rate
 
 
 def kary_uniform_rd(k, target):
