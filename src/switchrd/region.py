@@ -11,13 +11,20 @@ probability that exactly V is on offer. Q is its zeta (subset-sum) transform
 and beta is the Moebius inverse of Q; one butterfly transform computes either
 in O(k 2^k). Joint mode accumulates beta from the support of each source
 tuple, and independent mode multiplies per-source subset sums into Q.
-Realizability is the same pair of tables over 0/1 support indicators. The
-tables stay exact when the source table holds ``fractions.Fraction`` entries.
+Realizability is the same pair of tables over 0/1 support indicators.
+
+The tables stay exact when every source entry is rational (``int`` or
+``fractions.Fraction``): each source row is scaled by the lcm of its
+denominators, the transforms run over Python ints, and an entry is divided
+by the one common denominator only when it is read. A table with a float
+entry is transformed entry by entry as given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -26,8 +33,9 @@ from .errors import GuardError, ValidationError
 from .probcore import Distribution, SourceList
 
 #: Largest alphabet for which the full constraint family is enumerated. On an
-#: exact-rational two-source instance, ``region --list`` took 29 s at 19
-#: symbols and 66 s at 20 (``synthesize`` 23 s and 46 s), on a 2-vCPU machine.
+#: exact-rational two-source instance over denominator 997, ``region --list``
+#: takes 8 s and 324 MB at 19 symbols and 18 s and 619 MB at 20
+#: (``synthesize`` 1.4 s and 2.6 s), on a 2-vCPU machine.
 ALPHABET_GUARD = 19
 
 #: Absolute slack when comparing a constraint side, so that boundary points
@@ -115,30 +123,49 @@ def _tuple_masks(alphabet_size: int, num_sources: int) -> np.ndarray:
     return masks
 
 
-#: How each kind of table reads a source entry, and the dtype it computes in.
-_TABLE_KINDS = {
-    "exact": (lambda x: x, object),
-    "float": (float, float),
-    "support": (lambda x: int(x > 0), object),
-}
+def _entries(sources: SourceList, kind: str) -> tuple[np.ndarray, int | None]:
+    """The source table as ``kind`` reads it, and the common denominator of
+    an exact table whose rows were scaled to integers (None otherwise).
+
+    An exact table with only rational entries (``int`` or ``Fraction``) has
+    each row scaled by the lcm of its denominators; the product of those lcms
+    is the denominator of every entry of Q and beta.
+    """
+    table = sources.table
+    if kind == "float":
+        return np.array([[float(x) for x in row] for row in table]), None
+    if kind == "support":
+        return np.array([[int(x > 0) for x in row] for row in table], dtype=object), None
+    if not all(isinstance(x, (int, Fraction)) for row in table for x in row):
+        return np.array(table, dtype=object), None
+    rows, den = [], 1
+    for row in table:
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        den *= scale
+    return np.array(rows, dtype=object), den
 
 
 @lru_cache(maxsize=64)
-def _tables(sources: SourceList, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """(Q, beta) over all 2^k masks, index 0 holding 0, as read-only arrays.
+def _tables(
+    sources: SourceList, kind: str
+) -> tuple[np.ndarray, np.ndarray | None, int | None]:
+    """(Q, beta, den) over all 2^k masks, index 0 holding 0, as read-only
+    arrays.
 
-    ``kind`` "exact" keeps the source entries as given, "float" runs in
-    float64, and "support" replaces each entry by its 0/1 support indicator,
-    so that beta counts the source tuples offering each set (Python ints,
-    since counts reach k^m). Only membership reads the float kind, and it
-    reads Q alone, so that kind returns None for beta.
+    ``kind`` "exact" computes exactly: on a rational source table Q and beta
+    hold Python-int numerators over the one denominator ``den``, and a table
+    with any float entry is transformed as given (``den`` None). "float" runs
+    in float64, and "support" replaces each entry by its 0/1 support
+    indicator, so that beta counts the source tuples offering each set
+    (Python ints, since counts reach k^m). Only membership reads the float
+    kind, and it reads Q alone, so that kind returns None for beta.
     """
     k = sources.alphabet_size
     _check_alphabet_guard(k)
-    read, dtype = _TABLE_KINDS[kind]
-    entries = np.array([[read(x) for x in row] for row in sources.table], dtype=dtype)
+    entries, den = _entries(sources, kind)
     if sources.is_joint:
-        q = np.zeros(1 << k, dtype=dtype)
+        q = np.zeros(1 << k, dtype=entries.dtype)
         np.add.at(q, _tuple_masks(k, sources.num_sources), entries[0])
         beta = None if kind == "float" else q.copy()
         _transform(q)
@@ -148,7 +175,20 @@ def _tables(sources: SourceList, kind: str) -> tuple[np.ndarray, np.ndarray | No
     for table in (q, beta):
         if table is not None:
             table.setflags(write=False)
-    return q, beta
+    return q, beta, den
+
+
+#: Shared exact zero: beta vanishes on every set larger than the number of
+#: sources, so most of an exact beta table reads it.
+_ZERO = Fraction(0)
+
+
+def _exact_values(table: np.ndarray, den: int | None) -> list:
+    """Entries of an exact table: numerators over ``den`` as Fractions, or
+    the entries as they are when the table was not scaled."""
+    if den is None:
+        return table.tolist()
+    return [Fraction(n, den) if n else _ZERO for n in table.tolist()]
 
 
 def q_of_subset(sources: SourceList, mask: int) -> float:
@@ -157,18 +197,21 @@ def q_of_subset(sources: SourceList, mask: int) -> float:
     Exact when the source table holds rational entries.
     """
     _check_mask(mask, sources.alphabet_size)
-    return _tables(sources, "exact")[0][mask]
+    q, _, den = _tables(sources, "exact")
+    return _exact_values(q[mask : mask + 1], den)[0]
 
 
 def beta_of_subset(sources: SourceList, mask: int) -> float:
     """Probability that the set of symbols on offer equals the subset exactly."""
     _check_mask(mask, sources.alphabet_size)
-    return _tables(sources, "exact")[1][mask]
+    _, beta, den = _tables(sources, "exact")
+    return _exact_values(beta[mask : mask + 1], den)[0]
 
 
 def beta_table(sources: SourceList) -> dict[int, float]:
     """beta for every nonempty subset, keyed by mask in ascending order."""
-    return dict(enumerate(_tables(sources, "exact")[1][1:].tolist(), start=1))
+    _, beta, den = _tables(sources, "exact")
+    return dict(enumerate(_exact_values(beta[1:], den), start=1))
 
 
 def realizable_subsets(sources: SourceList) -> tuple[int, ...]:
@@ -235,8 +278,15 @@ def is_member(p: Distribution, spec: RegionSpec) -> ConstraintReport:
 def enumerate_constraints(spec: RegionSpec) -> list[tuple[int, float]]:
     """All nonempty subsets with their required-mass right-hand sides, in
     canonical (ascending bitmask) order. Exact when sources and delta are."""
-    q = _tables(spec.sources, "exact")[0]
-    return [(mask, q[mask] - spec.delta) for mask in range(1, len(q))]
+    q, _, den = _tables(spec.sources, "exact")
+    delta = spec.delta
+    if den is not None and isinstance(delta, (int, Fraction)):
+        # one numerator vector over den * delta's denominator
+        a, b = delta.numerator, delta.denominator
+        rhs = _exact_values(q[1:] * b - a * den, den * b)
+    else:
+        rhs = [x - delta for x in _exact_values(q[1:], den)]
+    return list(enumerate(rhs, start=1))
 
 
 def hull_member(p: Distribution, sources: SourceList, tol: float = 1e-8) -> bool:

@@ -1,6 +1,13 @@
-import pytest
+import importlib.util
+import sys
+from pathlib import Path
 
-from switchrd import ValidationError, load_problem
+import pytest
+import yaml
+
+from switchrd import ValidationError, load_problem, problem
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 VALID = """\
 alphabet_x: 2
@@ -63,3 +70,52 @@ def test_unreadable_path(tmp_path):
 def test_malformed_file_is_rejected(tmp_path, text, message):
     with pytest.raises(ValidationError, match=message):
         load_problem(write(tmp_path, text))
+
+
+def module_without_libyaml(monkeypatch):
+    """A separate copy of ``switchrd.problem``, executed as if PyYAML had no
+    libyaml: ``yaml.CSafeLoader`` is absent while it loads."""
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    name = "switchrd._problem_no_libyaml"
+    spec = importlib.util.spec_from_file_location(name, problem.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fields(spec):
+    return (
+        spec.alphabet_x,
+        spec.alphabet_y,
+        spec.sources.mode,
+        spec.sources.table,
+        spec.sources.num_sources,
+        spec.distortion.values.tolist(),
+        spec.delta,
+        spec.labels,
+    )
+
+
+def test_libyaml_loader_is_used_when_present():
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert problem._YAML_LOADER is expected
+
+
+@pytest.mark.parametrize(
+    "path",
+    [PROBLEMS / "binary_pair.yaml", PROBLEMS / "ternary_demo.yaml", None],
+    ids=["binary_pair", "ternary_demo", "valid"],
+)
+def test_both_loaders_build_the_same_problem(tmp_path, monkeypatch, path):
+    path = write(tmp_path, VALID) if path is None else str(path)
+    loaded = load_problem(path)
+    fallback = module_without_libyaml(monkeypatch)
+    assert fallback._YAML_LOADER is yaml.SafeLoader
+    assert fields(fallback.load_problem(path)) == fields(loaded)
+
+
+def test_fallback_loader_rejects_invalid_yaml(tmp_path, monkeypatch):
+    fallback = module_without_libyaml(monkeypatch)
+    with pytest.raises(ValidationError, match="not valid YAML"):
+        fallback.load_problem(write(tmp_path, "alphabet_x: [1, 2\n"))

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,31 @@ def random_pmf(rng, size):
     weights = rng.integers(0, 4, size=size)
     weights[rng.integers(size)] += 1
     return [Fraction(int(w), int(weights.sum())) for w in weights]
+
+
+#: Pairwise coprime denominators (primes); any two multiply past 2^63.
+BIG_PRIMES = (2**31 - 1, 2**61 - 1, 1_000_000_007)
+
+
+def big_denominator_pmf(rng, size, den):
+    """Exact PMF whose entries are ``size`` random parts of ``den``, over ``den``."""
+    cuts = sorted(int(c) for c in rng.integers(0, den, size=size - 1))
+    bounds = [0, *cuts, den]
+    return [Fraction(hi - lo, den) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def independent_outcomes(rows):
+    """(source tuple, probability) pairs of independent sources."""
+    return [
+        (symbols, math.prod(row[s] for row, s in zip(rows, symbols)))
+        for symbols in itertools.product(range(len(rows[0])), repeat=len(rows))
+    ]
+
+
+def joint_outcomes(pmf, k, m):
+    """(source tuple, probability) pairs of a joint PMF in row-major order:
+    source 0 varies slowest, as in ``itertools.product``."""
+    return list(zip(itertools.product(range(k), repeat=m), pmf))
 
 
 def brute_force(k, outcomes):
@@ -234,19 +260,120 @@ class TestAgainstEnumeration:
     def test_independent(self, seed, k, m):
         rng = np.random.default_rng(seed)
         rows = [random_pmf(rng, k) for _ in range(m)]
-        outcomes = [
-            (symbols, np.prod([row[s] for row, s in zip(rows, symbols)]))
-            for symbols in itertools.product(range(k), repeat=m)
-        ]
-        self.assert_matches(SourceList.independent(rows), outcomes)
+        self.assert_matches(SourceList.independent(rows), independent_outcomes(rows))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3), m=st.integers(1, 2))
     def test_joint(self, seed, k, m):
         pmf = random_pmf(np.random.default_rng(seed), k**m)
-        # row-major joint order: source 0 varies slowest, as in product()
-        outcomes = list(zip(itertools.product(range(k), repeat=m), pmf))
-        self.assert_matches(SourceList.joint(pmf, k, m), outcomes)
+        self.assert_matches(SourceList.joint(pmf, k, m), joint_outcomes(pmf, k, m))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), m=st.integers(2, 3))
+    def test_independent_denominators_beyond_int64(self, seed, k, m):
+        rng = np.random.default_rng(seed)
+        rows = [big_denominator_pmf(rng, k, den) for den in BIG_PRIMES[:m]]
+        assert math.prod(BIG_PRIMES[:m]) > 2**63
+        self.assert_matches(SourceList.independent(rows), independent_outcomes(rows))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3))
+    def test_joint_denominators_beyond_int64(self, seed, k):
+        # a product-form joint PMF over one denominator past 2^63, perturbed
+        # so that its entries carry different denominators
+        rng = np.random.default_rng(seed)
+        rows = [big_denominator_pmf(rng, k, den) for den in BIG_PRIMES[:2]]
+        pmf = [prob for _, prob in independent_outcomes(rows)]
+        shift = Fraction(int(rng.integers(1, 1000)), BIG_PRIMES[2]) * min(pmf[0], pmf[-1])
+        pmf[0] += shift
+        pmf[-1] -= shift
+        assert math.lcm(*(x.denominator for x in pmf)) > 2**63
+        self.assert_matches(SourceList.joint(pmf, k, 2), joint_outcomes(pmf, k, 2))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([[1, 0, 0], [0, 0, 1]], id="ints"),
+            pytest.param([[0, 1, 0], [Fraction(1, 3), 0, Fraction(2, 3)]], id="ints-and-fractions"),
+            pytest.param([[0, Fraction(1, 2), Fraction(1, 2)], [1, 0, 0], [0, 1, 0]], id="mixed-rows"),
+        ],
+    )
+    def test_independent_int_entries(self, rows):
+        self.assert_matches(SourceList.independent(rows), independent_outcomes(rows))
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            pytest.param([0, 1, 0, 0], id="ints"),
+            pytest.param([0, Fraction(1, 2), Fraction(1, 2), 0], id="ints-and-fractions"),
+        ],
+    )
+    def test_joint_int_entries(self, pmf):
+        self.assert_matches(SourceList.joint(pmf, 2, 2), joint_outcomes(pmf, 2, 2))
+
+
+#: Tables with a float entry, with the Q and beta values (masks 1, 2, ...)
+#: they returned before exact tables were computed in integers. Such tables
+#: are transformed entry by entry as given, so these values and their types
+#: (float cancellation residues, an untouched int 0, a Fraction where only
+#: Fractions meet) must not change.
+FLOAT_TABLES = [
+    pytest.param(
+        SourceList.independent([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]),
+        (0.12, 0.03, 0.35, 0.15, 0.6299999999999999, 0.32000000000000006, 1.0),
+        (0.12, 0.03, 0.19999999999999998, 0.15, 0.3599999999999999,
+         0.14000000000000004, 8.326672684688674e-17),
+        id="float-independent",
+    ),
+    pytest.param(
+        SourceList.joint([0.1, 0.05, 0.15, 0.2, 0.1, 0.05, 0.1, 0.15, 0.1], 3, 2),
+        (0.1, 0.1, 0.44999999999999996, 0.1, 0.44999999999999996, 0.4, 1.0),
+        (0.1, 0.1, 0.25, 0.1, 0.25, 0.2, 0),
+        id="float-joint",
+    ),
+    pytest.param(
+        SourceList.independent(
+            [[Fraction(1, 3), 0.25, Fraction(5, 12)], [0.5, Fraction(1, 4), 0.25]]
+        ),
+        (0.16666666666666666, 0.0625, 0.43749999999999994, 0.10416666666666667,
+         0.5625, 0.33333333333333337, 1.0),
+        (0.16666666666666666, 0.0625, 0.20833333333333326, 0.10416666666666667,
+         0.2916666666666667, 0.16666666666666669, -5.551115123125783e-17),
+        id="mixed-independent",
+    ),
+    pytest.param(
+        SourceList.joint([Fraction(1, 4), 0.25, Fraction(1, 8), 0.375], 2, 2),
+        (Fraction(1, 4), 0.375, 1.0),
+        (Fraction(1, 4), 0.375, 0.375),
+        id="mixed-joint",
+    ),
+]
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+class TestFloatTables:
+    @pytest.mark.parametrize("srcs, q, beta", FLOAT_TABLES)
+    def test_values_and_types_pinned(self, srcs, q, beta):
+        masks = range(1, len(q) + 1)
+        assert typed(q_of_subset(srcs, mask) for mask in masks) == typed(q)
+        assert typed(beta_of_subset(srcs, mask) for mask in masks) == typed(beta)
+        assert list(beta_table(srcs)) == list(masks)
+        assert typed(beta_table(srcs).values()) == typed(beta)
+
+    @pytest.mark.parametrize("delta", [0, Fraction(1, 20), 0.05])
+    @pytest.mark.parametrize("srcs, q, beta", FLOAT_TABLES)
+    def test_constraints_pinned(self, srcs, q, beta, delta):
+        constraints = enumerate_constraints(RegionSpec(srcs, delta))
+        assert [mask for mask, _ in constraints] == list(range(1, len(q) + 1))
+        assert typed(rhs for _, rhs in constraints) == typed(x - delta for x in q)
+
+    def test_float_delta_on_exact_table(self):
+        constraints = enumerate_constraints(RegionSpec(BINARY_PAIR, 0.05))
+        q = [Fraction(1, 2), Fraction(1, 12), Fraction(1)]
+        assert typed(rhs for _, rhs in constraints) == typed(float(x) - 0.05 for x in q)
 
 
 class TestRealizableSubsets:
