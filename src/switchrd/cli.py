@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from fractions import Fraction
 
@@ -54,26 +53,6 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{name} must be a number, got {raw!r}") from exc
-
-
-def _tolerances(args) -> tuple[float, float]:
-    ba_tol = args.ba_tol if args.ba_tol is not None else _env_float("SWITCHRD_BA_TOL", BA_TOL)
-    bisect_tol = (
-        args.bisect_tol
-        if args.bisect_tol is not None
-        else _env_float("SWITCHRD_BISECT_TOL", BISECT_TOL)
-    )
-    return ba_tol, bisect_tol
-
-
 def _distribution(text: str) -> Distribution:
     return Distribution([float(x) for x in parse_vector(text)])
 
@@ -82,18 +61,31 @@ def _region_spec(problem: ProblemSpec) -> RegionSpec:
     return RegionSpec(problem.sources, problem.delta)
 
 
+def _emit_certificate(exc: InfeasibleError, output: str | None) -> int:
+    """Print the violated subset that makes a target unattainable; exit code 2."""
+    if exc.certificate is None:
+        raise exc
+    _emit(
+        f"INFEASIBLE V={format_subset(exc.certificate)} "
+        f"lhs={_fmt(exc.lhs)} rhs={_fmt(exc.rhs)}\n",
+        output,
+    )
+    return 2
+
+
 def cmd_rd(args) -> int:
     problem = load_problem(args.problem)
-    ba_tol, bisect_tol = _tolerances(args)
     p = _distribution(args.p)
     if p.size != problem.alphabet_x:
         raise ValidationError("--p length must match alphabet_x")
     if args.curve is not None:
-        curve = rd_curve(p, problem.distortion, args.curve, bisect_tol, ba_tol=ba_tol)
+        curve = rd_curve(p, problem.distortion, args.curve, args.bisect_tol, ba_tol=args.ba_tol)
         rows = [[_fmt(pt.distortion), _fmt(pt.rate)] for pt in curve.points]
     else:
         target = float(parse_number(args.distortion))
-        pt = rate_at_distortion(p, problem.distortion, target, bisect_tol, ba_tol=ba_tol)
+        pt = rate_at_distortion(
+            p, problem.distortion, target, args.bisect_tol, ba_tol=args.ba_tol
+        )
         rows = [[_fmt(pt.distortion), _fmt(pt.rate)]]
     _emit(_csv_text(["D", "R"], rows), args.output)
     return 0
@@ -128,26 +120,18 @@ def cmd_synthesize(args) -> int:
     try:
         rule = synthesize_rule(target, problem.sources)
     except InfeasibleError as exc:
-        if exc.certificate is None:
-            raise
-        _emit(
-            f"INFEASIBLE V={format_subset(exc.certificate)} "
-            f"lhs={_fmt(exc.lhs)} rhs={_fmt(exc.rhs)}\n",
-            args.output,
-        )
-        return 2
+        return _emit_certificate(exc, args.output)
     _emit(rule.serialize(), args.output)
     return 0
 
 
 def cmd_optimize(args) -> int:
     problem = load_problem(args.problem)
-    ba_tol, bisect_tol = _tolerances(args)
     config = SearchConfig(
         starts=args.starts,
         seed=args.seed,
-        distortion_tol=bisect_tol,
-        ba_tol=ba_tol,
+        distortion_tol=args.bisect_tol,
+        ba_tol=args.ba_tol,
     )
     spec = _region_spec(problem)
     d = problem.distortion
@@ -189,14 +173,7 @@ def cmd_simulate(args) -> int:
         try:
             rule = synthesize_rule(target, problem.sources)
         except InfeasibleError as exc:
-            if exc.certificate is None:
-                raise
-            _emit(
-                f"INFEASIBLE V={format_subset(exc.certificate)} "
-                f"lhs={_fmt(exc.lhs)} rhs={_fmt(exc.rhs)}\n",
-                args.output,
-            )
-            return 2
+            return _emit_certificate(exc, args.output)
     codebook = None
     if args.codebook_D is not None:
         codebook = build_covering_codebook(
@@ -234,16 +211,15 @@ def _add_tolerances(sub) -> None:
     sub.add_argument(
         "--ba-tol",
         type=float,
-        default=None,
+        default=BA_TOL,
         help=f"certified optimality gap of each fixed-slope solve, in bits "
-        f"(default {BA_TOL}, env SWITCHRD_BA_TOL)",
+        f"(default {BA_TOL})",
     )
     sub.add_argument(
         "--bisect-tol",
         type=float,
-        default=None,
-        help=f"distortion tolerance of the slope search (default {BISECT_TOL}, "
-        f"env SWITCHRD_BISECT_TOL)",
+        default=BISECT_TOL,
+        help=f"distortion tolerance of the slope search (default {BISECT_TOL})",
     )
 
 

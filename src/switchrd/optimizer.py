@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .probcore import Distribution, DistortionMatrix, SourceList, compositions
-from .rate_distortion import rates_at_distortion_batch
+from .rate_distortion import BA_TOL, BISECT_TOL, rates_at_distortion_batch
 from .region import RegionSpec, _shortfalls, in_region, is_member
 from .strategy import greedy_max_rule, induced_distribution
 
@@ -50,8 +50,8 @@ class SearchConfig:
 
     starts: int = 16
     seed: int = 0
-    distortion_tol: float = 1e-6
-    ba_tol: float = 1e-9
+    distortion_tol: float = BISECT_TOL
+    ba_tol: float = BA_TOL
 
     def __post_init__(self):
         if self.starts < 1:

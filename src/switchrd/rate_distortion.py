@@ -9,6 +9,7 @@ pure and deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,6 +278,14 @@ def _rates_and_distortions(ps, w, d_arr):
     return np.maximum(rate, 0.0), dist
 
 
+def _check_tolerances(**tols: float) -> None:
+    """Reject a solver tolerance that is not a finite positive number: zero,
+    a negative or NaN value could never be met, and inf accepts anything."""
+    for name, value in tols.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be a finite positive number, got {value}")
+
+
 def _zero_rate_point(p: Distribution, d: DistortionMatrix) -> RdPoint:
     """The slope-0 limit: every input mapped to the best constant output."""
     col = int(np.argmin(p.probs @ d.values))
@@ -299,8 +308,7 @@ def ba_fixed_slope(
     successive rate iterates move by less than ``tol`` as well. Raises
     ConvergenceError (carrying the last iterate) if max_iters runs out first.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    _check_tolerances(tol=tol)
     if slope > 0:
         raise ValidationError("slope must be nonpositive")
     if p.size != d.num_inputs:
@@ -501,8 +509,7 @@ def rate_at_distortion(
     """
     if target < 0:
         raise ValidationError("distortion target must be nonnegative")
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    _check_tolerances(tol=tol, ba_tol=ba_tol)
     floor = d_min(p, d)
     if target < floor - 1e-12:
         raise InfeasibleError(
@@ -540,8 +547,7 @@ def rd_curve(
     one ``rate_at_distortion`` returns at its target."""
     if num_points < 2:
         raise ValidationError("need at least two curve points")
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    _check_tolerances(tol=tol, ba_tol=ba_tol)
     targets = np.linspace(d_min(p, d), d_max(p, d), num_points)
     points = _points_at(p, d, targets, tol, ba_tol, _MAX_ITERS)
     points.sort(key=lambda pt: pt.distortion)
@@ -572,6 +578,7 @@ def rates_at_distortion_batch(
     Every row that attains the maximum, and every other row not given -inf,
     gets the same value, bit for bit, as without ``best_only``.
     """
+    _check_tolerances(tol=tol, ba_tol=ba_tol)
     ps = np.asarray(ps, dtype=float)
     d_arr = d.values
     rates = np.zeros(ps.shape[0])

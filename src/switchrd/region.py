@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import ConvergenceError, GuardError, ValidationError
 from .probcore import Distribution, SourceList
 
 #: Largest alphabet for which the full constraint family is enumerated. On an
@@ -289,22 +289,86 @@ def enumerate_constraints(spec: RegionSpec) -> list[tuple[int, float]]:
     return list(enumerate(rhs, start=1))
 
 
-def hull_member(p: Distribution, sources: SourceList, tol: float = 1e-8) -> bool:
-    """True iff p is a convex mixture of the source distributions.
+#: Wolfe's stopping rule, relative to |x|^2: x is taken as the nearest point
+#: once every row P_j has x.P_j >= (1 - this) |x|^2.
+_WOLFE_REL_GAP = 1e-12
+#: Corral weights at or below this are treated as zero and their rows leave.
+_WOLFE_WEIGHT_FLOOR = 1e-10
 
-    Decided by nonnegative least squares on the stacked system (source rows
-    plus a unit-sum row): membership iff the residual is below ``tol``.
+
+def _affine_weights(rows: np.ndarray) -> np.ndarray:
+    """Weights (summing to 1) of the point of least norm in the affine hull
+    of ``rows``.
+
+    The least-squares solution u of ``[1^T; rows^T] u = [1; 0]`` minimizes
+    (sum u - 1)^2 + |rows^T u|^2, so it is the affine minimizer's weights
+    scaled by 1 / (1 + its squared norm) > 0: normalizing recovers them, also
+    when the rows are affinely dependent.
+    """
+    a = np.vstack([np.ones(len(rows)), rows.T])
+    b = np.zeros(len(a))
+    b[0] = 1.0
+    u = np.linalg.lstsq(a, b, rcond=None)[0]
+    return u / u.sum()
+
+
+def _min_norm_point(points: np.ndarray) -> np.ndarray:
+    """The point of least Euclidean norm in the convex hull of the rows of
+    ``points``, by Wolfe's method (P. Wolfe, "Finding the nearest point in a
+    polytope", Math. Programming 11 (1976) 128-149).
+
+    x is held as a convex mixture of a corral of rows. A major cycle adds the
+    row furthest along -x; minor cycles then move x towards the affine
+    minimizer of the corral, dropping each row whose weight reaches zero on
+    the way, until that minimizer has positive weights. |x| falls with every
+    major cycle, so a cycle that cannot lower it, or whose new row gets no
+    weight, means rounding has taken over, and x is returned as it stands. Raises ConvergenceError if 10m + 10
+    major cycles over m rows do not finish.
+    """
+    cycles = 10 * len(points) + 10
+    corral = [int(np.argmin(np.einsum("ij,ij->i", points, points)))]
+    weights = np.ones(1)
+    x = points[corral[0]]
+    for _ in range(cycles):
+        dots = points @ x
+        j = int(np.argmin(dots))
+        if x @ x - dots[j] <= _WOLFE_REL_GAP * (x @ x) or j in corral:
+            return x
+        corral.append(j)
+        v = _affine_weights(points[corral])
+        if v[-1] <= _WOLFE_WEIGHT_FLOOR:
+            return x
+        weights = np.append(weights, 0.0)
+        while (v <= _WOLFE_WEIGHT_FLOOR).any():
+            # step from weights towards v until the first weight reaches zero
+            low = np.flatnonzero(v <= _WOLFE_WEIGHT_FLOOR)
+            steps = weights[low] / (weights[low] - v[low])
+            weights = weights + steps.min() * (v - weights)
+            keep = weights > _WOLFE_WEIGHT_FLOOR
+            keep[low[np.argmin(steps)]] = False
+            corral = [c for c, kept in zip(corral, keep) if kept]
+            weights = weights[keep]
+            v = _affine_weights(points[corral])
+        weights = v
+        nearer = weights @ points[corral]
+        if nearer @ nearer >= x @ x:
+            return x
+        x = nearer
+    raise ConvergenceError(f"no nearest point within {cycles} major cycles")
+
+
+def hull_member(p: Distribution, sources: SourceList, tol: float = 1e-8) -> bool:
+    """True iff p lies within Euclidean distance ``tol`` of the convex hull
+    of the source distributions.
+
+    The distance is the norm of the nearest point to the origin in the hull
+    of the rows ``r_j - p``, found by Wolfe's min-norm point method
+    (Math. Programming 11 (1976) 128-149). Raises ConvergenceError in the
+    unlikely event that the method runs out of cycles.
     """
     if sources.is_joint:
         raise ValidationError("hull membership is defined for independent sources")
     if p.size != sources.alphabet_size:
         raise ValidationError("distribution and sources use different alphabets")
-    # scipy costs a large share of the package's import time, and only this
-    # function needs it
-    from scipy.optimize import nnls
-
-    rows = sources.as_array()
-    a = np.vstack([rows.T, np.ones(rows.shape[0])])
-    b = np.append(p.probs, 1.0)
-    _, residual = nnls(a, b)
-    return bool(residual <= tol)
+    nearest = _min_norm_point(sources.as_array() - p.probs)
+    return bool(np.linalg.norm(nearest) <= tol)

@@ -139,18 +139,38 @@ def test_solver_tolerances_only_on_rate_subcommands(capsys, argv, option):
     assert (code, out) == (3, "")
 
 
+RATE_COMMANDS = [
+    ["rd", "--p", "1/2,1/2", "--distortion", "0.1"],
+    ["optimize", "--distortion", "0.1"],
+]
+
+
+@pytest.mark.parametrize("argv", RATE_COMMANDS, ids=["rd", "optimize"])
+@pytest.mark.parametrize(
+    "option",
+    ["--bisect-tol=0", "--bisect-tol=-1", "--bisect-tol=nan",
+     "--ba-tol=0", "--ba-tol=nan", "--ba-tol=inf"],
+)
+def test_solver_tolerance_that_is_not_finite_and_positive_exits_3(capsys, argv, option):
+    command, *rest = argv
+    code, out = run_text(capsys, command, PROBLEMS / "binary_pair.yaml", *rest, option)
+    assert (code, out) == (3, "")
+
+
 @pytest.mark.parametrize("variable", ["SWITCHRD_BA_TOL", "SWITCHRD_BISECT_TOL"])
 def test_simulate_ignores_solver_tolerance_variables(capsys, monkeypatch, variable):
+    # no subcommand reads a tolerance from the environment, only from its flags
     monkeypatch.setenv(variable, "x")
     argv = ["simulate", PROBLEMS / "binary_pair.yaml", "--target", "0.7,0.3",
             "--n", 20, "--trials", 50, "--seed", 1]
     code, out = run_text(capsys, *argv)
     assert code == 0
     assert "empirical_type=0.699 0.301" in out.splitlines()
-    # the rate subcommands still read it
-    code, _ = run_text(capsys, "rd", PROBLEMS / "binary_pair.yaml", "--p", "1/2,1/2",
-                       "--distortion", "0.1")
-    assert code == 3
+    rd, optimize = ([cmd, PROBLEMS / "binary_pair.yaml", *rest] for cmd, *rest in RATE_COMMANDS)
+    assert run_text(capsys, *rd) == (0, "D,R\n0.1,0.531004406411\n")
+    code, out = run_text(capsys, *optimize)
+    assert code == 0
+    assert out.splitlines()[1] == SHIPPED[0].values[3]
 
 
 def test_optimize_curve_binary_pair(capsys):

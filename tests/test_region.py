@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -241,6 +242,58 @@ class TestHull:
         joint = SourceList.joint([0.25] * 4, alphabet_size=2, num_sources=2)
         with pytest.raises(ValidationError):
             hull_member(Distribution([0.5, 0.5]), joint)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), m=st.integers(1, 12))
+    def test_mixtures_belong_and_far_point_masses_do_not(self, seed, k, m):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(k), size=m)
+        for j in range(1, m):
+            draw = rng.random()
+            if draw < 0.25:
+                rows[j] = rows[rng.integers(j)]
+            elif draw < 0.4:
+                rows[j] = np.eye(k)[rng.integers(k)]
+        srcs = SourceList.independent(rows.tolist())
+        # random zero weights put the mixture on a vertex or a face
+        w = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.6)
+        w[rng.integers(m)] += 0.1
+        assert hull_member(Distribution(w / w.sum() @ rows), srcs)
+        for i in np.flatnonzero(rows.max(axis=0) <= 1 - 1e-3):
+            assert not hull_member(Distribution(np.eye(k)[i]), srcs)
+
+    def test_affinely_dependent_rows(self):
+        # six rows over three symbols: more than k + 1, so affinely dependent
+        rows = [[0.2, 0.8, 0], [0.2, 0, 0.8], [0.6, 0.2, 0.2], [0.4, 0.3, 0.3],
+                [0.6, 0.2, 0.2], [0.3, 0.35, 0.35]]
+        srcs = SourceList.independent(rows)
+        assert hull_member(Distribution(np.mean(rows, axis=0)), srcs)
+        assert hull_member(Distribution([0.2, 0.4, 0.4]), srcs)
+        assert not hull_member(Distribution([0.1, 0.45, 0.45]), srcs)
+        assert not hull_member(Distribution([0.7, 0.15, 0.15]), srcs)
+        # six rows over four symbols; the nearest point to this p lies on the
+        # edge between rows 0 and 2, 2.8e-4 away, and the search to it drops
+        # rows from the corral twice in one major cycle
+        rows = [[0.19, 0.38, 0.14, 0.29], [0.28, 0.66, 0, 0.06], [0, 0.38, 0.3, 0.32],
+                [0.69, 0.14, 0.15, 0.02], [0.34, 0.44, 0.11, 0.11], [0.47, 0.46, 0.03, 0.04]]
+        srcs = SourceList.independent(rows)
+        p = Distribution([0.09, 0.38, 0.224, 0.306])
+        assert not hull_member(p, srcs)
+        assert not hull_member(p, srcs, tol=2.7e-4)
+        assert hull_member(p, srcs, tol=2.8e-4)
+        assert hull_member(Distribution([0.095, 0.38, 0.22, 0.305]), srcs)
+
+    def test_tol_bounds_the_distance(self):
+        # 1e-6 past the (3/4, 1/4) end of the segment: distance sqrt(2) 1e-6
+        p = Distribution([0.75 + 1e-6, 0.25 - 1e-6])
+        assert hull_member(p, BINARY_PAIR, tol=1e-5)
+        assert not hull_member(p, BINARY_PAIR)
+
+    def test_needs_no_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        assert hull_member(Distribution([0.7, 0.3]), BINARY_PAIR)
+        assert not hull_member(Distribution([0.5, 0.5]), BINARY_PAIR)
 
 
 class TestAgainstEnumeration:
