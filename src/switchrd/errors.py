@@ -41,7 +41,8 @@ class ConvergenceError(SwitchRdError):
     that the iteration crawls for longer than the budget. The CLI reports it
     with exit code 4. ``last_point`` holds the last iterate, where there is a
     single one, so callers can inspect how far the solve got. ``hull_member``
-    raises it if its nearest-point search runs out of major cycles."""
+    and ``synthesize_rule`` raise it if their nearest-point search (Wolfe's
+    method, one cycle cap for both) runs out of major cycles."""
 
     def __init__(self, message: str, *, last_point=None):
         super().__init__(message)

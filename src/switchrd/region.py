@@ -35,7 +35,7 @@ from .probcore import Distribution, SourceList
 #: Largest alphabet for which the full constraint family is enumerated. On an
 #: exact-rational two-source instance over denominator 997, ``region --list``
 #: takes 8 s and 324 MB at 19 symbols and 18 s and 619 MB at 20
-#: (``synthesize`` 1.4 s and 2.6 s), on a 2-vCPU machine.
+#: (``synthesize`` 1.0 s and 1.7 s), on a 2-vCPU machine.
 ALPHABET_GUARD = 19
 
 #: Absolute slack when comparing a constraint side, so that boundary points
@@ -290,10 +290,15 @@ def enumerate_constraints(spec: RegionSpec) -> list[tuple[int, float]]:
 
 
 #: Wolfe's stopping rule, relative to |x|^2: x is taken as the nearest point
-#: once every row P_j has x.P_j >= (1 - this) |x|^2.
+#: once every point y of the polytope has x.y >= (1 - this) |x|^2.
 _WOLFE_REL_GAP = 1e-12
-#: Corral weights at or below this are treated as zero and their rows leave.
+#: Corral weights at or below this are treated as zero and their points leave.
 _WOLFE_WEIGHT_FLOOR = 1e-10
+#: Major cycles allowed to one nearest-point search, by both of its callers.
+#: On random instances synthesis took at most 14 at k = 8 and under 40 at
+#: k = 19, and the hull of 200 rows at most 11: the cap only stops a search
+#: that rounding keeps from ending.
+_WOLFE_CYCLES = 1000
 
 
 def _affine_weights(rows: np.ndarray) -> np.ndarray:
@@ -312,49 +317,79 @@ def _affine_weights(rows: np.ndarray) -> np.ndarray:
     return u / u.sum()
 
 
-def _min_norm_point(points: np.ndarray) -> np.ndarray:
-    """The point of least Euclidean norm in the convex hull of the rows of
-    ``points``, by Wolfe's method (P. Wolfe, "Finding the nearest point in a
-    polytope", Math. Programming 11 (1976) 128-149).
+def _min_norm_point(oracle, start):
+    """The point of least Euclidean norm in a polytope, by Wolfe's method
+    (P. Wolfe, "Finding the nearest point in a polytope", Math. Programming
+    11 (1976) 128-149), and the convex mixture of polytope points that
+    makes it.
 
-    x is held as a convex mixture of a corral of rows. A major cycle adds the
-    row furthest along -x; minor cycles then move x towards the affine
-    minimizer of the corral, dropping each row whose weight reaches zero on
-    the way, until that minimizer has positive weights. |x| falls with every
-    major cycle, so a cycle that cannot lower it, or whose new row gets no
-    weight, means rounding has taken over, and x is returned as it stands. Raises ConvergenceError if 10m + 10
-    major cycles over m rows do not finish.
+    The polytope is given by a linear-minimization oracle: ``oracle(c)``
+    returns ``(key, y)``, a point y of the polytope that minimizes c.y and a
+    hashable key naming it; equal keys must name equal points. ``start`` is
+    a first such pair. Returns ``(x, keys, weights)``: the nearest point, the
+    keys of its corral and their weights, which are positive, sum to 1 and
+    mix the corral's points into x.
+
+    A major cycle adds the oracle's point for c = x; minor cycles then move x
+    towards the affine minimizer of the corral, dropping each point whose
+    weight reaches zero on the way, until that minimizer has positive
+    weights. |x| falls with every major cycle, so a cycle that cannot lower
+    it, or whose new point is already in the corral or gets no weight, means
+    rounding has taken over, and x is returned as it stands. Raises
+    ConvergenceError if ``_WOLFE_CYCLES`` major cycles do not finish.
     """
-    cycles = 10 * len(points) + 10
-    corral = [int(np.argmin(np.einsum("ij,ij->i", points, points)))]
+    keys, rows = [start[0]], np.array([start[1]])
     weights = np.ones(1)
-    x = points[corral[0]]
-    for _ in range(cycles):
-        dots = points @ x
-        j = int(np.argmin(dots))
-        if x @ x - dots[j] <= _WOLFE_REL_GAP * (x @ x) or j in corral:
-            return x
-        corral.append(j)
-        v = _affine_weights(points[corral])
+    x = rows[0]
+    for _ in range(_WOLFE_CYCLES):
+        key, y = oracle(x)
+        if x @ x - x @ y <= _WOLFE_REL_GAP * (x @ x) or key in keys:
+            return x, keys, weights
+        corral, points = keys + [key], np.vstack([rows, y])
+        v = _affine_weights(points)
         if v[-1] <= _WOLFE_WEIGHT_FLOOR:
-            return x
-        weights = np.append(weights, 0.0)
+            return x, keys, weights
+        w = np.append(weights, 0.0)
         while (v <= _WOLFE_WEIGHT_FLOOR).any():
-            # step from weights towards v until the first weight reaches zero
+            # step from w towards v until the first weight reaches zero
             low = np.flatnonzero(v <= _WOLFE_WEIGHT_FLOOR)
-            steps = weights[low] / (weights[low] - v[low])
-            weights = weights + steps.min() * (v - weights)
-            keep = weights > _WOLFE_WEIGHT_FLOOR
+            steps = w[low] / (w[low] - v[low])
+            w = w + steps.min() * (v - w)
+            keep = w > _WOLFE_WEIGHT_FLOOR
             keep[low[np.argmin(steps)]] = False
             corral = [c for c, kept in zip(corral, keep) if kept]
-            weights = weights[keep]
-            v = _affine_weights(points[corral])
-        weights = v
-        nearer = weights @ points[corral]
+            points, w = points[keep], w[keep]
+            v = _affine_weights(points)
+        nearer = v @ points
         if nearer @ nearer >= x @ x:
-            return x
-        x = nearer
-    raise ConvergenceError(f"no nearest point within {cycles} major cycles")
+            return x, keys, weights
+        x, keys, rows, weights = nearer, corral, points, v
+    raise ConvergenceError(f"no nearest point within {_WOLFE_CYCLES} major cycles")
+
+
+def _greedy_oracle(sources: SourceList, offset: np.ndarray):
+    """Linear-minimization oracle over the exact region shifted by
+    ``-offset``, for ``_min_norm_point``.
+
+    The point of the region minimizing c.y is the law induced by the priority
+    rule "emit the first offered symbol in ascending order of c" (Shapley
+    1971): with the symbols sorted as sigma_1..sigma_k, symbol sigma_j gets
+    Q(rest_{j-1}) - Q(rest_j), where rest_j is the alphabet less
+    sigma_1..sigma_j. That is k reads of the float Q table. The key is the
+    order, as a tuple of symbols.
+    """
+    q = _tables(sources, "float")[0]
+    k = sources.alphabet_size
+    full = (1 << k) - 1
+
+    def oracle(c):
+        order = np.argsort(c, kind="stable")
+        chain = q[full - np.concatenate(([0], np.cumsum(_SINGLETONS[order])))]
+        y = np.empty(k)
+        y[order] = chain[:-1] - chain[1:]
+        return tuple(order.tolist()), y - offset
+
+    return oracle
 
 
 def hull_member(p: Distribution, sources: SourceList, tol: float = 1e-8) -> bool:
@@ -363,12 +398,20 @@ def hull_member(p: Distribution, sources: SourceList, tol: float = 1e-8) -> bool
 
     The distance is the norm of the nearest point to the origin in the hull
     of the rows ``r_j - p``, found by Wolfe's min-norm point method
-    (Math. Programming 11 (1976) 128-149). Raises ConvergenceError in the
-    unlikely event that the method runs out of cycles.
+    (Math. Programming 11 (1976) 128-149) from the row of least norm. Raises
+    ConvergenceError in the unlikely event that the method runs out of
+    cycles.
     """
     if sources.is_joint:
         raise ValidationError("hull membership is defined for independent sources")
     if p.size != sources.alphabet_size:
         raise ValidationError("distribution and sources use different alphabets")
-    nearest = _min_norm_point(sources.as_array() - p.probs)
+    rows = sources.as_array() - p.probs
+
+    def oracle(c):
+        j = int(np.argmin(rows @ c))
+        return j, rows[j]
+
+    first = int(np.argmin(np.einsum("ij,ij->i", rows, rows)))
+    nearest = _min_norm_point(oracle, (first, rows[first]))[0]
     return bool(np.linalg.norm(nearest) <= tol)

@@ -2,17 +2,20 @@
 
 A rule assigns to every offered symbol subset V a distribution f(.|V)
 supported on V; the long-run output distribution is the beta-weighted mixture
-of those conditionals. Synthesis of a rule for a target distribution is a
-transportation feasibility problem (supplies beta(V), demands target(i), an
-edge V -> i whenever i is in V) solved by exact augmenting-path max-flow; by
-max-flow/min-cut the infeasible case always yields a violated-subset
-certificate, which is exactly a failed region constraint.
+of those conditionals. The attainable region is the core of the supermodular
+set function Q, and its vertices are the laws of priority rules: "emit the
+first offered symbol in order sigma" (Shapley 1971). Synthesis runs Wolfe's
+min-norm point over the region shifted by the target, with the priority
+rules as its linear-minimization oracle. An attainable target comes out as a
+mixture of at most k priority rules, which is the rule returned; for an
+unattainable one, an upper level set of the nearest point is a violated
+region constraint, the certificate.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -20,15 +23,15 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError
 from .probcore import Distribution, SourceList, choice_cdf
 from .region import (
+    _greedy_oracle,
+    _min_norm_point,
     beta_table,
     format_subset,
+    mask_of,
     q_of_subset,
     realizable_subsets,
     subset_members,
 )
-
-#: Residual separating "flow value 1" from an infeasible transportation plan.
-FLOW_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,79 +105,23 @@ def induced_distribution(rule: SwitchRule, sources: SourceList) -> Distribution:
     return Distribution(out)
 
 
+def _priority_rule(orders, weights, sources: SourceList) -> SwitchRule:
+    """The rule that, on every offered set V, emits the first symbol of V in
+    order ``orders[i]`` with probability ``weights[i]``."""
+    masks = np.array(realizable_subsets(sources))
+    f = np.zeros((masks.size, sources.alphabet_size))
+    first = np.empty(masks.size, dtype=np.int64)
+    for order, weight in zip(orders, weights):
+        # the last write for each set is its earliest symbol in the order
+        for symbol in reversed(order):
+            first[(masks >> symbol) & 1 == 1] = symbol
+        f[np.arange(masks.size), first] += weight
+    return SwitchRule({mask: Distribution(row) for mask, row in zip(masks.tolist(), f)})
+
+
 def greedy_max_rule(sources: SourceList) -> SwitchRule:
     """Deterministic rule that always emits the largest offered symbol."""
-    k = sources.alphabet_size
-    rules = {}
-    for mask in realizable_subsets(sources):
-        rules[mask] = Distribution.point_mass(max(subset_members(mask)), k)
-    return SwitchRule(rules)
-
-
-def _max_flow(num_nodes: int, edges, source: int, sink: int):
-    """Edmonds-Karp max flow with real capacities.
-
-    ``edges`` is a list of (u, v, capacity) processed in order, which fixes the
-    adjacency layout and hence breaks augmenting-path ties canonically.
-    Returns (value, per-edge flow list, residual-reachability mask).
-    """
-    heads = []
-    caps = []
-    adj = [[] for _ in range(num_nodes)]
-    for u, v, cap in edges:
-        adj[u].append(len(heads))
-        heads.append(v)
-        caps.append(float(cap))
-        adj[v].append(len(heads))
-        heads.append(u)
-        caps.append(0.0)
-
-    def bfs_path():
-        parent_edge = [-1] * num_nodes
-        parent_edge[source] = -2
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for eid in adj[u]:
-                v = heads[eid]
-                if parent_edge[v] == -1 and caps[eid] > FLOW_RESIDUAL_TOL:
-                    parent_edge[v] = eid
-                    if v == sink:
-                        return parent_edge
-                    queue.append(v)
-        return None
-
-    value = 0.0
-    while True:
-        parents = bfs_path()
-        if parents is None:
-            break
-        bottleneck = np.inf
-        v = sink
-        while v != source:
-            eid = parents[v]
-            bottleneck = min(bottleneck, caps[eid])
-            v = heads[eid ^ 1]
-        v = sink
-        while v != source:
-            eid = parents[v]
-            caps[eid] -= bottleneck
-            caps[eid ^ 1] += bottleneck
-            v = heads[eid ^ 1]
-        value += bottleneck
-
-    reachable = [False] * num_nodes
-    reachable[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for eid in adj[u]:
-            v = heads[eid]
-            if not reachable[v] and caps[eid] > FLOW_RESIDUAL_TOL:
-                reachable[v] = True
-                queue.append(v)
-    flows = [caps[2 * i + 1] for i in range(len(edges))]
-    return value, flows, reachable
+    return _priority_rule([range(sources.alphabet_size - 1, -1, -1)], [1.0], sources)
 
 
 def synthesize_rule(
@@ -182,60 +129,45 @@ def synthesize_rule(
 ) -> SwitchRule:
     """Build a rule whose induced distribution matches ``target``.
 
-    Raises InfeasibleError with a certificate subset (a violated region
-    constraint) when no rule exists. On success the induced distribution is
-    within L1 distance ``tol`` of the target.
+    Wolfe's min-norm point over the region less the target, with the
+    priority-rule oracle, gives a nearest point x = y - target and the
+    mixture of at most k priority rules that induces y. When x is within L1
+    distance ``tol`` of zero that mixture is the rule, defined on every
+    offered set; its induced distribution is checked to be within L1 ``tol``
+    of the target. Otherwise the upper level sets of x are the candidate
+    certificates: InfeasibleError names the one with the largest exact
+    shortfall Q(V) - target(V), a most violated region constraint, with the
+    mass present (lhs) and required (rhs). Raises ConvergenceError if the
+    search runs out of major cycles.
     """
     k = sources.alphabet_size
     if target.size != k:
         raise ValidationError("target and sources use different alphabets")
-    masks = realizable_subsets(sources)
-    betas = beta_table(sources)
-    # node ids: 0 = supply, 1..len(masks) = offered subsets, then symbols, sink
-    sym_base = 1 + len(masks)
-    sink = sym_base + k
-    edges = []
-    for pos, mask in enumerate(masks):
-        edges.append((0, 1 + pos, float(betas[mask])))
-    middle_index = {}
-    for pos, mask in enumerate(masks):
-        for i in subset_members(mask):
-            middle_index[(mask, i)] = len(edges)
-            # capacity 2 > total supply, i.e. effectively unbounded: min cuts
-            # never cross these edges, which is what makes the certificate a
-            # subset of symbols
-            edges.append((1 + pos, sym_base + i, 2.0))
-    for i in range(k):
-        edges.append((sym_base + i, sink, float(target.probs[i])))
-    value, flows, reachable = _max_flow(sink + 1, edges, 0, sink)
+    oracle = _greedy_oracle(sources, target.probs)
+    # start from the priority rule that ranks symbols by descending target mass
+    x, orders, weights = _min_norm_point(oracle, oracle(-target.probs))
 
-    if 1.0 - value > FLOW_RESIDUAL_TOL:
-        cert = 0
-        for i in range(k):
-            if reachable[sym_base + i]:
-                cert |= 1 << i
-        if cert == 0:
+    if np.abs(x).sum() > tol:
+        descending = np.argsort(-x, kind="stable").tolist()
+        levels = [mask_of(descending[:size]) for size in range(1, k)]
+
+        def shortfall(mask):
+            mass = sum(Fraction(t) for t in target.probs[list(subset_members(mask))])
+            return Fraction(q_of_subset(sources, mask)) - mass
+
+        cert = max(levels, key=shortfall)
+        if shortfall(cert) > 0:
+            lhs = float(sum(target.probs[i] for i in subset_members(cert)))
+            rhs = float(q_of_subset(sources, cert))
             raise InfeasibleError(
-                "transportation infeasible but no certificate subset found"
+                f"target unattainable: mass {lhs:.12g} on {format_subset(cert)} "
+                f"is below the required {rhs:.12g}",
+                certificate=cert,
+                lhs=lhs,
+                rhs=rhs,
             )
-        lhs = float(sum(target.probs[i] for i in subset_members(cert)))
-        rhs = float(q_of_subset(sources, cert))
-        raise InfeasibleError(
-            f"target unattainable: mass {lhs:.12g} on {format_subset(cert)} "
-            f"is below the required {rhs:.12g}",
-            certificate=cert,
-            lhs=lhs,
-            rhs=rhs,
-        )
 
-    rules = {}
-    for pos, mask in enumerate(masks):
-        beta = float(betas[mask])
-        f = np.zeros(k)
-        for i in subset_members(mask):
-            f[i] = max(flows[middle_index[(mask, i)]], 0.0) / beta
-        rules[mask] = Distribution(f)
-    rule = SwitchRule(rules)
+    rule = _priority_rule(orders, weights, sources)
     gap = float(np.abs(induced_distribution(rule, sources).probs - target.probs).sum())
     if gap > tol:
         raise InfeasibleError(

@@ -112,6 +112,34 @@ def test_synthesize_binary_pair(capsys):
     assert (code, out) == (0, "1: 1 0\n2: 0 1\n3: 0.48 0.52\n")
 
 
+def test_synthesize_ternary_demo(capsys):
+    code, out = run_text(
+        capsys, "synthesize", PROBLEMS / "ternary_demo.yaml", "--target", "0.55,0.25,0.2"
+    )
+    assert (code, out) == (
+        0, "1: 1 0 0\n2: 0 1 0\n3: 0.5 0.5 0\n4: 0 0 1\n5: 0.5 0 0.5\n6: 0 0.5 0.5\n"
+    )
+
+
+def test_attainable_target_with_a_negligible_offered_set_exits_0(capsys, tmp_path):
+    # both sources offer symbol 1 with chance 1e-11, so {1} is on offer with
+    # chance 1e-22: the target, their common law, is attainable
+    row = "[99999999999/100000000000, 1/100000000000]"
+    problem = tmp_path / "rare.yaml"
+    problem.write_text(
+        "alphabet_x: 2\nalphabet_y: 2\nmode: independent\ndelta: 0\n"
+        f"sources:\n  - {row}\n  - {row}\n"
+        "distortion:\n  - [0, 1]\n  - [1, 0]\n"
+    )
+    target = "99999999999/100000000000,1/100000000000"
+    assert run_text(capsys, "region", problem, "--check", target) == (0, "MEMBER\n")
+    assert run_text(capsys, "synthesize", problem, "--target", target)[0] == 0
+    code, _ = run_text(
+        capsys, "simulate", problem, "--target", target, "--n", 20, "--trials", 10
+    )
+    assert code == 0
+
+
 @pytest.mark.parametrize("option, value", [("--method", "grid"), ("--grid-step", "0.05")])
 def test_optimize_has_no_search_method_options(capsys, option, value):
     # the parameter dimension alone picks the lattice or the multistart path
@@ -223,7 +251,7 @@ def test_simulate_ternary_demo(capsys):
     assert code == 0
     lines = out.splitlines()
     assert "out_of_region_fraction=0" in lines
-    assert "empirical_type=0.5445 0.259625 0.195875" in lines
+    assert "empirical_type=0.543375 0.26475 0.191875" in lines
 
 
 def test_simulate_binary_pair_against_a_covering_codebook(capsys):

@@ -16,6 +16,7 @@ from switchrd import (
     ValidationError,
     beta_of_subset,
     beta_table,
+    entropy,
     enumerate_constraints,
     hull_member,
     is_member,
@@ -24,6 +25,7 @@ from switchrd import (
     realizable_subsets,
     subset_members,
 )
+from switchrd.region import _greedy_oracle, _min_norm_point
 
 BINARY_PAIR = SourceList.independent(
     [[Fraction(2, 3), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 4)]]
@@ -294,6 +296,26 @@ class TestHull:
         monkeypatch.setitem(sys.modules, "scipy.optimize", None)
         assert hull_member(Distribution([0.7, 0.3]), BINARY_PAIR)
         assert not hull_member(Distribution([0.5, 0.5]), BINARY_PAIR)
+
+
+class TestMinNormPoint:
+    def test_no_offset_gives_the_most_uniform_attainable_law(self):
+        # the min-norm point of the region is its lexicographically optimal
+        # base (Fujishige 1980), the attainable law of largest entropy: under
+        # Hamming distortion R~(0) = H(p*)
+        srcs = SourceList.independent(
+            [[.000752, .018923, .336560, .230976, .412789],
+             [.006478, .005836, .498397, .431469, .057820],
+             [.035852, .001112, .395276, .212961, .354799]]
+        )
+        oracle = _greedy_oracle(srcs, np.zeros(5))
+        p_star = _min_norm_point(oracle, oracle(np.zeros(5)))[0]
+        np.testing.assert_allclose(
+            p_star, [.041804, .025733, .310821, .310821, .310821], atol=1e-6
+        )
+        p_star = Distribution(p_star)
+        assert is_member(p_star, RegionSpec(srcs, 0)).satisfied
+        assert entropy(p_star) == pytest.approx(1.899336, abs=5e-7)
 
 
 class TestAgainstEnumeration:

@@ -144,22 +144,46 @@ class TestSynthesizeRule:
         got = induced_distribution(rule, joint)
         assert np.abs(got.probs - target.probs).sum() <= 1e-8
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), m=st.integers(1, 3))
-    def test_feasibility_matches_membership(self, seed, k, m):
+    def test_attainable_target_with_a_negligible_offered_set(self):
+        # {0,1} is on offer with chance 2e-11 and {1} with chance 1e-22
+        row = [Fraction(99999999999, 100000000000), Fraction(1, 100000000000)]
+        srcs = SourceList.independent([row, row])
+        target = Distribution([float(x) for x in row])
+        rule = synthesize_rule(target, srcs)
+        got = induced_distribution(rule, srcs)
+        assert np.abs(got.probs - target.probs).sum() <= 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 5),
+        m=st.integers(1, 3),
+        joint=st.booleans(),
+        concentration=st.sampled_from([1.0, 0.5]),
+    )
+    def test_feasibility_matches_membership(self, seed, k, m, joint, concentration):
         rng = np.random.default_rng(seed)
-        srcs = random_sources(rng, k, m)
+        if joint:
+            pmf = rng.dirichlet(np.full(k**m, concentration))
+            srcs = SourceList.joint(pmf.tolist(), alphabet_size=k, num_sources=m)
+        else:
+            rows = rng.dirichlet(np.full(k, concentration), size=m)
+            srcs = SourceList.independent(rows.tolist())
         target = Distribution(rng.dirichlet(np.ones(k)))
-        member = is_member(target, RegionSpec(srcs, 0)).satisfied
+        report = is_member(target, RegionSpec(srcs, 0))
         try:
             rule = synthesize_rule(target, srcs)
         except InfeasibleError as err:
-            assert not member
+            assert not report.satisfied
             cert = err.certificate
             lhs = target.probs[list(subset_members(cert))].sum()
-            assert lhs < float(q_of_subset(srcs, cert)) - 1e-10
+            shortfall = float(q_of_subset(srcs, cert)) - lhs
+            assert shortfall > 1e-10
+            # a most violated subset
+            worst = max(rhs - mass for _, mass, rhs in report.violations)
+            assert shortfall == pytest.approx(worst, abs=1e-12)
         else:
-            assert member
+            assert report.satisfied
             got = induced_distribution(rule, srcs)
             assert np.abs(got.probs - target.probs).sum() <= 1e-8
 
