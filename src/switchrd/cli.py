@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import (
@@ -29,7 +30,7 @@ from .optimizer import SearchConfig, maximize_over_hull, maximize_over_region, r
 from .probcore import Distribution
 from .problem import ProblemSpec, load_problem, parse_number, parse_vector
 from .rate_distortion import BA_TOL, BISECT_TOL, rate_at_distortion, rd_curve
-from .region import RegionSpec, enumerate_constraints, format_subset, is_member
+from .region import RegionSpec, _subset_labels, enumerate_constraints, format_subset, is_member
 from .strategy import SwitchRule, synthesize_rule
 
 
@@ -45,7 +46,7 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows: Iterable[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -95,10 +96,12 @@ def cmd_region(args) -> int:
     problem = load_problem(args.problem)
     spec = _region_spec(problem)
     if args.list:
-        rows = []
-        for mask, rhs in enumerate_constraints(spec):
-            rhs_text = str(rhs) if isinstance(rhs, Fraction) else _fmt(rhs)
-            rows.append([str(mask), format_subset(mask), rhs_text])
+        rows = (
+            [mask, label, str(rhs) if isinstance(rhs, Fraction) else _fmt(rhs)]
+            for (mask, rhs), label in zip(
+                enumerate_constraints(spec), _subset_labels(problem.alphabet_x)
+            )
+        )
         _emit(_csv_text(["subset_mask", "symbols", "rhs"], rows), args.output)
         return 0
     p = _distribution(args.check)

@@ -6,15 +6,17 @@ an exact best-response search for the switch against a fixed codebook, and a
 Hoeffding bound on the probability of the output type escaping the relaxed
 region.
 
-Trial t draws from its own stream, ``np.random.default_rng([seed, t])``, so
-results do not depend on how trials are grouped. Each trial takes
-``(rows + 1) * n`` uniforms from its stream in one call, where ``rows`` is
-the number of sources (1 in joint mode, which draws source tuples): first n
-per source row, in source order, then n for the switch. The sampler and the
-rule map them exactly as per-row ``Generator.choice`` calls followed by
-``strategy.apply_rule`` on the same stream would, so trials are simulated in
-chunks, with sampling, rule draws, type counts, codebook distortion and
-region membership vectorized over each chunk.
+A simulation reads one stream, ``np.random.default_rng(seed)``. Each trial
+takes the next ``(rows + 1) * n`` doubles of it, where ``rows`` is the number
+of sources (1 in joint mode, which draws source tuples): n per source row, in
+source order, then one per time step for the switch. The sampler and the rule
+map them exactly as one ``Generator.choice(k, size=n, p=row)`` call per row
+followed by one ``Generator.choice(k, p=f(.|V_t))`` call per step would, so
+trial t reads doubles ``[t (rows + 1) n, (t + 1) (rows + 1) n)`` however the
+trials are chunked, and ``PCG64.advance`` reaches it without drawing the
+trials before it. Trials are simulated in chunks, with sampling, rule draws,
+type counts, codebook distortion and region membership vectorized over each
+chunk.
 """
 
 from __future__ import annotations
@@ -74,27 +76,6 @@ class Codebook:
         if self.size == 0:
             raise ValidationError("empty codebook has no rate")
         return math.log2(self.size) / self.n
-
-    def serialize(self) -> str:
-        """Newline-delimited symbol strings (digits concatenated for small
-        reproduction alphabets, space-separated otherwise)."""
-        lines = []
-        spaced = self.size and self.words.max() > 9
-        for row in self.words:
-            lines.append(
-                " ".join(str(x) for x in row) if spaced else "".join(str(x) for x in row)
-            )
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "Codebook":
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([int(t) for t in line.split()] if " " in line else [int(c) for c in line])
-        return cls(np.array(rows, dtype=np.int64).reshape(len(rows), n), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +157,8 @@ def sample_sources(sources: SourceList, n: int, seed: int) -> np.ndarray:
     """One block of source output: one row per source, one column per time."""
     if n < 1:
         raise ValidationError("blocklength must be at least 1")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     cdfs = _source_cdfs(sources)
     return _sample(sources, cdfs, np.random.default_rng(seed).random((1, len(cdfs), n)))[0]
 
@@ -274,11 +257,15 @@ def build_covering_codebook(
     distortion. The candidates are every reproduction word when there are at
     most ``max_candidates``, otherwise words sampled per admitted type.
     Candidate order is lexicographic and ties go to the earliest candidate,
-    so the construction is fully deterministic."""
+    so the construction is fully deterministic. A string no candidate covers
+    is InfeasibleError when every word was a candidate, and GuardError
+    (the sample was too small) when the candidates were sampled."""
     if n < 1:
         raise ValidationError("blocklength must be at least 1")
     if target_distortion < 0:
         raise ValidationError("distortion target must be nonnegative")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     types = _admitted_types(spec, n)
     # strings of each admitted type, by the multinomial coefficient
     num_t = sum(
@@ -286,16 +273,16 @@ def build_covering_codebook(
     )
     if num_t == 0:
         return Codebook(np.empty((0, n), dtype=np.int64), n)
-    cands = None
-    if d.num_outputs**n > max_candidates:
+    sampled = d.num_outputs**n > max_candidates
+    if sampled:
         cands = _sampled_words(d, target_distortion, n, max_candidates, seed, types)
-    num_c = d.num_outputs**n if cands is None else cands.shape[0]
+    num_c = cands.shape[0] if sampled else d.num_outputs**n
     # refused before either side's strings are enumerated
     if num_c * num_t > COVER_CELL_GUARD:
         raise GuardError(
             f"cover table would hold {num_c * num_t} cells, guard is {COVER_CELL_GUARD}"
         )
-    if cands is None:
+    if not sampled:
         cands = _enumerate_strings(d.num_outputs, n)
     targets = _admitted_strings(spec, n, types)
     # covered[t, c]: candidate c is within the target distortion of target t.
@@ -320,6 +307,11 @@ def build_covering_codebook(
     while uncovered.any():
         best = int(np.argmax(gains))
         if gains[best] == 0:
+            if sampled:
+                raise GuardError(
+                    f"the {num_c} sampled candidate words leave an admitted string "
+                    f"uncovered; the candidate budget is max_candidates={max_candidates}"
+                )
             raise InfeasibleError(
                 "some admitted string cannot be covered at this distortion "
                 "(target below the distortion floor of an admitted type)"
@@ -393,11 +385,14 @@ def simulate_game(
     region: RegionSpec | None = None,
 ) -> SimReport:
     """Average the per-block distortion and the output type over independent
-    blocks. Trial t draws from the stream derived from (seed, t). When
-    ``region`` is given, also reports the fraction of blocks whose type left
-    the (relaxed) region."""
+    blocks, all drawn from the one stream ``np.random.default_rng(seed)``:
+    trial t reads its ``(rows + 1) * n`` doubles after those of trials
+    0..t-1 (see the module docstring). When ``region`` is given, also reports
+    the fraction of blocks whose type left the (relaxed) region."""
     if n < 1 or trials < 1:
         raise ValidationError("need at least one trial and one symbol")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     if rule.alphabet_size != sources.alphabet_size:
         raise ValidationError("rule and sources use different alphabets")
     k = sources.alphabet_size
@@ -408,10 +403,9 @@ def simulate_game(
     counts = np.zeros(k, dtype=np.int64)
     dists = np.empty(trials) if codebook is not None else None
     outside = 0
+    gen = np.random.default_rng(seed)
     for start in range(0, trials, chunk):
-        uniforms = np.empty((min(chunk, trials - start), rows + 1, n))
-        for i, block in enumerate(uniforms):
-            np.random.default_rng([seed, start + i]).random(out=block)
+        uniforms = gen.random((min(chunk, trials - start), rows + 1, n))
         out = _apply_rule(rule, _sample(sources, cdfs, uniforms[:, :rows]), uniforms[:, rows])
         block_counts = _type_counts(out, k)
         counts += block_counts.sum(axis=0)

@@ -56,6 +56,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValidationError("need at least one start")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

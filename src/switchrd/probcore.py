@@ -66,10 +66,6 @@ class Distribution:
         return int(self.probs.size)
 
     @classmethod
-    def uniform(cls, k: int) -> "Distribution":
-        return cls(np.full(k, 1.0 / k))
-
-    @classmethod
     def point_mass(cls, symbol: int, k: int) -> "Distribution":
         vec = np.zeros(k)
         vec[symbol] = 1.0
@@ -101,10 +97,6 @@ class DistortionMatrix:
     @property
     def num_outputs(self) -> int:
         return int(self.values.shape[1])
-
-    @property
-    def max_entry(self) -> float:
-        return float(self.values.max())
 
     @classmethod
     def hamming(cls, k: int) -> "DistortionMatrix":
@@ -204,11 +196,6 @@ class SourceList:
     @property
     def is_joint(self) -> bool:
         return self.mode == "joint"
-
-    def distributions(self) -> tuple[Distribution, ...]:
-        if self.is_joint:
-            raise ValidationError("per-source distributions exist only in independent mode")
-        return tuple(Distribution([float(x) for x in row]) for row in self.table)
 
     def as_array(self) -> np.ndarray:
         """Float matrix of shape (num_sources, alphabet_size); independent only."""

@@ -66,9 +66,6 @@ class RdCurve:
                 raise ValidationError("rates must be nonincreasing in distortion")
         object.__setattr__(self, "points", pts)
 
-    def distortions(self) -> np.ndarray:
-        return np.array([pt.distortion for pt in self.points])
-
     def rates(self) -> np.ndarray:
         return np.array([pt.rate for pt in self.points])
 

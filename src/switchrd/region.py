@@ -34,8 +34,8 @@ from .probcore import Distribution, SourceList
 
 #: Largest alphabet for which the full constraint family is enumerated. On an
 #: exact-rational two-source instance over denominator 997, ``region --list``
-#: takes 8 s and 324 MB at 19 symbols and 18 s and 619 MB at 20
-#: (``synthesize`` 1.0 s and 1.7 s), on a 2-vCPU machine.
+#: takes 3.7 s and 254 MB at 19 symbols and 7.1 s and 462 MB at 20
+#: (``synthesize`` 1.2 s and 2.0 s), on a 2-vCPU machine.
 ALPHABET_GUARD = 19
 
 #: Absolute slack when comparing a constraint side, so that boundary points
@@ -63,6 +63,17 @@ def mask_of(symbols) -> int:
 
 def format_subset(mask: int) -> str:
     return "{" + ",".join(str(i) for i in subset_members(mask)) + "}"
+
+
+def _subset_labels(alphabet_size: int):
+    """``format_subset`` of masks 1 .. 2^k - 1 in turn, each label built from
+    that of the mask without its top symbol."""
+    inner = [""]
+    for top in range(alphabet_size):
+        for lower in range(1 << top):
+            label = f"{inner[lower]},{top}" if lower else str(top)
+            inner.append(label)
+            yield "{" + label + "}"
 
 
 def _check_mask(mask: int, alphabet_size: int) -> None:

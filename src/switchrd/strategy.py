@@ -183,9 +183,13 @@ def apply_rule(
 
     ``realizations`` has one row per source and one column per time step; at
     each step the offered set is the set of symbols in that column and the
-    output is drawn from the rule's conditional for it. Deterministic given
-    ``seed``; the output symbol always comes from the offered set.
+    output is drawn from the rule's conditional for it. Step t reads the t-th
+    uniform of ``np.random.default_rng(seed)``, so the output equals one
+    ``Generator.choice(k, p=f(.|V_t))`` call per step, in time order, on that
+    generator. The output symbol always comes from the offered set.
     """
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     realizations = np.asarray(realizations)
     if realizations.ndim != 2:
         raise ValidationError("realizations must be a sources-by-time matrix")
@@ -201,32 +205,23 @@ def _apply_rule(
     """Run the switch over a batch of blocks, given one uniform per step.
 
     ``realizations`` is blocks x sources x time with symbols in range, and
-    ``uniforms`` is blocks x time. Each block reproduces one
-    ``Generator.choice`` call per offered mask, in ascending mask order, each
-    drawing for that mask's columns in ascending time: the block's uniforms
-    are consumed in that order, a stable sort of its columns by mask, and each
-    becomes the count of entries of its mask's CDF (``choice_cdf``) that are
-    <= it. A mask the rule lacks is an error, named for the first block that
-    offers one.
+    ``uniforms`` is blocks x time. Each step's output is the count of entries
+    of its offered mask's CDF (``choice_cdf``) that are <= its uniform, which
+    is how ``Generator.choice`` maps the one double it draws for a scalar
+    choice. A mask the rule lacks is an error, naming the smallest one the
+    first block offers.
     """
     masks = np.bitwise_or.reduce(np.left_shift(1, realizations, dtype=np.int64), axis=1)
-    # each block's columns in the order its uniforms are consumed, as flat
-    # positions; a dtype of at most 16 bits makes the stable sort a radix sort
-    order = np.argsort(masks.astype(np.min_scalar_type(masks.max())), axis=-1, kind="stable")
-    order += np.arange(0, masks.size, masks.shape[1])[:, None]
-    offered = masks.take(order)
     keys = np.array(sorted(rule.rules), dtype=np.int64)
-    pos = np.minimum(np.searchsorted(keys, offered), keys.size - 1)
-    missing = keys[pos] != offered
+    pos = np.minimum(np.searchsorted(keys, masks), keys.size - 1)
+    missing = keys[pos] != masks
     if missing.any():
-        # masks ascend within each block: this is the first block's smallest
-        mask = int(offered[missing][0])
+        block = int(missing.any(axis=1).argmax())
+        mask = int(masks[block][missing[block]].min())
         raise ValidationError(f"rule has no entry for offered subset {format_subset(mask)}")
     cdfs = choice_cdf(np.array([rule.rules[key].probs for key in keys.tolist()]))
     drawn = np.zeros(masks.shape, dtype=np.int64)
     # every CDF ends at exactly 1, above every uniform
     for column in cdfs.T[:-1]:
         drawn += column[pos] <= uniforms
-    out = np.empty_like(drawn)
-    out.put(order, drawn)
-    return out
+    return drawn

@@ -193,7 +193,7 @@ def test_simulate_ignores_solver_tolerance_variables(capsys, monkeypatch, variab
             "--n", 20, "--trials", 50, "--seed", 1]
     code, out = run_text(capsys, *argv)
     assert code == 0
-    assert "empirical_type=0.699 0.301" in out.splitlines()
+    assert "empirical_type=0.713 0.287" in out.splitlines()
     rd, optimize = ([cmd, PROBLEMS / "binary_pair.yaml", *rest] for cmd, *rest in RATE_COMMANDS)
     assert run_text(capsys, *rd) == (0, "D,R\n0.1,0.531004406411\n")
     code, out = run_text(capsys, *optimize)
@@ -232,7 +232,7 @@ def test_simulate_binary_pair(capsys):
     assert code == 0
     lines = out.splitlines()
     assert "out_of_region_fraction=0" in lines
-    assert "empirical_type=0.699 0.301" in lines
+    assert "empirical_type=0.713 0.287" in lines
 
 
 def test_simulate_codebook_past_the_enumeration_guard_exits_4(capsys):
@@ -251,7 +251,7 @@ def test_simulate_ternary_demo(capsys):
     assert code == 0
     lines = out.splitlines()
     assert "out_of_region_fraction=0" in lines
-    assert "empirical_type=0.543375 0.26475 0.191875" in lines
+    assert "empirical_type=0.55475 0.24975 0.1955" in lines
 
 
 def test_simulate_binary_pair_against_a_covering_codebook(capsys):
@@ -262,11 +262,11 @@ def test_simulate_binary_pair_against_a_covering_codebook(capsys):
     assert code == 0
     lines = out.splitlines()
     for line in (
-        "mean_distortion=0.173333333333",
-        "stderr=0.00917207632584",
-        "out_of_region_fraction=0.06",
+        "mean_distortion=0.156666666667",
+        "stderr=0.00911006022367",
+        "out_of_region_fraction=0.1",
         "codebook_rate=0.408907549634",
-        "empirical_type=0.688333333333 0.311666666667",
+        "empirical_type=0.695 0.305",
     ):
         assert line in lines
 
@@ -290,4 +290,28 @@ def test_simulate_rule_over_another_alphabet_exits_3(capsys, tmp_path):
         capsys, "simulate", PROBLEMS / "binary_pair.yaml", "--rule", rule,
         "--n", 10, "--trials", 5,
     )
+    assert (code, out) == (3, "")
+
+
+def test_negative_simulate_seed_exits_3(capsys):
+    code, out = run_text(
+        capsys, "simulate", PROBLEMS / "binary_pair.yaml", "--target", "0.7,0.3",
+        "--n", 10, "--trials", 5, "--seed", -1,
+    )
+    assert (code, out) == (3, "")
+
+
+def test_negative_optimize_seed_exits_3(capsys, tmp_path):
+    # five symbols take the multistart search, the path that reads the seed
+    problem = tmp_path / "five.yaml"
+    problem.write_text(
+        "alphabet_x: 5\nalphabet_y: 5\nmode: independent\ndelta: 0\n"
+        "sources:\n  - [1/5, 1/5, 1/5, 1/5, 1/5]\n  - [1/2, 1/8, 1/8, 1/8, 1/8]\n"
+        "distortion:\n"
+        + "".join(
+            "  - [" + ", ".join("0" if i == j else "1" for j in range(5)) + "]\n"
+            for i in range(5)
+        )
+    )
+    code, out = run_text(capsys, "optimize", problem, "--distortion", "0.1", "--seed", -1)
     assert (code, out) == (3, "")

@@ -108,24 +108,23 @@ def reference_sample(sources, n, gen):
 
 
 def reference_apply(rule, block, gen):
-    """One ``gen.choice`` per offered mask in ascending order, drawing for
-    that mask's columns in ascending time."""
+    """One scalar ``gen.choice`` per time step, in time order, from the
+    rule's conditional for that step's offered mask."""
     masks = np.bitwise_or.reduce(1 << block.astype(np.int64), axis=0)
-    out = np.empty(block.shape[1], dtype=np.int64)
-    for mask in np.unique(masks):
-        cols = np.nonzero(masks == mask)[0]
-        out[cols] = gen.choice(rule.alphabet_size, size=cols.size, p=rule.rules[int(mask)].probs)
-    return out
+    return np.array(
+        [gen.choice(rule.alphabet_size, p=rule.rules[int(mask)].probs) for mask in masks],
+        dtype=np.int64,
+    )
 
 
 def reference_simulate(sources, rule, codebook, d, n, trials, seed, region):
-    """The per-trial loop: trial t draws its block and its switch choices
-    from ``default_rng([seed, t])``."""
+    """The per-trial loop over one generator, ``default_rng(seed)``: each
+    trial draws its block and then its switch choices from it."""
     k = sources.alphabet_size
     counts = np.zeros(k, dtype=np.int64)
     dists, outside = [], 0
+    gen = np.random.default_rng(seed)
     for t in range(trials):
-        gen = np.random.default_rng([seed, t])
         out = reference_apply(rule, reference_sample(sources, n, gen), gen)
         block_counts = np.bincount(out, minlength=k)
         counts += block_counts
@@ -203,6 +202,25 @@ class TestStreamContract:
         assert report.empirical_type.probs.tolist() == expected["empirical_type"]
         assert report.out_of_region_fraction == expected["out_of_region_fraction"]
 
+    def test_pcg64_advance_reaches_a_trial_directly(self, monkeypatch):
+        sources, rule, d, *_ = list(sim_cases())[2]
+        n, t, seed = 9, 37, 5
+        bits = np.random.PCG64(seed)
+        bits.advance(t * (sources.num_sources + 1) * n)
+        gen = np.random.Generator(bits)
+        expected = reference_apply(rule, reference_sample(sources, n, gen), gen)
+        # every output block the simulator produces, in trial order
+        blocks, apply = [], game_sim._apply_rule
+
+        def recording(*args):
+            out = apply(*args)
+            blocks.extend(out)
+            return out
+
+        monkeypatch.setattr(game_sim, "_apply_rule", recording)
+        simulate_game(sources, rule, None, d, n, t + 1, seed)
+        np.testing.assert_array_equal(blocks[t], expected)
+
     @pytest.mark.parametrize("seed", [0, 1, 29])
     def test_sample_sources_and_apply_rule_equal_choice(self, seed):
         for sources, rule, *_ in sim_cases():
@@ -213,6 +231,19 @@ class TestStreamContract:
                 apply_rule(rule, block, seed + 1),
                 reference_apply(rule, block, np.random.default_rng(seed + 1)),
             )
+
+    def test_negative_seed_is_rejected(self):
+        sources, _ = shipped("binary_pair.yaml")
+        rule = greedy_max_rule(sources)
+        block = sample_sources(sources, 5, 0)
+        for call in (
+            lambda: simulate_game(sources, rule, None, HAMMING, 5, 3, -1),
+            lambda: sample_sources(sources, 5, -1),
+            lambda: apply_rule(rule, block, -1),
+            lambda: build_covering_codebook(RegionSpec(sources, 0), HAMMING, 0.25, 4, seed=-1),
+        ):
+            with pytest.raises(ValidationError, match="seed must be nonnegative"):
+                call()
 
     def test_rule_over_another_alphabet_is_rejected(self):
         sources, _ = shipped("binary_pair.yaml")
@@ -225,7 +256,7 @@ class TestStreamContract:
     def test_missing_rule_entry_is_named_for_the_first_trial_offering_one(
         self, monkeypatch, cells
     ):
-        # at seed 8 trial 3 is the first to offer {0,2} and trial 4 the first
+        # at seed 8 trial 2 is the first to offer {0,2} and trial 3 the first
         # to offer {0,1}; both fall in one chunk by default
         monkeypatch.setattr(game_sim, "_SIM_CELLS", cells)
         sources, d = shipped("ternary_demo.yaml")
@@ -234,15 +265,26 @@ class TestStreamContract:
             mask: Distribution.point_mass(mask.bit_length() - 1, 3)
             for mask in range(1, 8) if mask not in missing
         })
+        gen = np.random.default_rng(8)
         for t in itertools.count():
-            block = reference_sample(sources, 2, np.random.default_rng([8, t]))
+            block = reference_sample(sources, 2, gen)
+            gen.random(2)  # the trial's switch uniforms
             offered = set(np.bitwise_or.reduce(1 << block, axis=0).tolist()) & missing
             if offered:
                 break
-        assert (t, offered) == (3, {5})
+        assert (t, offered) == (2, {5})
         with pytest.raises(ValidationError) as err:
             simulate_game(sources, rule, None, d, 2, 40, 8)
         assert str(err.value) == "rule has no entry for offered subset {0,2}"
+
+    def test_missing_rule_entry_is_the_smallest_the_block_offers(self):
+        # time 0 offers {0,2} and time 1 offers {0,1}; neither has an entry
+        rule = SwitchRule({
+            mask: Distribution.point_mass(mask.bit_length() - 1, 3)
+            for mask in range(1, 8) if mask not in (3, 5)
+        })
+        with pytest.raises(ValidationError, match=r"subset \{0,1\}$"):
+            apply_rule(rule, np.array([[0, 0], [2, 1]]), 0)
 
 
 def admitted_strings(spec, k, n):
@@ -286,6 +328,24 @@ class TestCoveringCodebook:
         d = DistortionMatrix([[0.5, 1], [1, 0.5]])
         with pytest.raises(InfeasibleError):
             build_covering_codebook(RegionSpec(sources, 0), d, 0.4, 6)
+
+    def test_sampled_candidates_cover_every_admitted_string(self):
+        # 2^8 words exceed the budget of 128, so the candidates are sampled
+        sources, d = shipped("binary_pair.yaml")
+        spec = RegionSpec(sources, 0)
+        book = build_covering_codebook(spec, d, 0.25, 8, max_candidates=128, seed=2)
+        assert 0 < book.size < 2**8
+        for s in admitted_strings(spec, 2, 8):
+            assert distortion_to_codebook(np.array(s), book, d) <= 0.25 + 1e-12
+        again = build_covering_codebook(spec, d, 0.25, 8, max_candidates=128, seed=2)
+        np.testing.assert_array_equal(again.words, book.words)
+
+    def test_a_sample_that_misses_a_string_is_a_guard_not_infeasible(self):
+        # under Hamming distortion every type's floor is 0, so no string is
+        # out of reach at 0.25; only the 64-word budget is too small
+        sources, d = shipped("binary_pair.yaml")
+        with pytest.raises(GuardError, match="max_candidates=64"):
+            build_covering_codebook(RegionSpec(sources, 0), d, 0.25, 10, max_candidates=64)
 
     def test_cover_table_past_the_cell_guard_is_refused(self):
         # 2^14 candidate words against the 9,893 admitted 14-symbol strings
