@@ -6,7 +6,8 @@ constraint listing), synthesize (switch-rule construction), optimize
 written in one piece, so a failing command never leaves a partial file.
 
 Exit codes: 0 success, 2 mathematically infeasible, 3 malformed input,
-4 desk-scale guard or iteration budget exceeded.
+4 desk-scale guard or iteration budget exceeded, or a rate bracket that
+would not close.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .game_sim import build_covering_codebook, simulate_game
 from .optimizer import SearchConfig, maximize_over_hull, maximize_over_region, rd_tilde_curve
 from .probcore import Distribution
 from .problem import ProblemSpec, load_problem, parse_number, parse_vector
-from .rate_distortion import BA_TOL, BISECT_TOL, rate_at_distortion, rd_curve
+from .rate_distortion import RATE_TOL, rate_at_distortion, rd_curve
 from .region import RegionSpec, _subset_labels, enumerate_constraints, format_subset, is_member
 from .strategy import SwitchRule, synthesize_rule
 
@@ -80,13 +81,11 @@ def cmd_rd(args) -> int:
     if p.size != problem.alphabet_x:
         raise ValidationError("--p length must match alphabet_x")
     if args.curve is not None:
-        curve = rd_curve(p, problem.distortion, args.curve, args.bisect_tol, ba_tol=args.ba_tol)
+        curve = rd_curve(p, problem.distortion, args.curve, args.tol)
         rows = [[_fmt(pt.distortion), _fmt(pt.rate)] for pt in curve.points]
     else:
         target = float(parse_number(args.distortion))
-        pt = rate_at_distortion(
-            p, problem.distortion, target, args.bisect_tol, ba_tol=args.ba_tol
-        )
+        pt = rate_at_distortion(p, problem.distortion, target, args.tol)
         rows = [[_fmt(pt.distortion), _fmt(pt.rate)]]
     _emit(_csv_text(["D", "R"], rows), args.output)
     return 0
@@ -130,12 +129,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_optimize(args) -> int:
     problem = load_problem(args.problem)
-    config = SearchConfig(
-        starts=args.starts,
-        seed=args.seed,
-        distortion_tol=args.bisect_tol,
-        ba_tol=args.ba_tol,
-    )
+    config = SearchConfig(starts=args.starts, seed=args.seed, tol=args.tol)
     spec = _region_spec(problem)
     d = problem.distortion
     if args.curve is not None:
@@ -209,20 +203,14 @@ def _add_common(sub) -> None:
     sub.add_argument("--output", help="write output to this file instead of stdout")
 
 
-def _add_tolerances(sub) -> None:
-    """The rate solver's tolerances, for the subcommands that solve rates."""
+def _add_tol(sub) -> None:
+    """The rate solver's tolerance, for the subcommands that solve rates."""
     sub.add_argument(
-        "--ba-tol",
+        "--tol",
         type=float,
-        default=BA_TOL,
-        help=f"certified optimality gap of each fixed-slope solve, in bits "
-        f"(default {BA_TOL})",
-    )
-    sub.add_argument(
-        "--bisect-tol",
-        type=float,
-        default=BISECT_TOL,
-        help=f"distortion tolerance of the slope search (default {BISECT_TOL})",
+        default=RATE_TOL,
+        help="width in bits of the certified bracket on which each rate R_p(D) "
+        f"stops (default {RATE_TOL})",
     )
 
 
@@ -232,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rd = subs.add_parser("rd", help="rate-distortion of a fixed source")
     _add_common(rd)
-    _add_tolerances(rd)
+    _add_tol(rd)
     rd.add_argument("--p", required=True, help="source PMF, e.g. '1/2,1/2'")
     group = rd.add_mutually_exclusive_group(required=True)
     group.add_argument("--distortion", help="target distortion")
@@ -253,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = subs.add_parser("optimize", help="worst-case rates over the region")
     _add_common(opt)
-    _add_tolerances(opt)
+    _add_tol(opt)
     group = opt.add_mutually_exclusive_group(required=True)
     group.add_argument("--distortion", help="target distortion")
     group.add_argument("--curve", type=int, help="number of curve points")

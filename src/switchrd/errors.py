@@ -34,15 +34,19 @@ class GuardError(SwitchRdError):
 class ConvergenceError(SwitchRdError):
     """An iterative solver ran out of iterations.
 
-    The rate solver raises it when a fixed-slope solve spends its whole
-    iteration budget (``max_iters``) without certifying an optimality gap
-    below ``ba_tol`` bits: the budget is too small for the tolerance asked
-    for, or the slope sits so close to a change of the optimal output support
-    that the iteration crawls for longer than the budget. The CLI reports it
-    with exit code 4. ``last_point`` holds the last iterate, where there is a
-    single one, so callers can inspect how far the solve got. ``hull_member``
-    and ``synthesize_rule`` raise it if their nearest-point search (Wolfe's
-    method, one cycle cap for both) runs out of major cycles."""
+    The rate search raises it when a row's certified bracket on R_p(D) is
+    still wider than ``tol`` bits once its slope bracket has collapsed or its
+    200 rounds are spent; the message names the width and, in a batch, the
+    row. This happens where R_p(D) is straight around the target, so that
+    D(s) jumps across it at one slope, or where probes near a change of the
+    optimal output support crawl for longer than ``max_iters``.
+    ``ba_fixed_slope`` raises it when its solve spends ``max_iters`` without
+    certifying a gap below its ``tol``. The CLI reports it with exit code 4.
+    ``last_point`` holds the solver's last point (for the rate search, the
+    row's two sides time-shared at the target), so callers can inspect how
+    far it got. ``hull_member`` and ``synthesize_rule`` raise it if their
+    nearest-point search (Wolfe's method, one cycle cap for both) runs out of
+    major cycles."""
 
     def __init__(self, message: str, *, last_point=None):
         super().__init__(message)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .probcore import Distribution, DistortionMatrix, SourceList, compositions
-from .rate_distortion import BA_TOL, BISECT_TOL, rates_at_distortion_batch
+from .rate_distortion import RATE_TOL, rates_at_distortion_batch
 from .region import RegionSpec, _shortfalls, in_region, is_member
 from .strategy import greedy_max_rule, induced_distribution
 
@@ -45,13 +45,13 @@ class SearchConfig:
 
     ``starts`` random starts, drawn from ``seed``, seed the multistart ascent
     that parameter dimensions above 4 take; the lattice path reads neither.
-    Tolerances are passed through to the rate solver.
+    ``tol``, the width of each rate's certified bracket in bits, is passed
+    through to the rate solver.
     """
 
     starts: int = 16
     seed: int = 0
-    distortion_tol: float = BISECT_TOL
-    ba_tol: float = BA_TOL
+    tol: float = RATE_TOL
 
     def __post_init__(self):
         if self.starts < 1:
@@ -213,8 +213,7 @@ def _maximize(candidates, method, repair, to_source, d, target, config):
         nonlocal evaluations
         evaluations += len(xs)
         return rates_at_distortion_batch(
-            to_source(xs), d, target, tol=config.distortion_tol, ba_tol=config.ba_tol,
-            best_only=best_only,
+            to_source(xs), d, target, tol=config.tol, best_only=best_only,
         )
 
     values = batch_value(candidates, best_only=method == "grid")

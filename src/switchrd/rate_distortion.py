@@ -2,9 +2,9 @@
 
 The solver is an alternating-minimization sweep at a fixed trade-off slope
 (bits of rate per unit of distortion, always <= 0) combined with a slope
-search that hits a target distortion. Slope 0 is the zero-rate endpoint; very
-large negative slopes pin the distortion to its floor. All operations are
-pure and deterministic.
+search that stops on a certified bracket on R_p(D) at the target distortion.
+Slope 0 is the zero-rate endpoint; very large negative slopes pin the
+distortion to its floor. All operations are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from .probcore import (
 #: Default bound, in bits, on the certified optimality gap of a fixed-slope
 #: solve: the objective is within this of its minimum when the solve stops.
 BA_TOL = 1e-9
-#: Default tolerance on |achieved distortion - target| in the slope search.
-BISECT_TOL = 1e-6
+#: Default width, in bits, of the certified bracket on R_p(D) at which the
+#: slope search stops.
+RATE_TOL = 1e-6
 #: Most negative slope tried before the distortion floor is declared reached.
 SLOPE_FLOOR = -float(2**20)
 
@@ -42,12 +43,17 @@ _LN2 = float(np.log(2.0))
 
 @dataclass(frozen=True, eq=False)
 class RdPoint:
-    """One point of the rate-distortion curve with its achieving channel."""
+    """One point of the rate-distortion curve with its achieving channel.
+
+    ``rate`` is the mutual information of ``channel``, whose distortion is
+    ``distortion``, so it is at least R_p(distortion); ``lower`` is a
+    certified lower bound on R_p(distortion)."""
 
     distortion: float
     rate: float
     channel: TransitionMatrix
     slope: float
+    lower: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +107,10 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, max_iters, q0=None):
     """Alternating minimization for a batch of sources at per-row slopes.
 
     ps: (N, X) source rows; d_arr: (X, Y); slopes: (N,) all <= 0. Returns
-    (rate, dist, w, q, converged). A row is converged when the
-    multiplicative-update certificate bounds its objective suboptimality by
-    ``tol`` bits. Rows are solved independently of each other.
+    (rate, dist, w, q, gap). ``gap`` is each row's certified bound, in bits,
+    on the suboptimality of its objective rate - slope * dist; a row stops
+    once it is below ``tol`` or ``max_iters`` run out. Rows are solved
+    independently of each other.
 
     * Weakly dominated reproduction columns (see ``_undominated_columns``)
       are dropped exactly before solving; ``w`` and ``q`` carry zeros there.
@@ -128,19 +135,19 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, max_iters, q0=None):
     keep = _undominated_columns(d_arr)
     if keep.size < ny:
         sub_q0 = None if q0 is None else np.asarray(q0, dtype=float)[:, keep]
-        rate, dist, w_sub, q_sub, converged = _solve_fixed_slopes(
+        rate, dist, w_sub, q_sub, gap = _solve_fixed_slopes(
             ps, d_arr[:, keep], slopes, tol, max_iters, sub_q0
         )
         w = np.zeros((n, nx, ny))
         q = np.zeros((n, ny))
         w[:, :, keep] = w_sub
         q[:, keep] = q_sub
-        return rate, dist, w, q, converged
+        return rate, dist, w, q, gap
     rate = np.zeros(n)
     dist = np.zeros(n)
     w = np.zeros((n, nx, ny))
     q = np.zeros((n, ny))
-    converged = np.zeros(n, dtype=bool)
+    gap = np.full(n, np.inf)
 
     # first-order corner test: the best constant column is the global optimum
     # iff no other column has an update factor above 1 there
@@ -154,7 +161,7 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, max_iters, q0=None):
         w[rows, :, best_cols[rows]] = 1.0
         q[rows, best_cols[rows]] = 1.0
         dist[rows] = (ps[rows] @ d_arr)[np.arange(rows.size), best_cols[rows]]
-        converged[rows] = True
+        gap[rows] = 0.0
 
     # keep the largest exponent at zero per input row so that extreme slopes
     # cannot underflow the whole row
@@ -212,11 +219,10 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, max_iters, q0=None):
         w_act, norms = channel(kern, q_act)
         factors = np.einsum("nx,nxy->ny", ps_act / norms, kern)
         q_new = np.einsum("nx,nxy->ny", ps_act, w_act)
-        gap = (factors.max(axis=1) - 1.0) / _LN2
-        done = gap < tol
+        gap[active] = np.maximum(factors.max(axis=1) - 1.0, 0.0) / _LN2
+        done = gap[active] < tol
         w[active] = w_act
         q[active] = q_new
-        converged[active[done]] = True
         if burst == _MAX_BURST and not done.all():
             # Aitken extrapolation rescues the slow crawl near a change of the
             # optimal output support. It is tried per coordinate and along
@@ -254,7 +260,7 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, max_iters, q0=None):
 
     rows = np.nonzero(~corner)[0]
     rate[rows], dist[rows] = _rates_and_distortions(ps[rows], w[rows], d_arr)
-    return rate, dist, w, q, converged
+    return rate, dist, w, q, gap
 
 
 def _rates_and_distortions(ps, w, d_arr):
@@ -275,12 +281,11 @@ def _rates_and_distortions(ps, w, d_arr):
     return np.maximum(rate, 0.0), dist
 
 
-def _check_tolerances(**tols: float) -> None:
+def _check_tol(tol: float) -> None:
     """Reject a solver tolerance that is not a finite positive number: zero,
     a negative or NaN value could never be met, and inf accepts anything."""
-    for name, value in tols.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{name} must be a finite positive number, got {value}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be a finite positive number, got {tol}")
 
 
 def _zero_rate_point(p: Distribution, d: DistortionMatrix) -> RdPoint:
@@ -288,7 +293,7 @@ def _zero_rate_point(p: Distribution, d: DistortionMatrix) -> RdPoint:
     col = int(np.argmin(p.probs @ d.values))
     w = np.zeros_like(d.values)
     w[:, col] = 1.0
-    return RdPoint(d_max(p, d), 0.0, TransitionMatrix(w), 0.0)
+    return RdPoint(d_max(p, d), 0.0, TransitionMatrix(w), 0.0, 0.0)
 
 
 def ba_fixed_slope(
@@ -302,21 +307,24 @@ def ba_fixed_slope(
 
     ``slope`` must be <= 0; slope 0 returns the zero-rate endpoint. Converged
     means a certified optimality gap below ``tol`` bits, which implies that
-    successive rate iterates move by less than ``tol`` as well. Raises
-    ConvergenceError (carrying the last iterate) if max_iters runs out first.
+    successive rate iterates move by less than ``tol`` as well; the point's
+    ``lower`` is its rate minus that gap. Raises ConvergenceError (carrying
+    the last iterate) if max_iters runs out first.
     """
-    _check_tolerances(tol=tol)
+    _check_tol(tol)
     if slope > 0:
         raise ValidationError("slope must be nonpositive")
     if p.size != d.num_inputs:
         raise ValidationError("source and distortion dimensions disagree")
     if slope == 0:
         return _zero_rate_point(p, d)
-    rate, dist, w, _, converged = _solve_fixed_slopes(
+    rate, dist, w, _, gap = _solve_fixed_slopes(
         p.probs[None, :], d.values, np.array([slope]), tol, max_iters
     )
-    point = RdPoint(float(dist[0]), float(rate[0]), TransitionMatrix(w[0]), slope)
-    if not converged[0]:
+    point = RdPoint(
+        float(dist[0]), float(rate[0]), TransitionMatrix(w[0]), slope, float(rate[0] - gap[0])
+    )
+    if not gap[0] < tol:
         raise ConvergenceError(
             f"no convergence within {max_iters} iterations at slope {slope}",
             last_point=point,
@@ -338,91 +346,74 @@ def _mix_channels(ps, d_arr, w_low, w_high, targets):
     return (*_rates_and_distortions(ps, w, d_arr), w)
 
 
-def _slope_search(
-    ps, d_arr, targets, tol, ba_tol, max_iters, labels=None, best_only=False
-):
+def _slope_search(ps, d_arr, targets, tol, max_iters, labels=None, best_only=False):
     """R_p(D) for a batch of sources, each row at its own reachable target
-    (floor - 1e-12 <= target < ceiling). Returns (rate, dist, w, slope).
+    (floor - 1e-12 <= target < ceiling). Returns (rate, dist, w, slope,
+    lower): every row stops on a certified bracket on R_p(target).
 
-    D(s) is nondecreasing in the slope s, and each row keeps a bracket with
-    D(lo) < target < D(hi). ``lo`` starts at -64 and doubles towards
-    SLOPE_FLOOR until D(lo) is below the target (a row still above
-    ``target - tol`` at SLOPE_FLOOR sits at the floor); ``hi`` is slope 0,
-    the zero-rate corner at the ceiling, which needs no solve. Regula falsi
-    on D - target shrinks the bracket until a probe lands within ``tol`` of
-    the target. A bracket that collapses, or is still open after 200 steps,
-    time-shares the last channels of its two sides.
+    * **Lower end.** A probe at slope s solves the fixed-slope trade-off to a
+      certified gap g, at most tol / 4 unless ``max_iters`` runs out first;
+      say it has rate r and distortion d. By Blahut's dual,
+      R_p(x) >= r + s (x - d) - g for every x, so the best such line over a
+      row's probes, read at the target, is a lower end.
+    * **Upper end.** Each row keeps two sides, a probe at or below its target
+      and one above it. Their (d, r) points are achievable, so the chord
+      between them, read at the target, is an upper end.
+    * **Search.** The lower side starts at slope -64 and doubles towards
+      SLOPE_FLOOR until its distortion is at most the target; a row still
+      above it at SLOPE_FLOOR sits at the floor and returns its last probe,
+      with lower end r - g. The upper side starts at slope 0, the zero-rate
+      corner at the ceiling, which needs no solve. Regula falsi in t = 2^s
+      with Anderson-Bjorck weights moves the sides (D(s) is nondecreasing).
+    * **Exit.** Once its bracket is at most ``tol`` bits wide, a row returns
+      its two sides time-shared at exactly the target. Mutual information is
+      convex in the channel, so that rate lies inside the bracket. A row
+      whose bracket is still wider when its slope bracket collapses, or
+      after 200 rounds, raises ConvergenceError carrying that mixed point;
+      ``labels`` names the rows in its message.
 
     Each probe warm-starts from its own row's previous one, so a row's answer
-    does not depend on the rest of the batch. A probe that does not certify a
-    ``ba_tol`` gap within ``max_iters`` iterations raises ConvergenceError
-    with that row's last iterate; ``labels`` names the rows in its message.
+    does not depend on the rest of the batch.
 
-    The probes bracket each row's R_p(target). A probe at slope s with rate
-    r and distortion d certifies its fixed-slope gap, so by Blahut's dual
-    R_p(x) >= r + s (x - d) - ba_tol for every x: the best such line read at
-    the target is a lower end. The (d, r) points of the bracket's two sides
-    are achievable, so their chord read at the target is an upper end. The
-    rate the search still returns for a row lies within two wider ends:
-
-    * at least the best line read at ``target + tol``, since it is the rate
-      of a channel whose distortion is at most ``target + tol``;
-    * at most the chord plus ``|lo| tol + ba_tol``, since the last probe's
-      slope s lies in (lo, 0), its distortion within ``tol`` of the target
-      and its gap below ``ba_tol``, so its rate is at most
-      R_p(target) + |s| tol + ba_tol. A time-shared row returns at most the
-      chord of its final sides, which lie inside the current ones.
-
-    With ``best_only`` the caller reads only the largest rate. Each regula
-    falsi round then first drops every searching row whose wider upper end
-    is below, by more than 1e-12 against rounding, the largest rate some row
-    is sure to return: a finished row's rate or a searching row's wider lower
-    end. A
-    dropped row returns rate -inf, and its full search would have returned
-    less than the batch maximum, so every row that attains the maximum
-    survives. The surviving rows run exactly the probes they run without
-    dropping, so their values are bit-identical.
+    With ``best_only`` the caller reads only the largest rate. Each round then
+    drops every searching row whose upper end plus ``tol`` is below, by more
+    than 1e-12 against rounding, the largest rate some row is sure to return:
+    a finished row's rate or a searching row's lower end. A row returns at
+    most R_p(target) + tol, which is at most its upper end plus ``tol``, so a
+    dropped row (rate -inf) would have returned less than the batch maximum.
+    The surviving rows run exactly the probes they run without dropping, so
+    their values are bit-identical.
     """
     m = ps.shape[0]
     q_warm = np.zeros((m, d_arr.shape[1]))
-    # the least value each row can still return: the best supporting line of
-    # its probes read at target + tol
-    least = np.full(m, -np.inf)
+    # the best supporting line of each row's probes, read at its target; the
+    # zero-rate side's line is 0
+    lower = np.zeros(m)
 
     def solve(rows, slopes, warm):
-        rate, dist, w, q, converged = _solve_fixed_slopes(
-            ps[rows], d_arr, slopes, ba_tol, max_iters, q0=warm
+        rate, dist, w, q, gap = _solve_fixed_slopes(
+            ps[rows], d_arr, slopes, tol / 4, max_iters, q0=warm
         )
-        if not converged.all():
-            i = int(np.argmin(converged))
-            at = RdPoint(
-                float(dist[i]), float(rate[i]), TransitionMatrix(w[i]), slopes[i]
-            )
-            row = "" if labels is None else f" for batch row {labels[rows[i]]}"
-            raise ConvergenceError(
-                f"no convergence within {max_iters} iterations at slope "
-                f"{slopes[i]}{row}",
-                last_point=at,
-            )
         q_warm[rows] = q
-        lines = rate + slopes * (targets[rows] + tol - dist) - ba_tol
-        least[rows] = np.maximum(least[rows], lines)
-        return rate, dist, w
+        lines = rate + slopes * (targets[rows] - dist) - gap
+        lower[rows] = np.maximum(lower[rows], lines)
+        return rate, dist, w, gap
 
     slope = np.full(m, -64.0)
-    rate, dist, w = solve(np.arange(m), slope, None)
-    widen = dist > targets + tol
+    rate, dist, w, gap = solve(np.arange(m), slope, None)
+    widen = dist > targets
     while widen.any():
         rows = np.nonzero(widen)[0]
         slope[rows] = np.maximum(2.0 * slope[rows], SLOPE_FLOOR)
-        rate[rows], dist[rows], w[rows] = solve(rows, slope[rows], q_warm[rows])
-        widen = (dist > targets + tol) & (slope > SLOPE_FLOOR)
-    # rows at the floor, or already within tol of the target, are finished
-    finished = (np.abs(dist - targets) <= tol) | (dist > targets)
+        rate[rows], dist[rows], w[rows], gap[rows] = solve(rows, slope[rows], q_warm[rows])
+        widen = (dist > targets) & (slope > SLOPE_FLOOR)
+    # rows still above their target at the floor are finished
+    finished = dist > targets
+    lower[finished] = (rate - gap)[finished]
     searching = ~finished
 
-    # the bracket's two sides, below (0) and above (1) the target: slopes,
-    # D - target, rates, regula falsi weights and converged channels
+    # the bracket's two sides, at or below (0) and above (1) the target:
+    # slopes, D - target, rates, regula falsi weights and channels
     costs = ps @ d_arr
     ends = np.stack([slope, np.zeros(m)])
     vals = np.stack([dist - targets, costs.min(axis=1) - targets])
@@ -432,21 +423,45 @@ def _slope_search(
     chans[1, np.arange(m), :, np.argmin(costs, axis=1)] = 1.0
     last = np.full(m, -1)  # the side that moved last
     dropped = np.zeros(m, dtype=bool)
-    for _ in range(200):
+
+    def mix(rows):
+        rate[rows], dist[rows], w[rows] = _mix_channels(
+            ps[rows], d_arr, chans[0, rows], chans[1, rows], targets[rows]
+        )
+        slope[rows] = ends[:, rows].mean(axis=0)
+
+    for rounds in range(201):
         rows = np.nonzero(searching)[0]
+        (v_lo, v_hi), (r_lo, r_hi) = vals[:, rows], rates[:, rows]
+        upper = (r_lo * v_hi - r_hi * v_lo) / (v_hi - v_lo)
+        closed = upper - lower[rows] <= tol
+        mix(rows[closed])
+        finished[rows[closed]], searching[rows[closed]] = True, False
+        rows, upper = rows[~closed], upper[~closed]
         if best_only:
             # drop every row whose upper end is below what another is sure of
-            sure = max(
-                rate[finished].max(initial=-np.inf), least[rows].max(initial=-np.inf)
-            )
-            (v_lo, v_hi), (r_lo, r_hi) = vals[:, rows], rates[:, rows]
-            chord = (r_lo * v_hi - r_hi * v_lo) / (v_hi - v_lo)
-            out = chord - ends[0, rows] * tol + ba_tol + 1e-12 < sure
+            sure = max(rate[finished].max(initial=-np.inf), lower[rows].max(initial=-np.inf))
+            out = upper + tol + 1e-12 < sure
             searching[rows[out]], dropped[rows[out]] = False, True
-            rows = rows[~out]
+            rows, upper = rows[~out], upper[~out]
+        lo, hi = ends[:, rows]
+        stuck = (hi - lo <= 1e-13 * np.maximum(1.0, -lo)) | (rounds == 200)
+        if stuck.any():
+            i = int(np.argmax(stuck))
+            row = rows[i]
+            mix([row])
+            at = RdPoint(
+                float(dist[row]), float(rate[row]), TransitionMatrix(w[row]),
+                float(slope[row]), float(lower[row]),
+            )
+            label = "" if labels is None else f" for batch row {labels[row]}"
+            raise ConvergenceError(
+                f"bracket on R_p({targets[row]}) still {upper[i] - lower[row]:.3g} "
+                f"bits wide at slopes [{lo[i]}, {hi[i]}]{label}",
+                last_point=at,
+            )
         if not rows.size:
             break
-        lo, hi = ends[:, rows]
         g_lo, g_hi = weights[:, rows]
         # interpolated in t = 2^s, in which D is close to linear near the
         # floor (D - floor falls like 2^(s * gap) as s -> -inf)
@@ -455,15 +470,8 @@ def _slope_search(
             s = np.log2(t)
         # a probe rounded onto a side falls back to the midpoint
         s = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
-        rate_s, dist_s, w_s = solve(rows, s, q_warm[rows])
+        rate_s, dist_s, w_s, _ = solve(rows, s, q_warm[rows])
         f = dist_s - targets[rows]
-        hit = np.abs(f) <= tol
-        won = rows[hit]
-        rate[won], dist[won], w[won], slope[won] = (
-            rate_s[hit], dist_s[hit], w_s[hit], s[hit]
-        )
-        finished[won] = True
-        rows, s, f, w_s = rows[~hit], s[~hit], f[~hit], w_s[~hit]
         side = (f > 0.0).astype(int)
         # when one side moves twice in a row, the other side's weight is
         # scaled by 1 - f_new / f_old (Anderson & Bjorck), or halved
@@ -472,41 +480,33 @@ def _slope_search(
         scale = 1.0 - f[twice] / vals[side[twice], rows[twice]]
         weights[1 - side[twice], rows[twice]] *= np.where(scale > 0.0, scale, 0.5)
         ends[side, rows], vals[side, rows], weights[side, rows] = s, f, f
-        rates[side, rows], chans[side, rows] = rate_s[~hit], w_s
+        rates[side, rows], chans[side, rows] = rate_s, w_s
         last[rows] = side
-        width = ends[1] - ends[0]
-        searching &= ~finished & (width > 1e-13 * np.maximum(1.0, -ends[0]))
-    # a collapsed bracket, or one still open at the cap: the solver's
-    # distortion resolution is coarser than tol there, so time-share its sides
-    mix = np.nonzero(~finished & ~dropped)[0]
-    rate[mix], dist[mix], w[mix] = _mix_channels(
-        ps[mix], d_arr, chans[0, mix], chans[1, mix], targets[mix]
-    )
-    slope[mix] = ends[:, mix].mean(axis=0)
     rate[dropped] = -np.inf
-    return rate, dist, w, slope
+    return rate, dist, w, slope, lower
 
 
 def rate_at_distortion(
     p: Distribution,
     d: DistortionMatrix,
     target: float,
-    tol: float = BISECT_TOL,
+    tol: float = RATE_TOL,
     *,
-    ba_tol: float = BA_TOL,
     max_iters: int = _MAX_ITERS,
 ) -> RdPoint:
     """Rate (bits) needed to reproduce source ``p`` within distortion ``target``.
 
-    A batch of one for the slope search, which stops once the achieved
-    distortion is within ``tol`` of the target. Targets at or above the
+    A batch of one for the slope search. The point returned has distortion
+    ``target`` exactly and a certified bracket ``[lower, rate]`` on
+    R_p(target) at most ``tol`` bits wide; ConvergenceError means the search
+    could not close it (see ``_slope_search``). Targets at or above the
     zero-rate ceiling return rate 0; targets below the distortion floor raise
     InfeasibleError. A target equal to the floor is reached through the
     large-slope limit rather than a special case.
     """
     if target < 0:
         raise ValidationError("distortion target must be nonnegative")
-    _check_tolerances(tol=tol, ba_tol=ba_tol)
+    _check_tol(tol)
     floor = d_min(p, d)
     if target < floor - 1e-12:
         raise InfeasibleError(
@@ -514,20 +514,21 @@ def rate_at_distortion(
             lhs=target,
             rhs=floor,
         )
-    return _points_at(p, d, np.array([float(target)]), tol, ba_tol, max_iters)[0]
+    return _points_at(p, d, np.array([float(target)]), tol, max_iters)[0]
 
 
-def _points_at(p, d, targets, tol, ba_tol, max_iters):
+def _points_at(p, d, targets, tol, max_iters):
     """``rate_at_distortion`` of one source at each target (none below the
     floor), all searched side by side."""
     points = [_zero_rate_point(p, d)] * len(targets)
     rows = np.nonzero(targets < d_max(p, d))[0]
     found = _slope_search(
-        np.tile(p.probs, (rows.size, 1)), d.values, targets[rows], tol, ba_tol,
-        max_iters,
+        np.tile(p.probs, (rows.size, 1)), d.values, targets[rows], tol, max_iters
     )
-    for i, rate, dist, w, slope in zip(rows, *found):
-        points[i] = RdPoint(float(dist), float(rate), TransitionMatrix(w), float(slope))
+    for i, rate, dist, w, slope, lower in zip(rows, *found):
+        points[i] = RdPoint(
+            float(dist), float(rate), TransitionMatrix(w), float(slope), float(lower)
+        )
     return points
 
 
@@ -535,18 +536,16 @@ def rd_curve(
     p: Distribution,
     d: DistortionMatrix,
     num_points: int,
-    tol: float = BISECT_TOL,
-    *,
-    ba_tol: float = BA_TOL,
+    tol: float = RATE_TOL,
 ) -> RdCurve:
     """Rate-distortion curve sampled at ``num_points`` distortions linearly
     spaced across the interesting range [floor, ceiling]. Each point is the
     one ``rate_at_distortion`` returns at its target."""
     if num_points < 2:
         raise ValidationError("need at least two curve points")
-    _check_tolerances(tol=tol, ba_tol=ba_tol)
+    _check_tol(tol)
     targets = np.linspace(d_min(p, d), d_max(p, d), num_points)
-    points = _points_at(p, d, targets, tol, ba_tol, _MAX_ITERS)
+    points = _points_at(p, d, targets, tol, _MAX_ITERS)
     points.sort(key=lambda pt: pt.distortion)
     return RdCurve(p, tuple(points))
 
@@ -556,8 +555,7 @@ def rates_at_distortion_batch(
     d: DistortionMatrix,
     target: float,
     *,
-    tol: float = BISECT_TOL,
-    ba_tol: float = BA_TOL,
+    tol: float = RATE_TOL,
     max_iters: int = 50_000,
     best_only: bool = False,
 ) -> np.ndarray:
@@ -565,17 +563,18 @@ def rates_at_distortion_batch(
 
     Rows whose distortion floor exceeds the target get +inf (no channel can
     reach the target for them); rows whose ceiling is at or below the target
-    get 0. The rest share one slope search, which stops each row once its
-    distortion is within ``tol`` of the target. This is the workhorse behind
-    grid searches over sources.
+    get 0. The rest share one slope search, and each gets the rate of a
+    channel at exactly the target, at most ``tol`` bits above R_p(target)
+    (see ``_slope_search``). This is the workhorse behind grid searches over
+    sources.
 
     ``best_only`` is for callers that read only the largest rate: the search
     then stops early on every row whose certified bracket shows it below
-    another row's value (see ``_slope_search``), and such a row gets -inf.
-    Every row that attains the maximum, and every other row not given -inf,
-    gets the same value, bit for bit, as without ``best_only``.
+    another row's value, and such a row gets -inf. Every row that attains the
+    maximum, and every other row not given -inf, gets the same value, bit for
+    bit, as without ``best_only``.
     """
-    _check_tolerances(tol=tol, ba_tol=ba_tol)
+    _check_tol(tol)
     ps = np.asarray(ps, dtype=float)
     d_arr = d.values
     rates = np.zeros(ps.shape[0])
@@ -584,7 +583,7 @@ def rates_at_distortion_batch(
     rates[target < floors - 1e-12] = np.inf
     idx = np.nonzero((target >= floors - 1e-12) & (target < ceilings))[0]
     rates[idx] = _slope_search(
-        ps[idx], d_arr, np.full(idx.size, float(target)), tol, ba_tol, max_iters,
+        ps[idx], d_arr, np.full(idx.size, float(target)), tol, max_iters,
         labels=idx, best_only=best_only,
     )[0]
     return rates

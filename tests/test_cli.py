@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -7,20 +8,46 @@ import pytest
 from switchrd.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def h2(x):
+    if x in (0, 1):
+        return 0.0
+    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+
+
+def binary_pair_r_star(target):
+    # the hull of (2/3, 1/3) and (3/4, 1/4) peaks at (2/3, 1/3) under Hamming
+    return max(h2(1 / 3) - h2(target), 0.0)
+
+
 # each shipped file with its alphabet size, a target inside its span and the
-# data row `optimize` prints there
+# data row `optimize` prints there; the binary R* field is its closed form
 SHIPPED = [
     pytest.param(
-        "binary_pair.yaml", 2, "0.1", "0.1,0.531004406411,0.449300240553,0.5,0.5,grid",
+        "binary_pair.yaml", 2, "0.1", ["0.1", "0.531004406411", binary_pair_r_star(0.1),
+                                       "0.5", "0.5", "grid"],
         id="binary_pair.yaml-2-0.1",
     ),
     pytest.param(
         "ternary_demo.yaml", 3, "0.2",
         "0.2,0.663034405834,0.56354720234,0.333333323356,0.333333323358,"
-        "0.333333353285,grid",
+        "0.333333353285,grid".split(","),
         id="ternary_demo.yaml-3-0.2",
     ),
 ]
+
+
+def assert_row(line, row):
+    """A printed data row against its pin: bytes, except a float field,
+    which must be within 1e-9."""
+    fields = line.split(",")
+    assert len(fields) == len(row)
+    for got, want in zip(fields, row):
+        if isinstance(want, float):
+            assert float(got) == pytest.approx(want, abs=1e-9)
+        else:
+            assert got == want
 
 
 def run_text(capsys, *argv):
@@ -57,7 +84,7 @@ def test_optimize_at_one_distortion(capsys, name, k, target, row):
     r_tilde, r_star = float(rows[1][1]), float(rows[1][2])
     assert r_tilde >= r_star - 1e-6
     # the printed bytes are pinned: early exits in the rate batch change none
-    assert out.splitlines()[1] == row
+    assert_row(out.splitlines()[1], row)
 
 
 def test_malformed_source_exits_3(capsys):
@@ -158,7 +185,7 @@ def test_optimize_has_no_search_method_options(capsys, option, value):
         ["simulate", "--target", "0.7,0.3", "--n", 20, "--trials", 10],
     ],
 )
-@pytest.mark.parametrize("option", ["--ba-tol", "--bisect-tol"])
+@pytest.mark.parametrize("option", ["--ba-tol", "--bisect-tol", "--tol"])
 def test_solver_tolerances_only_on_rate_subcommands(capsys, argv, option):
     command, *rest = argv
     code, out = run_text(
@@ -176,12 +203,25 @@ RATE_COMMANDS = [
 @pytest.mark.parametrize("argv", RATE_COMMANDS, ids=["rd", "optimize"])
 @pytest.mark.parametrize(
     "option",
-    ["--bisect-tol=0", "--bisect-tol=-1", "--bisect-tol=nan",
+    # the retired --bisect-tol and --ba-tol are refused whatever their value
+    ["--tol=0", "--tol=-1", "--tol=nan", "--tol=inf",
+     "--bisect-tol=0", "--bisect-tol=-1", "--bisect-tol=nan",
      "--ba-tol=0", "--ba-tol=nan", "--ba-tol=inf"],
 )
 def test_solver_tolerance_that_is_not_finite_and_positive_exits_3(capsys, argv, option):
     command, *rest = argv
     code, out = run_text(capsys, command, PROBLEMS / "binary_pair.yaml", *rest, option)
+    assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("argv", RATE_COMMANDS, ids=["rd", "optimize"])
+@pytest.mark.parametrize("option", ["--ba-tol", "--bisect-tol"])
+def test_retired_solver_tolerances_exit_3(capsys, argv, option):
+    # one tolerance, --tol, bounds the certified bracket of every rate
+    command, *rest = argv
+    code, out = run_text(
+        capsys, command, PROBLEMS / "binary_pair.yaml", *rest, option, "1e-6"
+    )
     assert (code, out) == (3, "")
 
 
@@ -198,7 +238,7 @@ def test_simulate_ignores_solver_tolerance_variables(capsys, monkeypatch, variab
     assert run_text(capsys, *rd) == (0, "D,R\n0.1,0.531004406411\n")
     code, out = run_text(capsys, *optimize)
     assert code == 0
-    assert out.splitlines()[1] == SHIPPED[0].values[3]
+    assert_row(out.splitlines()[1], SHIPPED[0].values[3])
 
 
 def test_optimize_curve_binary_pair(capsys):
@@ -206,9 +246,9 @@ def test_optimize_curve_binary_pair(capsys):
     assert code == 0
     assert rows[0] == ["D", "R_tilde", "R_star", "p_0", "p_1", "method"]
     expected = [
-        [0, 1, 0.918295834054, 0.5, 0.5],
-        [0.25, 0.188721875541, 0.107017699391, 0.5, 0.5],
-        [0.5, 0, 0, 0.5, 0.5],
+        [0, 1, binary_pair_r_star(0), 0.5, 0.5],
+        [0.25, 0.188721875541, binary_pair_r_star(0.25), 0.5, 0.5],
+        [0.5, 0, binary_pair_r_star(0.5), 0.5, 0.5],
     ]
     assert len(rows) == 1 + len(expected)
     for row, numbers in zip(rows[1:], expected):

@@ -27,7 +27,7 @@ BINARY_PAIR = SourceList.independent(
 BINARY_SPEC = RegionSpec(BINARY_PAIR, 0)
 
 #: Loose-but-honest settings for property checks over random instances.
-FAST = SearchConfig(starts=6, distortion_tol=1e-5, ba_tol=1e-8)
+FAST = SearchConfig(starts=6, tol=1e-5)
 
 
 def h2(x):
@@ -140,9 +140,7 @@ class TestRegionMaximizer:
         assert method == "multistart"
 
         def batch_value(ps):
-            return rates_at_distortion_batch(
-                ps, d, 0.2, tol=FAST.distortion_tol, ba_tol=FAST.ba_tol
-            )
+            return rates_at_distortion_batch(ps, d, 0.2, tol=FAST.tol)
 
         seeds = list(zip(batch_value(candidates).tolist(), candidates))
         together = _ascend(seeds, batch_value, repair)

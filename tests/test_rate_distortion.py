@@ -27,6 +27,8 @@ UNIFORM = Distribution([0.5, 0.5])
 
 
 def h2(x):
+    if x in (0, 1):
+        return 0.0
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
@@ -152,6 +154,16 @@ class TestRateAtDistortion:
         d=DistortionMatrix([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 3.0]]),
         fracs=(0.5, 0.75),
     )
+    # probes near slope -5.976 crawl; each had to certify its own 1e-9-bit gap
+    # and ran out of iterations before the search stopped on its bracket
+    @example(
+        p=[0.4808325384224334, 0.4516184390818355, 0.06754902249573111],
+        d=DistortionMatrix(
+            [[0, 0, 0], [2.193680767865311, 0.17456750489537412, 0],
+             [0.8147165544031554, 0.9733195807996629, 2]]
+        ),
+        fracs=(0.125, 0.5),
+    )
     def test_monotone_in_distortion(self, p, d, fracs):
         dist = Distribution(p)
         lo, hi = d_min(dist, d), d_max(dist, d)
@@ -248,7 +260,7 @@ class TestBatch:
         # row 1 of the caller's batch
         ps = np.array([[0.9, 0.1], [0.3, 0.7]])
         with pytest.raises(ConvergenceError, match="batch row 1") as err:
-            rates_at_distortion_batch(ps, HAMMING, 0.2, ba_tol=1e-15, max_iters=2)
+            rates_at_distortion_batch(ps, HAMMING, 0.2, max_iters=2)
         assert err.value.last_point is not None
         assert err.value.last_point.rate >= 0.0
 
@@ -256,9 +268,7 @@ class TestBatch:
         # the same failing row: no row is dropped before it fails
         ps = np.array([[0.9, 0.1], [0.3, 0.7]])
         with pytest.raises(ConvergenceError, match="batch row 1") as err:
-            rates_at_distortion_batch(
-                ps, HAMMING, 0.2, ba_tol=1e-15, max_iters=2, best_only=True
-            )
+            rates_at_distortion_batch(ps, HAMMING, 0.2, max_iters=2, best_only=True)
         assert err.value.last_point is not None
         assert err.value.last_point.rate >= 0.0
 
@@ -294,16 +304,16 @@ class TestBestOnly:
         assert np.array_equal(fast[kept], full[kept])
         assert np.all(full[~kept] < full[best])
 
-    def test_drops_a_row_whose_full_search_does_not_converge(self):
-        # batch row 211 of the full search raises at slope -0.0281 after a
-        # 50k-iteration crawl; its bracket falls below the maximum first
+    def test_drops_a_row_certified_below_the_maximum(self):
+        # batch row 211's probes crawl near slope -0.0281, and its full search
+        # returns 1.94e-4 bits; its bracket falls below the maximum first
         d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
         ps = compositions(20, 3) / 20
         target = 2.6676048388493547
         rates = rates_at_distortion_batch(ps, d, target, best_only=True)
         assert np.isneginf(rates[211])
         best = int(np.argmax(rates))
-        assert rates[best] == 0.0422744629381295
+        assert rates[best] == 0.04227446435094437
         assert ps[best].tolist() == [0.65, 0.35, 0.0]
         assert rates[best] == rate_at_distortion(Distribution(ps[best]), d, target).rate
 
@@ -343,6 +353,30 @@ class TestSlopeSearch:
         assert abs(pt.distortion - target) <= tol
         assert pt.rate == pytest.approx(closed_form(pt.distortion), abs=1e-8)
 
+    @pytest.mark.parametrize("p, d, closed_form", CLOSED_FORMS)
+    @pytest.mark.parametrize("frac", [0.01, 0.2, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_certified_bracket_holds_the_closed_form(self, p, d, closed_form, frac, tol):
+        # 1e-12 covers float rounding
+        floor, ceiling = d_min(p, d), d_max(p, d)
+        target = floor + frac * (ceiling - floor)
+        pt = rate_at_distortion(p, d, target, tol)
+        assert pt.distortion == pytest.approx(target, abs=1e-12)
+        assert pt.lower - 1e-12 <= closed_form(target) <= pt.rate + 1e-12
+        assert pt.rate - pt.lower <= tol
+
+    def test_closes_the_bracket_on_a_near_kink_draw(self):
+        # a test_monotone_in_distortion draw whose probes crawl near slope
+        # -1.1103, where a 1e-9-bit gap per probe was out of reach
+        d = DistortionMatrix(
+            [[0, 0, 0], [1.5, 1.9864544516642035, 2.7767036841595343],
+             [3.5586056425109716, 0.8212392360618532, 0]]
+        )
+        target = 0.8494930527521765
+        pt = rate_at_distortion(Distribution([1 / 3] * 3), d, target)
+        assert pt.distortion == pytest.approx(target, abs=1e-12)
+        assert pt.rate - pt.lower <= 1e-6
+
     @pytest.mark.parametrize("p, d", [case[:2] for case in CLOSED_FORMS])
     def test_batch_of_one_is_the_scalar(self, p, d):
         target = d_min(p, d) + 0.3 * (d_max(p, d) - d_min(p, d))
@@ -366,8 +400,6 @@ class TestSlopeSearch:
 
     def test_non_convergence_reports_last_iterate(self):
         with pytest.raises(ConvergenceError) as err:
-            rate_at_distortion(
-                Distribution([0.3, 0.7]), HAMMING, 0.2, ba_tol=1e-15, max_iters=2
-            )
+            rate_at_distortion(Distribution([0.3, 0.7]), HAMMING, 0.2, max_iters=2)
         assert err.value.last_point is not None
         assert err.value.last_point.rate >= 0.0
