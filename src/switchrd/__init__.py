@@ -27,7 +27,6 @@ from .game_sim import (
 )
 from .optimizer import (
     MaximizerResult,
-    SearchConfig,
     maximize_over_hull,
     maximize_over_region,
     rd_tilde_curve,
@@ -87,7 +86,6 @@ __all__ = [
     "RdCurve",
     "RdPoint",
     "RegionSpec",
-    "SearchConfig",
     "SimReport",
     "SourceList",
     "SwitchRdError",

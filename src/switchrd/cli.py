@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .game_sim import build_covering_codebook, simulate_game
-from .optimizer import SearchConfig, maximize_over_hull, maximize_over_region, rd_tilde_curve
+from .optimizer import maximize_over_hull, maximize_over_region, rd_tilde_curve
 from .probcore import Distribution
 from .problem import ProblemSpec, load_problem, parse_number, parse_vector
 from .rate_distortion import RATE_TOL, rate_at_distortion, rd_curve
@@ -129,16 +129,15 @@ def cmd_synthesize(args) -> int:
 
 def cmd_optimize(args) -> int:
     problem = load_problem(args.problem)
-    config = SearchConfig(starts=args.starts, seed=args.seed, tol=args.tol)
     spec = _region_spec(problem)
     d = problem.distortion
     if args.curve is not None:
-        curve = rd_tilde_curve(spec, d, args.curve, config)
+        curve = rd_tilde_curve(spec, d, args.curve, args.tol)
         targets = [t for t, _ in curve]
         region_results = [r for _, r in curve]
     else:
         targets = [float(parse_number(args.distortion))]
-        region_results = [maximize_over_region(spec, d, targets[0], config)]
+        region_results = [maximize_over_region(spec, d, targets[0], args.tol)]
     k = problem.alphabet_x
     header = ["D", "R_tilde", "R_star"] + [f"p_{i}" for i in range(k)] + ["method"]
     rows = []
@@ -146,7 +145,7 @@ def cmd_optimize(args) -> int:
         if problem.sources.is_joint:
             r_star = ""
         else:
-            r_star = _fmt(maximize_over_hull(problem.sources, d, target, config).value)
+            r_star = _fmt(maximize_over_hull(problem.sources, d, target, args.tol).value)
         rows.append(
             [_fmt(target), _fmt(reg.value), r_star]
             + [_fmt(x) for x in reg.argmax.probs]
@@ -245,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = opt.add_mutually_exclusive_group(required=True)
     group.add_argument("--distortion", help="target distortion")
     group.add_argument("--curve", type=int, help="number of curve points")
-    multistart = "; read only by searches over more than 4 symbols or sources"
-    opt.add_argument("--seed", type=int, default=0, help="seed of the random starts" + multistart)
-    opt.add_argument("--starts", type=int, default=16, help="number of random starts" + multistart)
     opt.set_defaults(func=cmd_optimize)
 
     sim = subs.add_parser("simulate", help="Monte Carlo game simulation")

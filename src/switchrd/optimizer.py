@@ -5,12 +5,12 @@ identity for the region, the mixture of the sources for the hull.
 
 R_p(D) is not concave in p, so the search depends only on the parameter
 dimension (symbols for the region, sources for the hull): up to 4 it is a
-dense simplex lattice refined by ascent, above that multistart projected
-ascent from seeded random starts. One step table serves both polytopes.
-Either way the result is a feasible lower bound on the true maximum, exact
-only up to the lattice/ascent resolution. Results are deterministic for a
-fixed config and seed, and merging uses value-then-lexicographic order so the
-outcome does not depend on evaluation order.
+dense simplex lattice refined by ascent, above that projected ascent from
+fixed draws and from the points the polytope's linear oracle gives. Either
+way the result is a feasible lower bound on the true maximum, exact only up
+to the lattice/ascent resolution. One input always gives one result, and
+merging uses value-then-lexicographic order so the outcome does not depend
+on evaluation order.
 
 A candidate whose distortion floor lies above the target has rate +inf, and
 then so does the maximum. The lattice's batch asks the rate solver for its
@@ -27,37 +27,18 @@ import numpy as np
 from .errors import ValidationError
 from .probcore import Distribution, DistortionMatrix, SourceList, compositions
 from .rate_distortion import RATE_TOL, rates_at_distortion_batch
-from .region import RegionSpec, _shortfalls, in_region, is_member
+from .region import RegionSpec, _greedy_oracle, _min_norm_point, _shortfalls, in_region, is_member
 from .strategy import greedy_max_rule, induced_distribution
 
 #: Lattice step per parameter dimension, for the region and the hull alike;
 #: larger dimensions take multistart ascent.
 _GRID_STEPS = {1: 1.0, 2: 0.005, 3: 0.02, 4: 0.05}
+#: Dirichlet(1) draws, from numpy seed 0, among the multistart seeds.
+_DRAWS = 16
 #: Rounds of the ascent.
 _ASCENT_ITERS = 40
 #: Step of the central finite differences in the ascent.
 _FD_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Settings of the one search behind both maximizers.
-
-    ``starts`` random starts, drawn from ``seed``, seed the multistart ascent
-    that parameter dimensions above 4 take; the lattice path reads neither.
-    ``tol``, the width of each rate's certified bracket in bits, is passed
-    through to the rate solver.
-    """
-
-    starts: int = 16
-    seed: int = 0
-    tol: float = RATE_TOL
-
-    def __post_init__(self):
-        if self.starts < 1:
-            raise ValidationError("need at least one start")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +46,7 @@ class MaximizerResult:
     """Best point found: ``value`` = R_argmax(D) in bits. ``method`` is
     "grid" (dense enumeration plus one refinement) or "multistart" (heuristic
     lower bound). ``evaluations`` counts the rows submitted to the rate
-    solver, those its early exit dropped included."""
+    solver, those its early exit dropped included; ``starts`` the ascents."""
 
     value: float
     argmax: Distribution
@@ -150,21 +131,32 @@ def _ascend(seeds, batch_value, repair):
     return list(zip(xs, vs))
 
 
-def _candidates(dim: int, config: SearchConfig, inside=None, repair=None, anchor=None):
+def _simplex_vertex(c: np.ndarray):
+    """The hull's oracle over mixture weights, as ``_min_norm_point`` reads
+    it: the unit vector at the smallest entry of ``c``, keyed by its index."""
+    j = int(np.argmin(c))
+    return j, np.eye(c.size)[j]
+
+
+def _candidates(dim: int, oracle, inside=None, repair=None, anchor=None):
     """Starting points in a polytope within the ``dim``-simplex, and their
-    method: the ``_GRID_STEPS`` lattice ("grid") for the dimensions it lists,
-    ``config.starts`` random starts ("multistart") above them. If the polytope
-    cuts the simplex, the lattice keeps the points ``inside`` accepts and
-    random starts go through ``repair``. A known feasible ``anchor`` comes
-    last."""
+    method: the ``_GRID_STEPS`` lattice ("grid") for the dimensions it lists;
+    above them ("multistart") ``_DRAWS`` fixed draws, then the polytope's
+    min-norm point and ``oracle``'s vertices for the cyclic shifts of
+    (0, ..., dim - 1), without repeats. The lattice keeps the points
+    ``inside`` accepts and multistart points go through ``repair``. A known
+    feasible ``anchor`` comes last."""
     if dim in _GRID_STEPS:
         ticks = round(1.0 / _GRID_STEPS[dim])
         points, method = compositions(ticks, dim) / ticks, "grid"
         if inside is not None:
             points = points[inside(points)]
     else:
-        rng = np.random.default_rng(config.seed)
-        points, method = rng.dirichlet(np.ones(dim), size=config.starts), "multistart"
+        draws = np.random.default_rng(0).dirichlet(np.ones(dim), size=_DRAWS)
+        vertices = [oracle(np.roll(np.arange(dim), shift)) for shift in range(dim)]
+        centre = _min_norm_point(oracle, vertices[0])[0]
+        own = np.unique(np.vstack([centre] + [y for _, y in vertices]), axis=0)
+        points, method = np.vstack([draws, own]), "multistart"
         if repair is not None:
             points = repair(points)
     if anchor is not None:
@@ -172,10 +164,10 @@ def _candidates(dim: int, config: SearchConfig, inside=None, repair=None, anchor
     return points, method
 
 
-def _region_candidates(spec: RegionSpec, config: SearchConfig):
-    """Deterministic candidate set inside the region, the guaranteed feasible
-    anchor (the greedy largest-symbol rule's output distribution) included,
-    and the region's repair."""
+def _region_candidates(spec: RegionSpec):
+    """Candidate set inside the region, the guaranteed feasible anchor (the
+    greedy largest-symbol rule's output distribution) included, and the
+    region's repair."""
     k = spec.sources.alphabet_size
     anchor = induced_distribution(greedy_max_rule(spec.sources), spec.sources).probs
     anchor_mass = _shortfalls(anchor, spec)[0]
@@ -190,13 +182,14 @@ def _region_candidates(spec: RegionSpec, config: SearchConfig):
         t = np.minimum(steps.max(axis=1), 1.0)[:, None]
         return (1.0 - t) * ys + t * anchor
 
+    oracle = _greedy_oracle(spec.sources, np.zeros(k), spec.delta)
     candidates, method = _candidates(
-        k, config, lambda points: in_region(points, spec), repair, anchor
+        k, oracle, lambda points: in_region(points, spec), repair, anchor
     )
     return candidates, method, repair
 
 
-def _maximize(candidates, method, repair, to_source, d, target, config):
+def _maximize(candidates, method, repair, to_source, d, target, tol):
     """Largest R_p(D) over parameters ``x`` with source ``p = to_source(x)``:
     one batch over the candidates, then ascent from the best (grid) or from
     all (multistart); ties go to the lexicographically smallest ``x``. +inf
@@ -213,7 +206,7 @@ def _maximize(candidates, method, repair, to_source, d, target, config):
         nonlocal evaluations
         evaluations += len(xs)
         return rates_at_distortion_batch(
-            to_source(xs), d, target, tol=config.tol, best_only=best_only,
+            to_source(xs), d, target, tol=tol, best_only=best_only,
         )
 
     values = batch_value(candidates, best_only=method == "grid")
@@ -233,15 +226,15 @@ def _maximize(candidates, method, repair, to_source, d, target, config):
     )
 
 
-def _region_maximizer(spec: RegionSpec, d: DistortionMatrix, config: SearchConfig):
+def _region_maximizer(spec: RegionSpec, d: DistortionMatrix, tol: float):
     """The region's candidates, built once, and its maximization at one target,
     with the argmax checked against the region."""
     if d.num_inputs != spec.sources.alphabet_size:
         raise ValidationError("distortion and sources use different alphabets")
-    candidates, method, repair = _region_candidates(spec, config)
+    candidates, method, repair = _region_candidates(spec)
 
     def at(target: float) -> MaximizerResult:
-        result = _maximize(candidates, method, repair, lambda p: p, d, target, config)
+        result = _maximize(candidates, method, repair, lambda p: p, d, target, tol)
         if np.isfinite(result.value) and not is_member(result.argmax, spec).satisfied:
             raise AssertionError("maximizer left the feasible region")
         return result
@@ -253,17 +246,18 @@ def maximize_over_region(
     spec: RegionSpec,
     d: DistortionMatrix,
     target: float,
-    config: SearchConfig | None = None,
+    tol: float = RATE_TOL,
 ) -> MaximizerResult:
-    """Largest R_p(D) over attainable p, with the achieving distribution.
+    """Largest R_p(D) over attainable p, with the achieving distribution;
+    each rate stops on a certified bracket ``tol`` bits wide.
 
     Up to 4 symbols the search enumerates the feasible simplex lattice and
     refines the best point by ascent ("grid"); above that it ascends from
-    every repaired random start ("multistart").
-    A +inf value means some attainable distribution has a distortion floor
-    above the target, so no finite rate suffices.
+    fixed draws, the most uniform attainable law and the region's vertices
+    ("multistart"). A +inf value means some attainable distribution has a
+    distortion floor above the target, so no finite rate suffices.
     """
-    _, at = _region_maximizer(spec, d, config or SearchConfig())
+    _, at = _region_maximizer(spec, d, tol)
     return at(target)
 
 
@@ -271,11 +265,10 @@ def maximize_over_hull(
     sources: SourceList,
     d: DistortionMatrix,
     target: float,
-    config: SearchConfig | None = None,
+    tol: float = RATE_TOL,
 ) -> MaximizerResult:
     """Largest R_p(D) over convex mixtures of the sources (the baseline
     attainable without lookahead). Searches mixture weights directly."""
-    config = config or SearchConfig()
     if sources.is_joint:
         raise ValidationError("the hull baseline is defined for independent sources")
     rows = sources.as_array()
@@ -284,24 +277,23 @@ def maximize_over_hull(
     def repair(lams):
         return _to_simplex(lams, np.full(m, 1.0 / m))
 
-    lams, method = _candidates(m, config)
-    return _maximize(lams, method, repair, lambda lam: lam @ rows, d, target, config)
+    lams, method = _candidates(m, _simplex_vertex)
+    return _maximize(lams, method, repair, lambda lam: lam @ rows, d, target, tol)
 
 
 def rd_tilde_curve(
     spec: RegionSpec,
     d: DistortionMatrix,
     num_points: int,
-    config: SearchConfig | None = None,
+    tol: float = RATE_TOL,
 ) -> list[tuple[float, MaximizerResult]]:
     """Worst-case rate over a distortion grid spanning the smallest floor and
     the largest ceiling seen across the region's candidate set (its feasible
-    lattice up to 4 symbols, its repaired random starts above), which every
-    target reuses."""
-    config = config or SearchConfig()
+    lattice up to 4 symbols, its multistart seeds above), which every target
+    reuses."""
     if num_points < 2:
         raise ValidationError("need at least two curve points")
-    candidates, at = _region_maximizer(spec, d, config)
+    candidates, at = _region_maximizer(spec, d, tol)
     floors = candidates @ d.values.min(axis=1)
     ceilings = (candidates @ d.values).min(axis=1)
     targets = np.linspace(float(floors.min()), float(ceilings.max()), num_points)

@@ -378,24 +378,27 @@ def _min_norm_point(oracle, start):
     raise ConvergenceError(f"no nearest point within {_WOLFE_CYCLES} major cycles")
 
 
-def _greedy_oracle(sources: SourceList, offset: np.ndarray):
-    """Linear-minimization oracle over the exact region shifted by
-    ``-offset``, for ``_min_norm_point``.
+def _greedy_oracle(sources: SourceList, offset: np.ndarray, delta: float = 0.0):
+    """Linear-minimization oracle over the region relaxed by ``delta`` and
+    shifted by ``-offset``, for ``_min_norm_point``.
 
-    The point of the region minimizing c.y is the law induced by the priority
-    rule "emit the first offered symbol in ascending order of c" (Shapley
-    1971): with the symbols sorted as sigma_1..sigma_k, symbol sigma_j gets
-    Q(rest_{j-1}) - Q(rest_j), where rest_j is the alphabet less
-    sigma_1..sigma_j. That is k reads of the float Q table. The key is the
-    order, as a tuple of symbols.
+    The region is the core of the supermodular h(V) = max(Q(V) - delta, 0),
+    h = 1 on the alphabet, so its point minimizing c.y (Shapley 1971) gives
+    the symbols sigma_1..sigma_k in ascending order of c the masses
+    h(rest_{j-1}) - h(rest_j), where rest_j is the alphabet less
+    sigma_1..sigma_j: k reads of the float Q table. At delta = 0 it is the
+    law of the priority rule "emit the first offered symbol in that order".
+    The key is the order, as a tuple of symbols.
     """
     q = _tables(sources, "float")[0]
     k = sources.alphabet_size
     full = (1 << k) - 1
+    h = np.maximum(q - delta, 0.0)
+    h[full] = q[full]
 
     def oracle(c):
         order = np.argsort(c, kind="stable")
-        chain = q[full - np.concatenate(([0], np.cumsum(_SINGLETONS[order])))]
+        chain = h[full - np.concatenate(([0], np.cumsum(_SINGLETONS[order])))]
         y = np.empty(k)
         y[order] = chain[:-1] - chain[1:]
         return tuple(order.tolist()), y - offset

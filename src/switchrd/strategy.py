@@ -85,6 +85,8 @@ class SwitchRule:
                 probs = [float(tok) for tok in tail.split()]
             except ValueError as exc:
                 raise ValidationError(f"bad rule line {line!r}") from exc
+            if mask in rules:
+                raise ValidationError(f"rule lists subset mask {mask} twice")
             rules[mask] = Distribution(probs)
         return cls(rules)
 

@@ -167,9 +167,13 @@ def test_attainable_target_with_a_negligible_offered_set_exits_0(capsys, tmp_pat
     assert code == 0
 
 
-@pytest.mark.parametrize("option, value", [("--method", "grid"), ("--grid-step", "0.05")])
+@pytest.mark.parametrize(
+    "option, value",
+    [("--method", "grid"), ("--grid-step", "0.05"), ("--seed", "0"), ("--starts", "16")],
+)
 def test_optimize_has_no_search_method_options(capsys, option, value):
-    # the parameter dimension alone picks the lattice or the multistart path
+    # the parameter dimension alone picks the lattice or the multistart path,
+    # and the multistart seeds are fixed
     code, out = run_text(
         capsys, "optimize", PROBLEMS / "binary_pair.yaml", "--distortion", "0.1",
         option, value,
@@ -341,17 +345,32 @@ def test_negative_simulate_seed_exits_3(capsys):
     assert (code, out) == (3, "")
 
 
-def test_negative_optimize_seed_exits_3(capsys, tmp_path):
-    # five symbols take the multistart search, the path that reads the seed
-    problem = tmp_path / "five.yaml"
-    problem.write_text(
-        "alphabet_x: 5\nalphabet_y: 5\nmode: independent\ndelta: 0\n"
-        "sources:\n  - [1/5, 1/5, 1/5, 1/5, 1/5]\n  - [1/2, 1/8, 1/8, 1/8, 1/8]\n"
-        "distortion:\n"
-        + "".join(
-            "  - [" + ", ".join("0" if i == j else "1" for j in range(5)) + "]\n"
-            for i in range(5)
-        )
-    )
-    code, out = run_text(capsys, "optimize", problem, "--distortion", "0.1", "--seed", -1)
-    assert (code, out) == (3, "")
+#: Seven symbols, two sources: random draws alone printed R~ below R* here.
+SEVEN_SYMBOLS = """\
+alphabet_x: 7
+alphabet_y: 7
+mode: independent
+delta: 0
+sources:
+  - [0.034034, 0.220711, 0.183353, 0.054430, 0.023876, 0.025869, 0.457727]
+  - [0.169312, 0.163433, 0.048537, 0.098796, 0.191432, 0.003368, 0.325122]
+distortion:
+  - [0, 3, 3, 3, 1, 3, 3]
+  - [3, 0, 3, 3, 3, 2, 3]
+  - [3, 1, 0, 1, 1, 2, 1]
+  - [1, 1, 3, 0, 3, 1, 3]
+  - [2, 1, 1, 1, 0, 1, 1]
+  - [1, 3, 1, 1, 2, 0, 2]
+  - [3, 3, 2, 2, 3, 2, 0]
+"""
+
+
+@pytest.mark.parametrize("target", ["0.3", "0.77"])
+def test_optimize_region_rate_is_never_below_the_hull_rate(capsys, tmp_path, target):
+    # the hull lies inside the region, so R~ >= R*
+    problem = tmp_path / "seven.yaml"
+    problem.write_text(SEVEN_SYMBOLS)
+    code, rows = run(capsys, "optimize", problem, "--distortion", target)
+    assert code == 0
+    assert rows[1][-1] == "multistart"
+    assert float(rows[1][1]) >= float(rows[1][2])

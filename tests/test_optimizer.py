@@ -10,15 +10,18 @@ from switchrd import (
     Distribution,
     DistortionMatrix,
     RegionSpec,
-    SearchConfig,
     SourceList,
+    entropy,
+    greedy_max_rule,
+    induced_distribution,
     is_member,
     maximize_over_hull,
     maximize_over_region,
     rd_tilde_curve,
     rates_at_distortion_batch,
 )
-from switchrd.optimizer import _ascend, _region_candidates
+from switchrd.optimizer import _ascend, _candidates, _region_candidates, _simplex_vertex
+from switchrd.region import _greedy_oracle, _min_norm_point, in_region
 
 HAMMING = DistortionMatrix.hamming(2)
 BINARY_PAIR = SourceList.independent(
@@ -26,8 +29,8 @@ BINARY_PAIR = SourceList.independent(
 )
 BINARY_SPEC = RegionSpec(BINARY_PAIR, 0)
 
-#: Loose-but-honest settings for property checks over random instances.
-FAST = SearchConfig(starts=6, tol=1e-5)
+#: Loose-but-honest rate tolerance for property checks over random instances.
+FAST = 1e-5
 
 
 def h2(x):
@@ -64,6 +67,24 @@ D3_SOURCES = SourceList.independent(
 )
 D3_DISTORTION = DistortionMatrix([[0, 3, 1, 2], [2, 0, 1, 3], [2, 3, 0, 2], [1, 3, 2, 0]])
 D3_TARGET = 0.5030675073631221
+#: (D5) three peaked sources on five symbols under Hamming distortion; the
+#: region's most uniform law p* = (.041804, .025733, .310821 x 3) gives
+#: R~(0) = H(p*), and R_p*(D) in closed form while 4 min p* >= D.
+D5_SOURCES = SourceList.independent(
+    [[.000752, .018923, .336560, .230976, .412789],
+     [.006478, .005836, .498397, .431469, .057820],
+     [.035852, .001112, .395276, .212961, .354799]]
+)
+#: (D1) two sources on six symbols under an integer distortion; the point
+#: p = (.237027, .2195, .012805, .087184, .237909, .205574), nudged into
+#: the region, reaches 1.032601 at D = 0.3.
+D1_SOURCES = SourceList.independent(
+    [[.224506, .130479, .093505, .296216, .209885, .045409],
+     [.068749, .313709, .136949, .119617, .193192, .167784]]
+)
+D1_DISTORTION = DistortionMatrix(
+    [[int(c) for c in row] for row in "022323 300113 300303 013011 213102 222330".split()]
+)
 
 
 class TestRegionMaximizer:
@@ -92,12 +113,11 @@ class TestRegionMaximizer:
             )
             assert is_member(res.argmax, RegionSpec(srcs, 0)).satisfied
 
-    def test_seed_determinism(self):
+    def test_determinism(self):
         spec = RegionSpec(random_sources(np.random.default_rng(9), 5, 2), 0)
         d = DistortionMatrix.hamming(5)
-        cfg = SearchConfig(starts=5, seed=77)
-        a = maximize_over_region(spec, d, 0.12, cfg)
-        b = maximize_over_region(spec, d, 0.12, cfg)
+        a = maximize_over_region(spec, d, 0.12)
+        b = maximize_over_region(spec, d, 0.12)
         assert a.method == "multistart"
         assert a.value == b.value
         np.testing.assert_array_equal(a.argmax.probs, b.argmax.probs)
@@ -108,11 +128,11 @@ class TestRegionMaximizer:
         # distortion is the uniform point's closed form: k = 4 takes the
         # lattice and k = 5 the multistart ascent
         rng = np.random.default_rng(5)
-        for k, method, config in ((4, "grid", None), (5, "multistart", FAST)):
+        for k, method, tol in ((4, "grid", 1e-6), (5, "multistart", FAST)):
             free = RegionSpec(random_sources(rng, k, 2), 1.0)
             d = DistortionMatrix.hamming(k)
             for target in (0.1, 0.3):
-                res = maximize_over_region(free, d, target, config)
+                res = maximize_over_region(free, d, target, tol)
                 assert res.method == method
                 assert res.value == pytest.approx(uniform_hamming_rate(k, target), abs=1e-6)
 
@@ -126,7 +146,7 @@ class TestRegionMaximizer:
         spec = RegionSpec(random_sources(rng, 5, 2), 0)
         res = maximize_over_region(spec, DistortionMatrix.hamming(5), 0.2, FAST)
         assert res.method == "multistart"
-        assert res.starts == FAST.starts + 1
+        assert res.starts == len(_region_candidates(spec)[0])
         assert res.value >= 0.0
         assert is_member(res.argmax, spec).satisfied
 
@@ -136,11 +156,11 @@ class TestRegionMaximizer:
         rng = np.random.default_rng(9)
         spec = RegionSpec(random_sources(rng, 5, 2), 0)
         d = DistortionMatrix.hamming(5)
-        candidates, method, repair = _region_candidates(spec, FAST)
+        candidates, method, repair = _region_candidates(spec)
         assert method == "multistart"
 
         def batch_value(ps):
-            return rates_at_distortion_batch(ps, d, 0.2, tol=FAST.tol)
+            return rates_at_distortion_batch(ps, d, 0.2, tol=FAST)
 
         seeds = list(zip(batch_value(candidates).tolist(), candidates))
         together = _ascend(seeds, batch_value, repair)
@@ -148,6 +168,40 @@ class TestRegionMaximizer:
             [(x_alone, v_alone)] = _ascend([seed], batch_value, repair)
             np.testing.assert_array_equal(x, x_alone)
             assert v == v_alone
+
+
+class TestMultistartSeeds:
+    def test_region_seeds_hold_the_draws_and_the_polytope_points(self):
+        rng = np.random.default_rng(11)
+        for k, delta in ((5, 0.0), (6, 0.1), (7, 0.02)):
+            spec = RegionSpec(random_sources(rng, k, 3), delta)
+            candidates, method, repair = _region_candidates(spec)
+            assert method == "multistart"
+            draws = np.random.default_rng(0).dirichlet(np.ones(k), size=16)
+            np.testing.assert_allclose(candidates[:16], repair(draws), rtol=0, atol=1e-15)
+            oracle = _greedy_oracle(spec.sources, np.zeros(k), delta)
+            vertices = [oracle(np.roll(np.arange(k), shift)) for shift in range(k)]
+            own = [_min_norm_point(oracle, vertices[0])[0]] + [y for _, y in vertices]
+            distinct = {tuple(y) for y in own}
+            assert len(candidates) == 16 + len(distinct) + 1
+            for y in repair(np.array(own)):
+                assert np.abs(candidates[16:-1] - y).max(axis=1).min() <= 1e-15
+            anchor = induced_distribution(greedy_max_rule(spec.sources), spec.sources)
+            np.testing.assert_array_equal(candidates[-1], anchor.probs)
+            assert in_region(candidates, spec).all()
+
+    def test_hull_seeds_hold_the_draws_the_uniform_mixture_and_every_source(self):
+        m = 6
+        lams, method = _candidates(m, _simplex_vertex)
+        assert method == "multistart"
+        assert len(lams) == 16 + 1 + m
+        np.testing.assert_array_equal(
+            lams[:16], np.random.default_rng(0).dirichlet(np.ones(m), size=16)
+        )
+        own = lams[16:]
+        assert np.abs(own - 1.0 / m).max(axis=1).min() <= 1e-12
+        for j in range(m):
+            assert (own == np.eye(m)[j]).all(axis=1).any()
 
 
 class TestPinnedInstances:
@@ -170,6 +224,23 @@ class TestPinnedInstances:
         assert math.isfinite(res.value)
         assert is_member(res.argmax, spec).satisfied
 
+    def test_d5_reaches_the_most_uniform_law(self):
+        # (D5) the multistart seeds hold p*, so R~ is at least R_p*(D)
+        spec = RegionSpec(D5_SOURCES, 0)
+        oracle = _greedy_oracle(D5_SOURCES, np.zeros(5))
+        h_star = entropy(Distribution(_min_norm_point(oracle, oracle(np.zeros(5)))[0]))
+        assert h_star == pytest.approx(1.899336, abs=5e-7)
+        d = DistortionMatrix.hamming(5)
+        assert maximize_over_region(spec, d, 0.0).value >= h_star - 1e-6
+        erokhin = h_star - h2(0.05) - 0.05 * math.log2(4)
+        assert maximize_over_region(spec, d, 0.05).value >= erokhin - 1e-6
+
+    def test_d1_rises_to_one_bit(self):
+        # (D1) random draws alone found 0.970679 at D = 0.3
+        res = maximize_over_region(RegionSpec(D1_SOURCES, 0), D1_DISTORTION, 0.3)
+        assert res.method == "multistart"
+        assert res.value >= 1.0
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -180,7 +251,7 @@ class TestPinnedInstances:
     def test_every_repaired_point_is_a_member(self, seed, k, m, delta):
         rng = np.random.default_rng(seed)
         for spec in (RegionSpec(random_sources(rng, k, m), delta), RegionSpec(D3_SOURCES, 0)):
-            _, _, repair = _region_candidates(spec, FAST)
+            _, _, repair = _region_candidates(spec)
             size = spec.sources.alphabet_size
             # points on and off the simplex, and the all-zero row
             points = np.vstack(

@@ -318,6 +318,40 @@ class TestMinNormPoint:
         assert entropy(p_star) == pytest.approx(1.899336, abs=5e-7)
 
 
+class TestGreedyOracle:
+    """The oracle over the region relaxed by delta, the core of
+    h(V) = max(Q(V) - delta, 0) with h = 1 on the whole alphabet."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 6),
+        m=st.integers(1, 3),
+        delta=st.sampled_from([0.0, 0.02, 0.1, 1.0]),
+    )
+    def test_vertices_are_members_tight_on_their_chains(self, seed, k, m, delta):
+        rng = np.random.default_rng(seed)
+        srcs = random_sources(rng, k, m)
+        spec = RegionSpec(srcs, delta)
+        oracle = _greedy_oracle(srcs, np.zeros(k), delta)
+        for c in rng.normal(size=(5, k)):
+            order, y = oracle(c)
+            assert abs(y.sum() - 1.0) <= 1e-12
+            assert is_member(Distribution(y), spec).satisfied
+            # Edmonds: along its order, each chain set carries exactly its h
+            for j in range(k):
+                rest = mask_of(order[j:])
+                h = 1.0 if j == 0 else max(float(q_of_subset(srcs, rest)) - delta, 0.0)
+                assert abs(y[list(order[j:])].sum() - h) <= 1e-12
+
+    def test_free_simplex_has_the_uniform_law_as_its_min_norm_point(self):
+        rng = np.random.default_rng(4)
+        for k in (2, 5, 7):
+            oracle = _greedy_oracle(random_sources(rng, k, 2), np.zeros(k), 1.0)
+            p = _min_norm_point(oracle, oracle(np.zeros(k)))[0]
+            np.testing.assert_allclose(p, np.full(k, 1.0 / k), rtol=0, atol=1e-12)
+
+
 class TestAgainstEnumeration:
     """The transform tables equal exact enumeration of every joint outcome."""
 

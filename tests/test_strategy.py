@@ -61,6 +61,9 @@ class TestSwitchRule:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValidationError):
             SwitchRule.parse("not a rule line\n")
+        # a mask listed twice: neither line may silently win
+        with pytest.raises(ValidationError, match="mask 3 twice"):
+            SwitchRule.parse("1: 1 0\n2: 0 1\n3: 1 0\n3: 0 1\n")
 
     def test_negative_entry_rejected(self):
         # a distribution within the simplex tolerance, but not a probability
