@@ -39,10 +39,10 @@ class ConvergenceError(SwitchRdError):
     200 rounds are spent; the message names the width and, in a batch, the
     row. This happens where R_p(D) is straight around the target, so that
     D(s) jumps across it at one slope, or where probes near a change of the
-    optimal output support crawl for longer than ``max_iters``.
-    ``ba_fixed_slope`` raises it when its solve spends ``max_iters`` without
-    certifying a gap below its ``tol``. The CLI reports it with exit code 4.
-    ``last_point`` holds the solver's last point (for the rate search, the
+    optimal output support crawl for longer than the solver's one iteration
+    budget, ``rate_distortion._MAX_ITERS``. ``ba_fixed_slope`` raises it when
+    its solve spends that budget without certifying a gap below its ``tol``.
+    The CLI reports it with exit code 4. ``last_point`` holds the solver's last point (for the rate search, the
     row's two sides time-shared at the target), so callers can inspect how
     far it got. ``hull_member`` and ``synthesize_rule`` raise it if their
     nearest-point search (Wolfe's method, one cycle cap for both) runs out of

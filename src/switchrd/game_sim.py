@@ -262,7 +262,7 @@ def build_covering_codebook(
     (the sample was too small) when the candidates were sampled."""
     if n < 1:
         raise ValidationError("blocklength must be at least 1")
-    if target_distortion < 0:
+    if not target_distortion >= 0:  # NaN fails too
         raise ValidationError("distortion target must be nonnegative")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")

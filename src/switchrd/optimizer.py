@@ -28,7 +28,6 @@ from .errors import ValidationError
 from .probcore import Distribution, DistortionMatrix, SourceList, compositions
 from .rate_distortion import RATE_TOL, rates_at_distortion_batch
 from .region import RegionSpec, _greedy_oracle, _min_norm_point, _shortfalls, in_region, is_member
-from .strategy import greedy_max_rule, induced_distribution
 
 #: Lattice step per parameter dimension, for the region and the hull alike;
 #: larger dimensions take multistart ascent.
@@ -166,10 +165,11 @@ def _candidates(dim: int, oracle, inside=None, repair=None, anchor=None):
 
 def _region_candidates(spec: RegionSpec):
     """Candidate set inside the region, the guaranteed feasible anchor (the
-    greedy largest-symbol rule's output distribution) included, and the
-    region's repair."""
+    law of the rule that emits the largest offered symbol: the vertex of the
+    region at delta 0 for the order k - 1, ..., 0) included, and the region's
+    repair."""
     k = spec.sources.alphabet_size
-    anchor = induced_distribution(greedy_max_rule(spec.sources), spec.sources).probs
+    anchor = _greedy_oracle(spec.sources, np.zeros(k))(-np.arange(k))[1]
     anchor_mass = _shortfalls(anchor, spec)[0]
 
     def repair(ys):
@@ -197,9 +197,8 @@ def _maximize(candidates, method, repair, to_source, d, target, tol):
 
     The grid's batch feeds only its best row, so it stops early on rows that
     are certified to fall below it, which come back as -inf and are never
-    picked; the multistart seeds and the ascent's probes need every value."""
-    if target < 0:
-        raise ValidationError("distortion target must be nonnegative")
+    picked; the multistart seeds and the ascent's probes need every value.
+    The first batch rejects a negative or NaN target."""
     evaluations = 0
 
     def batch_value(xs, best_only=False):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .probcore import (
+    SIMPLEX_ATOL,
     Distribution,
     DistortionMatrix,
     TransitionMatrix,
@@ -32,6 +33,7 @@ RATE_TOL = 1e-6
 #: Most negative slope tried before the distortion floor is declared reached.
 SLOPE_FLOOR = -float(2**20)
 
+#: Iteration budget of every fixed-slope solve, read at call time.
 _MAX_ITERS = 200_000
 #: Longest run of updates between two convergence checks; only runs this long
 #: are extrapolated, since shorter ones say too little about the decay rate.
@@ -103,13 +105,13 @@ def _aitken_gain(step, prev_step):
     return np.divide(ratio, 1.0 - ratio, out=np.zeros_like(ratio), where=geometric)
 
 
-def _solve_fixed_slopes(ps, d_arr, slopes, tol, max_iters, q0=None):
+def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None):
     """Alternating minimization for a batch of sources at per-row slopes.
 
     ps: (N, X) source rows; d_arr: (X, Y); slopes: (N,) all <= 0. Returns
     (rate, dist, w, q, gap). ``gap`` is each row's certified bound, in bits,
     on the suboptimality of its objective rate - slope * dist; a row stops
-    once it is below ``tol`` or ``max_iters`` run out. Rows are solved
+    once it is below ``tol`` or ``_MAX_ITERS`` updates run out. Rows are solved
     independently of each other.
 
     * Weakly dominated reproduction columns (see ``_undominated_columns``)
@@ -136,7 +138,7 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, max_iters, q0=None):
     if keep.size < ny:
         sub_q0 = None if q0 is None else np.asarray(q0, dtype=float)[:, keep]
         rate, dist, w_sub, q_sub, gap = _solve_fixed_slopes(
-            ps, d_arr[:, keep], slopes, tol, max_iters, sub_q0
+            ps, d_arr[:, keep], slopes, tol, sub_q0
         )
         w = np.zeros((n, nx, ny))
         q = np.zeros((n, ny))
@@ -205,13 +207,13 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, max_iters, q0=None):
     active = np.nonzero(~corner)[0]
     check_every = 1
     spent = 0
-    while spent < max_iters and active.size:
+    while spent < _MAX_ITERS and active.size:
         kern = kernel[active]
         q_act = q[active]
         ps_act = ps[active]
         # a burst of cheap multiplicative updates, then one convergence check;
         # bursts grow so warm starts exit fast and crawls stay cheap
-        burst = min(check_every, max_iters - spent)
+        burst = min(check_every, _MAX_ITERS - spent)
         check_every = min(check_every * 2, _MAX_BURST)
         for _ in range(burst - 1):
             q_prev2 = q_act
@@ -301,7 +303,6 @@ def ba_fixed_slope(
     d: DistortionMatrix,
     slope: float,
     tol: float = BA_TOL,
-    max_iters: int = _MAX_ITERS,
 ) -> RdPoint:
     """Solve the trade-off at one fixed slope and return the resulting point.
 
@@ -309,7 +310,7 @@ def ba_fixed_slope(
     means a certified optimality gap below ``tol`` bits, which implies that
     successive rate iterates move by less than ``tol`` as well; the point's
     ``lower`` is its rate minus that gap. Raises ConvergenceError (carrying
-    the last iterate) if max_iters runs out first.
+    the last iterate) if ``_MAX_ITERS`` updates run out first.
     """
     _check_tol(tol)
     if slope > 0:
@@ -319,14 +320,14 @@ def ba_fixed_slope(
     if slope == 0:
         return _zero_rate_point(p, d)
     rate, dist, w, _, gap = _solve_fixed_slopes(
-        p.probs[None, :], d.values, np.array([slope]), tol, max_iters
+        p.probs[None, :], d.values, np.array([slope]), tol
     )
     point = RdPoint(
         float(dist[0]), float(rate[0]), TransitionMatrix(w[0]), slope, float(rate[0] - gap[0])
     )
     if not gap[0] < tol:
         raise ConvergenceError(
-            f"no convergence within {max_iters} iterations at slope {slope}",
+            f"no convergence within {_MAX_ITERS} iterations at slope {slope}",
             last_point=point,
         )
     return point
@@ -346,13 +347,13 @@ def _mix_channels(ps, d_arr, w_low, w_high, targets):
     return (*_rates_and_distortions(ps, w, d_arr), w)
 
 
-def _slope_search(ps, d_arr, targets, tol, max_iters, labels=None, best_only=False):
+def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
     """R_p(D) for a batch of sources, each row at its own reachable target
     (floor - 1e-12 <= target < ceiling). Returns (rate, dist, w, slope,
     lower): every row stops on a certified bracket on R_p(target).
 
     * **Lower end.** A probe at slope s solves the fixed-slope trade-off to a
-      certified gap g, at most tol / 4 unless ``max_iters`` runs out first;
+      certified gap g, at most tol / 4 unless ``_MAX_ITERS`` runs out first;
       say it has rate r and distortion d. By Blahut's dual,
       R_p(x) >= r + s (x - d) - g for every x, so the best such line over a
       row's probes, read at the target, is a lower end.
@@ -392,7 +393,7 @@ def _slope_search(ps, d_arr, targets, tol, max_iters, labels=None, best_only=Fal
 
     def solve(rows, slopes, warm):
         rate, dist, w, q, gap = _solve_fixed_slopes(
-            ps[rows], d_arr, slopes, tol / 4, max_iters, q0=warm
+            ps[rows], d_arr, slopes, tol / 4, q0=warm
         )
         q_warm[rows] = q
         lines = rate + slopes * (targets[rows] - dist) - gap
@@ -491,8 +492,6 @@ def rate_at_distortion(
     d: DistortionMatrix,
     target: float,
     tol: float = RATE_TOL,
-    *,
-    max_iters: int = _MAX_ITERS,
 ) -> RdPoint:
     """Rate (bits) needed to reproduce source ``p`` within distortion ``target``.
 
@@ -504,7 +503,7 @@ def rate_at_distortion(
     InfeasibleError. A target equal to the floor is reached through the
     large-slope limit rather than a special case.
     """
-    if target < 0:
+    if not target >= 0:  # NaN fails too
         raise ValidationError("distortion target must be nonnegative")
     _check_tol(tol)
     floor = d_min(p, d)
@@ -514,16 +513,16 @@ def rate_at_distortion(
             lhs=target,
             rhs=floor,
         )
-    return _points_at(p, d, np.array([float(target)]), tol, max_iters)[0]
+    return _points_at(p, d, np.array([float(target)]), tol)[0]
 
 
-def _points_at(p, d, targets, tol, max_iters):
+def _points_at(p, d, targets, tol):
     """``rate_at_distortion`` of one source at each target (none below the
     floor), all searched side by side."""
     points = [_zero_rate_point(p, d)] * len(targets)
     rows = np.nonzero(targets < d_max(p, d))[0]
     found = _slope_search(
-        np.tile(p.probs, (rows.size, 1)), d.values, targets[rows], tol, max_iters
+        np.tile(p.probs, (rows.size, 1)), d.values, targets[rows], tol
     )
     for i, rate, dist, w, slope, lower in zip(rows, *found):
         points[i] = RdPoint(
@@ -545,7 +544,7 @@ def rd_curve(
         raise ValidationError("need at least two curve points")
     _check_tol(tol)
     targets = np.linspace(d_min(p, d), d_max(p, d), num_points)
-    points = _points_at(p, d, targets, tol, _MAX_ITERS)
+    points = _points_at(p, d, targets, tol)
     points.sort(key=lambda pt: pt.distortion)
     return RdCurve(p, tuple(points))
 
@@ -556,7 +555,6 @@ def rates_at_distortion_batch(
     target: float,
     *,
     tol: float = RATE_TOL,
-    max_iters: int = 50_000,
     best_only: bool = False,
 ) -> np.ndarray:
     """Rates for many sources at one target distortion, searched side by side.
@@ -566,7 +564,8 @@ def rates_at_distortion_batch(
     get 0. The rest share one slope search, and each gets the rate of a
     channel at exactly the target, at most ``tol`` bits above R_p(target)
     (see ``_slope_search``). This is the workhorse behind grid searches over
-    sources.
+    sources. Each row of ``ps`` must be a law over the inputs of ``d``, within
+    ``SIMPLEX_ATOL`` as ``Distribution`` checks it.
 
     ``best_only`` is for callers that read only the largest rate: the search
     then stops early on every row whose certified bracket shows it below
@@ -574,8 +573,17 @@ def rates_at_distortion_batch(
     maximum, and every other row not given -inf, gets the same value, bit for
     bit, as without ``best_only``.
     """
+    if not target >= 0:  # NaN fails too
+        raise ValidationError("distortion target must be nonnegative")
     _check_tol(tol)
     ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 2 or ps.shape[1] != d.num_inputs:
+        raise ValidationError(
+            f"sources must be rows of {d.num_inputs} probabilities, got shape {ps.shape}"
+        )
+    # NaN and inf entries fail these comparisons too
+    if not ((ps >= -SIMPLEX_ATOL).all() and (np.abs(ps.sum(axis=1) - 1.0) <= SIMPLEX_ATOL).all()):
+        raise ValidationError(f"every source row must be a distribution within {SIMPLEX_ATOL}")
     d_arr = d.values
     rates = np.zeros(ps.shape[0])
     floors = ps @ d_arr.min(axis=1)
@@ -583,7 +591,7 @@ def rates_at_distortion_batch(
     rates[target < floors - 1e-12] = np.inf
     idx = np.nonzero((target >= floors - 1e-12) & (target < ceilings))[0]
     rates[idx] = _slope_search(
-        ps[idx], d_arr, np.full(idx.size, float(target)), tol, max_iters,
+        ps[idx], d_arr, np.full(idx.size, float(target)), tol,
         labels=idx, best_only=best_only,
     )[0]
     return rates

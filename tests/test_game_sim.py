@@ -329,6 +329,12 @@ class TestCoveringCodebook:
         with pytest.raises(InfeasibleError):
             build_covering_codebook(RegionSpec(sources, 0), d, 0.4, 6)
 
+    @pytest.mark.parametrize("target", [math.nan, -0.1])
+    def test_nan_or_negative_target_is_rejected(self, target):
+        sources, d = shipped("binary_pair.yaml")
+        with pytest.raises(ValidationError, match="nonnegative"):
+            build_covering_codebook(RegionSpec(sources, 0), d, target, 4)
+
     def test_sampled_candidates_cover_every_admitted_string(self):
         # 2^8 words exceed the budget of 128, so the candidates are sampled
         sources, d = shipped("binary_pair.yaml")

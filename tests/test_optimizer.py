@@ -11,6 +11,7 @@ from switchrd import (
     DistortionMatrix,
     RegionSpec,
     SourceList,
+    ValidationError,
     entropy,
     greedy_max_rule,
     induced_distribution,
@@ -136,6 +137,10 @@ class TestRegionMaximizer:
                 assert res.method == method
                 assert res.value == pytest.approx(uniform_hamming_rate(k, target), abs=1e-6)
 
+    def test_nan_target_is_rejected(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            maximize_over_region(BINARY_SPEC, HAMMING, math.nan)
+
     def test_unreachable_distortion_reports_inf(self):
         d = DistortionMatrix([[0.5, 1.0], [1.0, 0.5]])
         res = maximize_over_region(BINARY_SPEC, d, 0.4, FAST)
@@ -186,8 +191,12 @@ class TestMultistartSeeds:
             assert len(candidates) == 16 + len(distinct) + 1
             for y in repair(np.array(own)):
                 assert np.abs(candidates[16:-1] - y).max(axis=1).min() <= 1e-15
+            # the anchor is the vertex for the order k - 1, ..., 0 at delta 0,
+            # the law of the rule that emits the largest offered symbol
+            vertex = _greedy_oracle(spec.sources, np.zeros(k))(-np.arange(k))[1]
+            np.testing.assert_array_equal(candidates[-1], vertex)
             anchor = induced_distribution(greedy_max_rule(spec.sources), spec.sources)
-            np.testing.assert_array_equal(candidates[-1], anchor.probs)
+            np.testing.assert_allclose(candidates[-1], anchor.probs, rtol=0, atol=1e-15)
             assert in_region(candidates, spec).all()
 
     def test_hull_seeds_hold_the_draws_the_uniform_mixture_and_every_source(self):
@@ -270,6 +279,10 @@ class TestHullMaximizer:
         srcs = SourceList.independent([[0.7, 0.3]])
         res = maximize_over_hull(srcs, HAMMING, 0.1, FAST)
         assert res.value == pytest.approx(h2(0.3) - h2(0.1), abs=1e-3)
+
+    def test_nan_target_is_rejected(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            maximize_over_hull(BINARY_PAIR, HAMMING, math.nan)
 
     def test_binary_pair_picks_the_most_uniform_vertex(self):
         res = maximize_over_hull(BINARY_PAIR, HAMMING, 0.1)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from switchrd import (
     rates_at_distortion_batch,
     rd_curve,
 )
-from switchrd.probcore import compositions
+from switchrd import rate_distortion
+from switchrd.probcore import SIMPLEX_ATOL, compositions
 
 HAMMING = DistortionMatrix.hamming(2)
 UNIFORM = Distribution([0.5, 0.5])
@@ -70,9 +72,10 @@ class TestFixedSlope:
         with pytest.raises(ValidationError):
             ba_fixed_slope(UNIFORM, HAMMING, 1.0)
 
-    def test_non_convergence_reports_last_iterate(self):
-        with pytest.raises(ConvergenceError) as err:
-            ba_fixed_slope(Distribution([0.3, 0.7]), HAMMING, -3.0, tol=1e-15, max_iters=2)
+    def test_non_convergence_reports_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(rate_distortion, "_MAX_ITERS", 2)
+        with pytest.raises(ConvergenceError, match="within 2 iterations") as err:
+            ba_fixed_slope(Distribution([0.3, 0.7]), HAMMING, -3.0, tol=1e-15)
         assert err.value.last_point is not None
         assert err.value.last_point.rate >= 0.0
 
@@ -104,6 +107,11 @@ class TestRateAtDistortion:
     def test_rate_zero_at_ceiling(self):
         pt = rate_at_distortion(Distribution([2 / 3, 1 / 3]), HAMMING, 1 / 3)
         assert pt.rate == 0.0
+
+    @pytest.mark.parametrize("target", [math.nan, -0.1])
+    def test_nan_or_negative_target_is_rejected(self, target):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            rate_at_distortion(UNIFORM, HAMMING, target)
 
     def test_infeasible_below_floor(self):
         d = DistortionMatrix([[1.0, 2.0], [2.0, 1.0]])
@@ -255,22 +263,51 @@ class TestBatch:
         rates = rates_at_distortion_batch(ps, HAMMING, 0.5)
         assert rates[0] == 0.0
 
-    def test_non_convergence_reports_last_iterate_and_caller_row(self):
+    def test_non_convergence_reports_last_iterate_and_caller_row(self, monkeypatch):
         # row 0 is at its ceiling and never searched, so the failing row is
         # row 1 of the caller's batch
+        monkeypatch.setattr(rate_distortion, "_MAX_ITERS", 2)
         ps = np.array([[0.9, 0.1], [0.3, 0.7]])
         with pytest.raises(ConvergenceError, match="batch row 1") as err:
-            rates_at_distortion_batch(ps, HAMMING, 0.2, max_iters=2)
+            rates_at_distortion_batch(ps, HAMMING, 0.2)
         assert err.value.last_point is not None
         assert err.value.last_point.rate >= 0.0
 
-    def test_best_only_non_convergence_reports_caller_row(self):
+    def test_best_only_non_convergence_reports_caller_row(self, monkeypatch):
         # the same failing row: no row is dropped before it fails
+        monkeypatch.setattr(rate_distortion, "_MAX_ITERS", 2)
         ps = np.array([[0.9, 0.1], [0.3, 0.7]])
         with pytest.raises(ConvergenceError, match="batch row 1") as err:
-            rates_at_distortion_batch(ps, HAMMING, 0.2, max_iters=2, best_only=True)
+            rates_at_distortion_batch(ps, HAMMING, 0.2, best_only=True)
         assert err.value.last_point is not None
         assert err.value.last_point.rate >= 0.0
+
+    @pytest.mark.parametrize("target", [math.nan, -1.0])
+    def test_nan_or_negative_target_is_rejected(self, target):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            rates_at_distortion_batch(np.array([[0.5, 0.5]]), HAMMING, target)
+
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            [0.5, 0.5],  # not 2-D
+            [[0.2, 0.3, 0.5]],  # three symbols against two inputs
+            [[math.nan, 0.5]],
+            [[math.inf, 0.5]],
+            [[1.1, -0.1]],
+            [[0.6, 0.6]],
+            [[0.5, 0.5 - 2 * SIMPLEX_ATOL]],
+        ],
+    )
+    def test_rows_that_are_not_distributions_are_rejected(self, ps):
+        with pytest.raises(ValidationError):
+            rates_at_distortion_batch(np.array(ps), HAMMING, 0.2)
+
+    def test_rows_within_the_simplex_tolerance_are_accepted(self):
+        ps = np.array([[1.0 + SIMPLEX_ATOL / 2, -SIMPLEX_ATOL / 2], [0.5, 0.5]])
+        rates = rates_at_distortion_batch(ps, HAMMING, 0.2)
+        assert rates[0] == 0.0
+        assert rates[1] == pytest.approx(1 - h2(0.2), abs=1e-5)
 
 
 @st.composite
@@ -398,8 +435,17 @@ class TestSlopeSearch:
             rate_at_distortion(p, shifted, d_min(p, shifted) - 1e-6)
         assert rate_at_distortion(p, d, d_max(p, d)).rate == 0.0
 
-    def test_non_convergence_reports_last_iterate(self):
+    def test_non_convergence_reports_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(rate_distortion, "_MAX_ITERS", 2)
         with pytest.raises(ConvergenceError) as err:
-            rate_at_distortion(Distribution([0.3, 0.7]), HAMMING, 0.2, max_iters=2)
+            rate_at_distortion(Distribution([0.3, 0.7]), HAMMING, 0.2)
         assert err.value.last_point is not None
         assert err.value.last_point.rate >= 0.0
+
+
+@pytest.mark.parametrize(
+    "fn", [ba_fixed_slope, rate_at_distortion, rd_curve, rates_at_distortion_batch]
+)
+def test_rate_functions_have_no_iteration_budget_option(fn):
+    # every fixed-slope solve reads the one module budget, _MAX_ITERS
+    assert "max_iters" not in inspect.signature(fn).parameters
