@@ -17,6 +17,14 @@ trials are chunked, and ``PCG64.advance`` reaches it without drawing the
 trials before it. Trials are simulated in chunks, with sampling, rule draws,
 type counts, codebook distortion and region membership vectorized over each
 chunk.
+
+None of the following changes a draw. Each chunk's doubles are drawn into one
+buffer allocated per simulation, in the order ``Generator.random`` gives
+them. Source and output symbols are uint8, as ``ALPHABET_GUARD`` keeps every
+symbol a rule can draw below 256; offered masks are OR-ed in the narrowest
+unsigned dtype that holds them, and a table of 2^k positions takes each mask
+to its row of the rule's CDFs. ``sample_sources`` and ``apply_rule`` return
+int64.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ COVER_CELL_GUARD = 2**26
 #: Largest selection space searched by the exact best response.
 BEST_RESPONSE_GUARD = 2**22
 
+#: Strings decoded per step when enumerating strings or selections.
 _CHUNK = 1 << 16
 #: Cells of the cover table computed per matrix product.
 _COVER_CELLS = 1 << 19
@@ -139,13 +148,17 @@ def _source_cdfs(sources: SourceList) -> np.ndarray:
 
 def _sample(sources: SourceList, cdfs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Blocks x sources x time symbols from blocks x rows x time uniforms,
-    each the count of entries of its row's CDF that are <= it."""
+    each the count of entries of its row's CDF that are <= it. The symbols
+    are in the narrowest unsigned dtype that holds k - 1: uint8 for every
+    alphabet ``ALPHABET_GUARD`` admits."""
+    k, m = sources.alphabet_size, sources.num_sources
+    drawn = np.zeros((uniforms.shape[0], m, uniforms.shape[2]), np.min_scalar_type(k - 1))
     if sources.is_joint:
         # a joint CDF has k^m entries, so it is searched rather than scanned
         flat = cdfs[0].searchsorted(uniforms[:, 0], side="right")
-        k, m = sources.alphabet_size, sources.num_sources
-        return np.stack([(flat // k ** (m - 1 - l)) % k for l in range(m)], axis=1)
-    drawn = np.zeros(uniforms.shape, dtype=np.int64)
+        for l in range(m):
+            drawn[:, l] = (flat // k ** (m - 1 - l)) % k
+        return drawn
     for cdf, u, out in zip(cdfs, uniforms.swapaxes(0, 1), drawn.swapaxes(0, 1)):
         # every CDF ends at exactly 1, above every uniform
         for edge in cdf[:-1]:
@@ -160,7 +173,8 @@ def sample_sources(sources: SourceList, n: int, seed: int) -> np.ndarray:
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
     cdfs = _source_cdfs(sources)
-    return _sample(sources, cdfs, np.random.default_rng(seed).random((1, len(cdfs), n)))[0]
+    uniforms = np.random.default_rng(seed).random((1, len(cdfs), n))
+    return _sample(sources, cdfs, uniforms)[0].astype(np.int64)
 
 
 def _distortions(strings: np.ndarray, codebook: Codebook, d: DistortionMatrix) -> np.ndarray:
@@ -257,9 +271,10 @@ def build_covering_codebook(
     distortion. The candidates are every reproduction word when there are at
     most ``max_candidates``, otherwise words sampled per admitted type.
     Candidate order is lexicographic and ties go to the earliest candidate,
-    so the construction is fully deterministic. A string no candidate covers
-    is InfeasibleError when every word was a candidate, and GuardError
-    (the sample was too small) when the candidates were sampled."""
+    so the construction is fully deterministic. A blocklength with no
+    admitted type is InfeasibleError. A string no candidate covers is
+    InfeasibleError when every word was a candidate, and GuardError (the
+    sample was too small) when the candidates were sampled."""
     if n < 1:
         raise ValidationError("blocklength must be at least 1")
     if not target_distortion >= 0:  # NaN fails too
@@ -267,12 +282,12 @@ def build_covering_codebook(
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
     types = _admitted_types(spec, n)
+    if len(types) == 0:
+        raise InfeasibleError(f"no source string of length n={n} has an admitted type")
     # strings of each admitted type, by the multinomial coefficient
     num_t = sum(
         math.factorial(n) // math.prod(map(math.factorial, row)) for row in types.tolist()
     )
-    if num_t == 0:
-        return Codebook(np.empty((0, n), dtype=np.int64), n)
     sampled = d.num_outputs**n > max_candidates
     if sampled:
         cands = _sampled_words(d, target_distortion, n, max_candidates, seed, types)
@@ -399,13 +414,14 @@ def simulate_game(
     cdfs = _source_cdfs(sources)
     rows = len(cdfs)
     words = codebook.size if codebook is not None else 0
-    chunk = max(1, _SIM_CELLS // (n * (rows + 1 + sources.num_sources + words)))
+    chunk = min(trials, max(1, _SIM_CELLS // (n * (rows + 1 + sources.num_sources + words))))
     counts = np.zeros(k, dtype=np.int64)
     dists = np.empty(trials) if codebook is not None else None
     outside = 0
     gen = np.random.default_rng(seed)
+    buf = np.empty((chunk, rows + 1, n))
     for start in range(0, trials, chunk):
-        uniforms = gen.random((min(chunk, trials - start), rows + 1, n))
+        uniforms = gen.random(out=buf[: min(chunk, trials - start)])
         out = _apply_rule(rule, _sample(sources, cdfs, uniforms[:, :rows]), uniforms[:, rows])
         block_counts = _type_counts(out, k)
         counts += block_counts.sum(axis=0)

@@ -306,15 +306,16 @@ def ba_fixed_slope(
 ) -> RdPoint:
     """Solve the trade-off at one fixed slope and return the resulting point.
 
-    ``slope`` must be <= 0; slope 0 returns the zero-rate endpoint. Converged
-    means a certified optimality gap below ``tol`` bits, which implies that
-    successive rate iterates move by less than ``tol`` as well; the point's
-    ``lower`` is its rate minus that gap. Raises ConvergenceError (carrying
-    the last iterate) if ``_MAX_ITERS`` updates run out first.
+    ``slope`` must be finite and <= 0; slope 0 returns the zero-rate
+    endpoint. Converged means a certified optimality gap below ``tol`` bits,
+    which implies that successive rate iterates move by less than ``tol`` as
+    well; the point's ``lower`` is its rate minus that gap. Raises
+    ConvergenceError (carrying the last iterate) if ``_MAX_ITERS`` updates
+    run out first.
     """
     _check_tol(tol)
-    if slope > 0:
-        raise ValidationError("slope must be nonpositive")
+    if not (math.isfinite(slope) and slope <= 0):
+        raise ValidationError(f"slope must be finite and nonpositive, got {slope}")
     if p.size != d.num_inputs:
         raise ValidationError("source and distortion dimensions disagree")
     if slope == 0:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError
 from .probcore import Distribution, SourceList, choice_cdf
 from .region import (
+    _check_alphabet_guard,
     _greedy_oracle,
     _min_norm_point,
     beta_table,
@@ -195,10 +196,13 @@ def apply_rule(
     realizations = np.asarray(realizations)
     if realizations.ndim != 2:
         raise ValidationError("realizations must be a sources-by-time matrix")
+    if not np.issubdtype(realizations.dtype, np.integer):
+        raise ValidationError("realization symbols must be integers")
     if realizations.min() < 0 or realizations.max() >= rule.alphabet_size:
         raise ValidationError("realization symbols out of alphabet range")
     uniforms = np.random.default_rng(seed).random((1, realizations.shape[1]))
-    return _apply_rule(rule, realizations[None], uniforms)[0]
+    out = _apply_rule(rule, realizations[None].astype(np.uint8), uniforms)
+    return out[0].astype(np.int64)
 
 
 def _apply_rule(
@@ -206,23 +210,36 @@ def _apply_rule(
 ) -> np.ndarray:
     """Run the switch over a batch of blocks, given one uniform per step.
 
-    ``realizations`` is blocks x sources x time with symbols in range, and
-    ``uniforms`` is blocks x time. Each step's output is the count of entries
-    of its offered mask's CDF (``choice_cdf``) that are <= its uniform, which
-    is how ``Generator.choice`` maps the one double it draws for a scalar
-    choice. A mask the rule lacks is an error, naming the smallest one the
-    first block offers.
+    ``realizations`` is blocks x sources x time, uint8 symbols in range, and
+    ``uniforms`` is blocks x time; the output is blocks x time uint8. Each
+    step's offered mask is OR-ed from per-source shifts in the smallest
+    unsigned dtype that holds every mask, and a table of 2^k positions, -1
+    where the rule has no entry, maps it to its row of the rule's CDFs
+    (``choice_cdf``). The output is the count of entries of that CDF that are
+    <= the step's uniform, which is how ``Generator.choice`` maps the one
+    double it draws for a scalar choice. A mask the rule lacks is an error,
+    naming the smallest one the first block offers. The table is refused
+    past ``ALPHABET_GUARD`` symbols.
     """
-    masks = np.bitwise_or.reduce(np.left_shift(1, realizations, dtype=np.int64), axis=1)
-    keys = np.array(sorted(rule.rules), dtype=np.int64)
-    pos = np.minimum(np.searchsorted(keys, masks), keys.size - 1)
-    missing = keys[pos] != masks
+    k = rule.alphabet_size
+    _check_alphabet_guard(k)
+    one = np.min_scalar_type((1 << k) - 1).type(1)
+    sources = realizations.swapaxes(0, 1)
+    masks = np.left_shift(one, sources[0])
+    for row in sources[1:]:
+        masks |= np.left_shift(one, row)
+    table = np.full(1 << k, -1, dtype=np.int32)
+    table[list(rule.rules)] = np.arange(len(rule.rules), dtype=np.int32)
+    # numpy indexes fastest with take on a narrow index and [] on an intp one
+    pos = table.take(masks)
+    missing = pos < 0
     if missing.any():
         block = int(missing.any(axis=1).argmax())
         mask = int(masks[block][missing[block]].min())
         raise ValidationError(f"rule has no entry for offered subset {format_subset(mask)}")
-    cdfs = choice_cdf(np.array([rule.rules[key].probs for key in keys.tolist()]))
-    drawn = np.zeros(masks.shape, dtype=np.int64)
+    pos = pos.astype(np.intp)
+    cdfs = choice_cdf(np.array([f.probs for f in rule.rules.values()]))
+    drawn = np.zeros(masks.shape, dtype=np.uint8)
     # every CDF ends at exactly 1, above every uniform
     for column in cdfs.T[:-1]:
         drawn += column[pos] <= uniforms

@@ -287,6 +287,16 @@ def test_simulate_codebook_past_the_enumeration_guard_exits_4(capsys):
     assert (code, out) == (4, "")
 
 
+def test_simulate_codebook_with_no_admitted_type_exits_2(capsys):
+    code = main([
+        "simulate", str(PROBLEMS / "binary_pair.yaml"), "--target", "0.7,0.3",
+        "--n", "1", "--codebook-D", "0.25",
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "infeasible: no source string of length n=1 has an admitted type\n"
+
+
 def test_simulate_ternary_demo(capsys):
     code, out = run_text(
         capsys, "simulate", PROBLEMS / "ternary_demo.yaml", "--target", "0.55,0.25,0.2",

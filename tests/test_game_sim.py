@@ -159,8 +159,8 @@ UNEVEN = DistortionMatrix([[0, 0.3, 1.7], [0.9, 0.1, 0.45], [1.3, 0.55, 0.05]])
 
 def sim_cases():
     """(sources, rule, distortion, delta, codebook words or None), covering
-    both shipped files, joint mode, a relaxed region and non-integer
-    distortion."""
+    both shipped files, joint mode, a relaxed region, non-integer distortion
+    and masks wider than one byte."""
     binary, hamming2 = shipped("binary_pair.yaml")
     ternary, hamming3 = shipped("ternary_demo.yaml")
     rng = np.random.default_rng(5)
@@ -170,10 +170,14 @@ def sim_cases():
     yield ternary, greedy_max_rule(ternary), UNEVEN, 0.02, rng.integers(0, 3, (7, 9))
     yield JOINT, greedy_max_rule(JOINT), UNEVEN, 0, rng.integers(0, 3, (4, 9))
     yield JOINT, greedy_max_rule(JOINT), hamming3, 0.1, None
+    # ten symbols leaning toward 8 and 9, so most offered masks need two bytes
+    wide = SourceList.independent(rng.dirichlet(np.arange(1, 11), size=2).tolist())
+    words = rng.integers(0, 10, (6, 9))
+    yield wide, greedy_max_rule(wide), DistortionMatrix.hamming(10), 0.05, words
 
 
 class TestStreamContract:
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(7))
     @pytest.mark.parametrize("cells", [1, 500, game_sim._SIM_CELLS])
     def test_every_field_equals_the_per_trial_loop(self, monkeypatch, case, cells):
         # cells=1 puts every trial in a chunk of its own, 500 packs a few
@@ -231,6 +235,27 @@ class TestStreamContract:
                 apply_rule(rule, block, seed + 1),
                 reference_apply(rule, block, np.random.default_rng(seed + 1)),
             )
+
+    def test_sample_sources_and_apply_rule_return_int64(self):
+        for sources, rule, *_ in sim_cases():
+            block = sample_sources(sources, 40, 0)
+            assert block.dtype == np.int64
+            assert apply_rule(rule, block, 1).dtype == np.int64
+
+    def test_sample_sources_past_one_byte_equals_choice(self):
+        # 300 symbols, so the sampler's symbols take two bytes
+        sources = SourceList.independent([np.full(300, 1 / 300).tolist()])
+        block = sample_sources(sources, 200, 3)
+        assert block.max() > 255
+        np.testing.assert_array_equal(
+            block, reference_sample(sources, 200, np.random.default_rng(3))
+        )
+
+    def test_rule_past_the_alphabet_guard_is_refused(self):
+        # its mask table would hold 2^20 positions
+        rule = SwitchRule({1: Distribution.point_mass(0, 20)})
+        with pytest.raises(GuardError, match="alphabet size 20"):
+            apply_rule(rule, np.array([[0]]), 0)
 
     def test_negative_seed_is_rejected(self):
         sources, _ = shipped("binary_pair.yaml")
@@ -328,6 +353,13 @@ class TestCoveringCodebook:
         d = DistortionMatrix([[0.5, 1], [1, 0.5]])
         with pytest.raises(InfeasibleError):
             build_covering_codebook(RegionSpec(sources, 0), d, 0.4, 6)
+
+    @pytest.mark.parametrize("name", ["binary_pair.yaml", "ternary_demo.yaml"])
+    def test_blocklength_with_no_admitted_type_is_infeasible(self, name):
+        # a string of one symbol has a point-mass type, outside both regions
+        sources, d = shipped(name)
+        with pytest.raises(InfeasibleError, match=r"of length n=1 has an admitted type$"):
+            build_covering_codebook(RegionSpec(sources, 0), d, 0.25, 1)
 
     @pytest.mark.parametrize("target", [math.nan, -0.1])
     def test_nan_or_negative_target_is_rejected(self, target):

@@ -72,6 +72,11 @@ class TestFixedSlope:
         with pytest.raises(ValidationError):
             ba_fixed_slope(UNIFORM, HAMMING, 1.0)
 
+    @pytest.mark.parametrize("slope", [math.nan, -math.inf, math.inf])
+    def test_slope_that_is_not_finite_is_rejected_by_name(self, slope):
+        with pytest.raises(ValidationError, match=f"finite and nonpositive, got {slope}$"):
+            ba_fixed_slope(Distribution([0.3, 0.7]), HAMMING, slope)
+
     def test_non_convergence_reports_last_iterate(self, monkeypatch):
         monkeypatch.setattr(rate_distortion, "_MAX_ITERS", 2)
         with pytest.raises(ConvergenceError, match="within 2 iterations") as err:

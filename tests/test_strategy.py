@@ -224,6 +224,11 @@ class TestApplyRule:
         freq = out.mean()
         assert abs(freq - 0.5) <= 4 * np.sqrt(0.25 / n)
 
+    def test_symbols_that_are_not_integers_are_rejected(self):
+        # a cast to the simulator's uint8 symbols would truncate 0.5 to 0
+        with pytest.raises(ValidationError, match="must be integers"):
+            apply_rule(binary_pair_rule(0.3), np.array([[0.5], [1.0]]), seed=0)
+
     def test_unknown_subset_is_an_error(self):
         rule = SwitchRule({0b01: Distribution([1.0, 0.0])})
         with pytest.raises(ValidationError):
