@@ -5,9 +5,11 @@ constraint listing), synthesize (switch-rule construction), optimize
 (worst-case rates), simulate (Monte Carlo game runs). Output is buffered and
 written in one piece, so a failing command never leaves a partial file.
 
-Exit codes: 0 success, 2 mathematically infeasible, 3 malformed input,
-4 desk-scale guard or iteration budget exceeded, or a rate bracket that
-would not close.
+Exit codes: 0 success, 2 mathematically infeasible (for a synthesis target,
+outside the region by the same subset test as region --check),
+3 malformed input, 4 desk-scale guard or iteration budget exceeded, a rate
+bracket that would not close, or a synthesized rule that misses an
+attainable target.
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ def _region_spec(problem: ProblemSpec) -> RegionSpec:
 
 def _emit_certificate(exc: InfeasibleError, output: str | None) -> int:
     """Print the violated subset that makes a target unattainable; exit code 2."""
-    if exc.certificate is None:
-        raise exc
     _emit(
         f"INFEASIBLE V={format_subset(exc.certificate)} "
         f"lhs={_fmt(exc.lhs)} rhs={_fmt(exc.rhs)}\n",

@@ -42,11 +42,13 @@ class ConvergenceError(SwitchRdError):
     optimal output support crawl for longer than the solver's one iteration
     budget, ``rate_distortion._MAX_ITERS``. ``ba_fixed_slope`` raises it when
     its solve spends that budget without certifying a gap below its ``tol``.
-    The CLI reports it with exit code 4. ``last_point`` holds the solver's last point (for the rate search, the
-    row's two sides time-shared at the target), so callers can inspect how
-    far it got. ``hull_member`` and ``synthesize_rule`` raise it if their
-    nearest-point search (Wolfe's method, one cycle cap for both) runs out of
-    major cycles."""
+    The CLI reports it with exit code 4. ``last_point`` holds the solver's
+    last point (for the rate search, the row's two sides time-shared at the
+    target), so callers can inspect how far it got. ``hull_member`` and
+    ``synthesize_rule`` raise it if their nearest-point search (Wolfe's
+    method, one cycle cap for both) runs out of major cycles, and
+    ``synthesize_rule`` also when the rule it decomposes an attainable target
+    into induces a law more than L1 1e-8 from that target."""
 
     def __init__(self, message: str, *, last_point=None):
         super().__init__(message)

@@ -35,11 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InfeasibleError, ValidationError
-from .probcore import Distribution, DistortionMatrix, SourceList, choice_cdf, compositions
+from .probcore import (
+    Distribution,
+    DistortionMatrix,
+    SourceList,
+    _check_symbols,
+    choice_cdf,
+    compositions,
+)
 from .rate_distortion import rate_at_distortion
 # is_member is not called here; bench/test_bench.py traces the game_sim.is_member binding
 from .region import RegionSpec, in_region, is_member  # noqa: F401
-from .strategy import SwitchRule, _apply_rule
+from .strategy import SwitchRule, _apply_rule, _check_rule_covers
 
 #: Largest string-space enumerated exhaustively (source and reproduction).
 ENUM_GUARD = 2**20
@@ -59,15 +66,20 @@ _SIM_CELLS = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """A set of distinct reproduction words of one common blocklength."""
+    """A set of distinct reproduction words of one common blocklength. Their
+    symbols must be integers; their range is checked against a distortion
+    matrix's outputs where the codebook meets one."""
 
     words: np.ndarray
     n: int
 
     def __post_init__(self):
-        words = np.array(self.words, dtype=np.int64)
+        words = np.array(self.words)
         if words.size == 0:
             words = words.reshape(0, self.n)
+        elif not np.issubdtype(words.dtype, np.integer):
+            raise ValidationError("codeword symbols must be integers")
+        words = words.astype(np.int64)
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValidationError("codebook words must all have the stated length")
         if words.shape[0] and len(np.unique(words, axis=0)) != words.shape[0]:
@@ -190,8 +202,13 @@ def _distortions(strings: np.ndarray, codebook: Codebook, d: DistortionMatrix) -
 def distortion_to_codebook(
     x: np.ndarray, codebook: Codebook, d: DistortionMatrix
 ) -> float:
-    """Average per-letter distortion to the closest codeword."""
-    return float(_distortions(np.asarray(x, dtype=np.int64)[None], codebook, d)[0])
+    """Average per-letter distortion of the string ``x`` to the closest
+    codeword; ``x`` ranges over the inputs of ``d``, the codewords over its
+    outputs."""
+    x = np.asarray(x)
+    _check_symbols(x, d.num_inputs, "string")
+    _check_symbols(codebook.words, d.num_outputs, "codeword")
+    return float(_distortions(x[None], codebook, d)[0])
 
 
 def _enumerate_strings(k: int, n: int) -> np.ndarray:
@@ -370,9 +387,11 @@ def best_response_distortion(
     Returns (mean distortion, the lexicographically smallest maximizer)."""
     if codebook.size == 0:
         raise ValidationError("cannot best-respond to an empty codebook")
-    realizations = np.asarray(realizations, dtype=np.int64)
+    realizations = np.asarray(realizations)
     if realizations.ndim != 2 or realizations.shape[1] != codebook.n:
         raise ValidationError("realizations and codebook blocklength disagree")
+    _check_symbols(realizations, d.num_inputs, "realization")
+    _check_symbols(codebook.words, d.num_outputs, "codeword")
     n = codebook.n
     options = [np.unique(realizations[:, k]) for k in range(n)]
     total = 1
@@ -403,13 +422,16 @@ def simulate_game(
     blocks, all drawn from the one stream ``np.random.default_rng(seed)``:
     trial t reads its ``(rows + 1) * n`` doubles after those of trials
     0..t-1 (see the module docstring). When ``region`` is given, also reports
-    the fraction of blocks whose type left the (relaxed) region."""
+    the fraction of blocks whose type left the (relaxed) region. The rule
+    must have an entry for every subset the sources can offer, and the
+    codewords must be outputs of ``d``; both are checked before any draw."""
     if n < 1 or trials < 1:
         raise ValidationError("need at least one trial and one symbol")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
-    if rule.alphabet_size != sources.alphabet_size:
-        raise ValidationError("rule and sources use different alphabets")
+    _check_rule_covers(rule, sources)
+    if codebook is not None:
+        _check_symbols(codebook.words, d.num_outputs, "codeword")
     k = sources.alphabet_size
     cdfs = _source_cdfs(sources)
     rows = len(cdfs)

@@ -40,6 +40,16 @@ def _check_pmf_entries(row: Sequence, what: str) -> None:
         )
 
 
+def _check_symbols(symbols: np.ndarray, alphabet_size: int, what: str) -> None:
+    """Raise ValidationError unless every entry of ``symbols`` is an integer
+    in 0..alphabet_size-1; a cast to a narrower or signed index would
+    truncate or wrap the others."""
+    if not np.issubdtype(symbols.dtype, np.integer):
+        raise ValidationError(f"{what} symbols must be integers")
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= alphabet_size):
+        raise ValidationError(f"{what} symbols out of alphabet range")
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability mass function over symbols 0..k-1 with k >= 2.

@@ -148,6 +148,26 @@ def test_synthesize_ternary_demo(capsys):
     )
 
 
+def test_synthesis_accepts_exactly_the_targets_region_check_accepts(capsys):
+    # 1e-10 short of Q({0}) = 1/2: within L1 1e-8 of the region, but outside
+    # it by the subset test, which every subcommand now applies
+    binary = PROBLEMS / "binary_pair.yaml"
+    target = "0.4999999999,0.5000000001"
+    assert run_text(capsys, "region", binary, "--check", target) == (
+        0, "VIOLATION V={0} lhs=0.4999999999 rhs=0.5\n"
+    )
+    certificate = (2, "INFEASIBLE V={0} lhs=0.4999999999 rhs=0.5\n")
+    assert run_text(capsys, "synthesize", binary, "--target", target) == certificate
+    assert run_text(
+        capsys, "simulate", binary, "--target", target, "--n", 20, "--trials", 10
+    ) == certificate
+    # the boundary point itself is attainable
+    assert run_text(capsys, "region", binary, "--check", "0.5,0.5") == (0, "MEMBER\n")
+    assert run_text(capsys, "synthesize", binary, "--target", "0.5,0.5") == (
+        0, "1: 1 0\n2: 0 1\n3: 0 1\n"
+    )
+
+
 def test_attainable_target_with_a_negligible_offered_set_exits_0(capsys, tmp_path):
     # both sources offer symbol 1 with chance 1e-11, so {1} is on offer with
     # chance 1e-22: the target, their common law, is attainable
@@ -333,6 +353,23 @@ def test_simulate_rule_with_a_negative_entry_exits_3(capsys, tmp_path):
         "--n", 20, "--trials", 10,
     )
     assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_simulate_rule_lacking_an_offered_subset_exits_3_at_every_seed(
+    capsys, tmp_path, seed
+):
+    # {1} is offered with chance 1/12; the rule is refused before any draw,
+    # not only at seeds whose few draws happen to offer it
+    rule = tmp_path / "rule.txt"
+    rule.write_text("1: 1 0\n3: 0.5 0.5\n")
+    code = main([
+        "simulate", str(PROBLEMS / "binary_pair.yaml"), "--rule", str(rule),
+        "--n", "3", "--trials", "1", "--seed", str(seed),
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: rule has no entry for offered subset {1}\n"
 
 
 def test_simulate_rule_over_another_alphabet_exits_3(capsys, tmp_path):

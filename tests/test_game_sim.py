@@ -277,30 +277,24 @@ class TestStreamContract:
         with pytest.raises(ValidationError, match="different alphabets"):
             simulate_game(sources, rule, None, HAMMING, 10, 5, 0)
 
-    @pytest.mark.parametrize("cells", [1, game_sim._SIM_CELLS])
-    def test_missing_rule_entry_is_named_for_the_first_trial_offering_one(
-        self, monkeypatch, cells
-    ):
-        # at seed 8 trial 2 is the first to offer {0,2} and trial 3 the first
-        # to offer {0,1}; both fall in one chunk by default
-        monkeypatch.setattr(game_sim, "_SIM_CELLS", cells)
+    def test_missing_rule_entry_is_refused_before_any_draw(self, monkeypatch):
+        # the rule lacks {0,1} and {0,2}, both of which ternary_demo can
+        # offer; at every seed the smallest is named and no block is drawn,
+        # also when the codebook is empty and so invalid too
+        def no_draw(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(game_sim, "_sample", no_draw)
         sources, d = shipped("ternary_demo.yaml")
-        missing = {3, 5}
         rule = SwitchRule({
             mask: Distribution.point_mass(mask.bit_length() - 1, 3)
-            for mask in range(1, 8) if mask not in missing
+            for mask in range(1, 8) if mask not in (3, 5)
         })
-        gen = np.random.default_rng(8)
-        for t in itertools.count():
-            block = reference_sample(sources, 2, gen)
-            gen.random(2)  # the trial's switch uniforms
-            offered = set(np.bitwise_or.reduce(1 << block, axis=0).tolist()) & missing
-            if offered:
-                break
-        assert (t, offered) == (2, {5})
-        with pytest.raises(ValidationError) as err:
-            simulate_game(sources, rule, None, d, 2, 40, 8)
-        assert str(err.value) == "rule has no entry for offered subset {0,2}"
+        for seed in range(8):
+            for codebook in (None, Codebook([], 2)):
+                with pytest.raises(ValidationError) as err:
+                    simulate_game(sources, rule, codebook, d, 2, 40, seed)
+                assert str(err.value) == "rule has no entry for offered subset {0,1}"
 
     def test_missing_rule_entry_is_the_smallest_the_block_offers(self):
         # time 0 offers {0,2} and time 1 offers {0,1}; neither has an entry
@@ -401,3 +395,56 @@ class TestCoveringCodebook:
         sources, d = shipped("binary_pair.yaml")
         with pytest.raises(GuardError, match="cover table would hold 646599147520 cells"):
             build_covering_codebook(RegionSpec(sources, 0), d, 0.25, 20)
+
+
+class TestSymbolChecks:
+    """Symbols from a caller are integers within the distortion matrix's
+    inputs (strings, realizations) or outputs (codewords), checked before a
+    cast could truncate them or an index wrap or overflow."""
+
+    def test_codeword_symbols_that_are_not_integers_are_rejected(self):
+        with pytest.raises(ValidationError, match="codeword symbols must be integers"):
+            Codebook([[0.5, 1.7]], 2)
+
+    def test_string_symbols_that_are_not_integers_are_rejected(self):
+        with pytest.raises(ValidationError, match="string symbols must be integers"):
+            distortion_to_codebook(np.array([0.5, 1.9]), Codebook([[0, 1]], 2), HAMMING)
+
+    def test_string_symbol_out_of_range_is_rejected(self):
+        with pytest.raises(ValidationError, match="string symbols out of alphabet range"):
+            distortion_to_codebook(np.array([0, 2]), Codebook([[0, 1]], 2), HAMMING)
+
+    def test_codeword_symbol_out_of_range_is_rejected(self):
+        with pytest.raises(ValidationError, match="codeword symbols out of alphabet range"):
+            distortion_to_codebook(np.array([0, 1]), Codebook([[0, 5]], 2), HAMMING)
+
+    def test_codeword_range_is_read_from_the_outputs(self):
+        # 2 inputs, 3 outputs: codeword symbol 2 is valid, string symbol 2 is not
+        d = DistortionMatrix([[0, 1, 0.5], [1, 0, 0.5]])
+        assert distortion_to_codebook(np.array([0, 1]), Codebook([[2, 2]], 2), d) == 0.5
+        with pytest.raises(ValidationError, match="string symbols out of alphabet range"):
+            distortion_to_codebook(np.array([2, 1]), Codebook([[2, 2]], 2), d)
+
+    @pytest.mark.parametrize("realization", [[[-1, 1]], [[0, 5]]])
+    def test_best_response_realization_out_of_range_is_rejected(self, realization):
+        # numpy would wrap the -1 to the last symbol and fail on the 5
+        with pytest.raises(ValidationError, match="realization symbols out of alphabet range"):
+            best_response_distortion(np.array(realization), Codebook([[0, 1]], 2), HAMMING)
+
+    def test_best_response_realization_that_is_not_integers_is_rejected(self):
+        with pytest.raises(ValidationError, match="realization symbols must be integers"):
+            best_response_distortion(np.array([[0.5, 1.7]]), Codebook([[0, 1]], 2), HAMMING)
+
+    def test_best_response_codeword_out_of_range_is_rejected(self):
+        with pytest.raises(ValidationError, match="codeword symbols out of alphabet range"):
+            best_response_distortion(np.array([[0, 1]]), Codebook([[0, 5]], 2), HAMMING)
+
+    def test_simulation_codeword_out_of_range_is_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(game_sim, "_sample", no_draw)
+        sources, _ = shipped("binary_pair.yaml")
+        with pytest.raises(ValidationError, match="codeword symbols out of alphabet range"):
+            simulate_game(sources, greedy_max_rule(sources), Codebook([[0, 5]], 2),
+                          HAMMING, 2, 10, 0)

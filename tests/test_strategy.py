@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchrd import strategy
 from switchrd import (
+    ConvergenceError,
     Distribution,
     InfeasibleError,
     RegionSpec,
@@ -136,6 +139,38 @@ class TestSynthesizeRule:
         assert err.value.lhs == pytest.approx(0.4)
         assert err.value.rhs == pytest.approx(0.5)
 
+    def test_target_the_subset_test_refuses_is_infeasible(self):
+        # short of Q({0}) = 1/2 by 1e-10: within an L1 1e-8 of the region,
+        # but outside it by is_member's comparison, so outside it here too
+        target = Distribution([0.4999999999, 0.5000000001])
+        report = is_member(target, RegionSpec(BINARY_PAIR, 0))
+        with pytest.raises(InfeasibleError) as err:
+            synthesize_rule(target, BINARY_PAIR)
+        assert report.violations == ((0b01, 0.4999999999, 0.5),)
+        assert (err.value.certificate, err.value.lhs, err.value.rhs) == report.violations[0]
+
+    def test_certificate_is_the_first_most_violated_subset(self):
+        # one source: the region is its law, and {0} and {0,2} are both
+        # short by exactly 1/4, the most of any subset
+        srcs = SourceList.independent([[0.5, 0.25, 0.25]])
+        with pytest.raises(InfeasibleError) as err:
+            synthesize_rule(Distribution([0.25, 0.5, 0.25]), srcs)
+        assert (err.value.certificate, err.value.lhs, err.value.rhs) == (0b001, 0.25, 0.5)
+
+    def test_decomposition_that_misses_an_attainable_target_is_a_solver_failure(
+        self, monkeypatch
+    ):
+        # a nearest-point search that stops at one vertex, as rounding could
+        monkeypatch.setattr(
+            strategy, "_min_norm_point", lambda oracle, start: (None, [start[0]], [1.0])
+        )
+        with pytest.raises(ConvergenceError, match="misses the attainable target"):
+            synthesize_rule(Distribution([0.7, 0.3]), BINARY_PAIR)
+
+    def test_has_no_tolerance_option(self):
+        # the region's subset test is the one verdict on attainability
+        assert "tol" not in inspect.signature(synthesize_rule).parameters
+
     def test_joint_mode_synthesis(self):
         joint = SourceList.joint(
             [Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)],
@@ -228,6 +263,11 @@ class TestApplyRule:
         # a cast to the simulator's uint8 symbols would truncate 0.5 to 0
         with pytest.raises(ValidationError, match="must be integers"):
             apply_rule(binary_pair_rule(0.3), np.array([[0.5], [1.0]]), seed=0)
+
+    def test_empty_block_is_rejected(self):
+        # as in sample_sources, a block has at least one time step
+        with pytest.raises(ValidationError, match="at least one source and one time step"):
+            apply_rule(binary_pair_rule(0.3), np.zeros((2, 0), dtype=np.int64), seed=0)
 
     def test_unknown_subset_is_an_error(self):
         rule = SwitchRule({0b01: Distribution([1.0, 0.0])})
