@@ -30,11 +30,11 @@ from .errors import (
 )
 from .game_sim import build_covering_codebook, simulate_game
 from .optimizer import maximize_over_hull, maximize_over_region, rd_tilde_curve
-from .probcore import Distribution
+from .probcore import Distribution, _check_pmf_entries
 from .problem import ProblemSpec, load_problem, parse_number, parse_vector
 from .rate_distortion import RATE_TOL, rate_at_distortion, rd_curve
 from .region import RegionSpec, _subset_labels, enumerate_constraints, format_subset, is_member
-from .strategy import SwitchRule, synthesize_rule
+from .strategy import SwitchRule, _check_rule_covers, synthesize_rule
 
 
 def _fmt(x) -> str:
@@ -58,7 +58,11 @@ def _csv_text(header: list[str], rows: Iterable[list]) -> str:
 
 
 def _distribution(text: str) -> Distribution:
-    return Distribution([float(x) for x in parse_vector(text)])
+    """A law read from a CLI vector; its entries are exact, so a negative one
+    is refused before the float conversion could pass it as rounding noise."""
+    values = parse_vector(text)
+    _check_pmf_entries(values, "distribution")
+    return Distribution([float(x) for x in values])
 
 
 def _region_spec(problem: ProblemSpec) -> RegionSpec:
@@ -170,6 +174,8 @@ def cmd_simulate(args) -> int:
             rule = synthesize_rule(target, problem.sources)
         except InfeasibleError as exc:
             return _emit_certificate(exc, args.output)
+    # the rule is checked before a codebook, which may be slow or refused, is built
+    _check_rule_covers(rule, problem.sources)
     codebook = None
     if args.codebook_D is not None:
         codebook = build_covering_codebook(

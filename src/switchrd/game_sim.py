@@ -4,7 +4,12 @@ Includes exhaustive small-blocklength machinery: greedy covering codebooks
 over all strings whose empirical type lies in the (relaxed) attainable region,
 an exact best-response search for the switch against a fixed codebook, and a
 Hoeffding bound on the probability of the output type escaping the relaxed
-region.
+region. Both exhaustive walks, over strings and over the switch's per-time
+selections, read one decoder, ``_lexicographic``, which lists digit vectors
+in lexicographic order ``_CHUNK`` at a time, so the first of tied candidates
+is the lexicographically smallest in both. A ``Codebook`` is valid when
+built: at least one word, all of the stated length, integer symbols and no
+repeats; nothing downstream handles an empty or malformed one.
 
 A simulation reads one stream, ``np.random.default_rng(seed)``. Each trial
 takes the next ``(rows + 1) * n`` doubles of it, where ``rows`` is the number
@@ -66,24 +71,30 @@ _SIM_CELLS = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """A set of distinct reproduction words of one common blocklength. Their
-    symbols must be integers; their range is checked against a distortion
-    matrix's outputs where the codebook meets one."""
+    """A nonempty set of distinct reproduction words of one common
+    blocklength n >= 1, refused otherwise when built. Their symbols must be
+    integers; their range is checked against a distortion matrix's outputs
+    where the codebook meets one."""
 
     words: np.ndarray
     n: int
 
     def __post_init__(self):
-        words = np.array(self.words)
+        if self.n < 1:
+            raise ValidationError("blocklength must be at least 1")
+        try:
+            words = np.array(self.words)
+        except ValueError as exc:  # ragged rows
+            raise ValidationError("codebook words must all have the stated length") from exc
         if words.size == 0:
-            words = words.reshape(0, self.n)
-        elif not np.issubdtype(words.dtype, np.integer):
-            raise ValidationError("codeword symbols must be integers")
-        words = words.astype(np.int64)
+            raise ValidationError("a codebook needs at least one word")
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValidationError("codebook words must all have the stated length")
-        if words.shape[0] and len(np.unique(words, axis=0)) != words.shape[0]:
+        if not np.issubdtype(words.dtype, np.integer):
+            raise ValidationError("codeword symbols must be integers")
+        if len(np.unique(words, axis=0)) != words.shape[0]:
             raise ValidationError("codebook words must be distinct")
+        words = words.astype(np.int64)
         words.setflags(write=False)
         object.__setattr__(self, "words", words)
 
@@ -94,8 +105,6 @@ class Codebook:
     @property
     def rate(self) -> float:
         """log2(size) / n in bits per symbol."""
-        if self.size == 0:
-            raise ValidationError("empty codebook has no rate")
         return math.log2(self.size) / self.n
 
 
@@ -112,44 +121,37 @@ class SimReport:
     out_of_region_fraction: float | None = None
     codebook_rate: float | None = None
 
+    #: Scalar fields in report order; the empirical type follows them.
+    _FIELDS = ("n", "trials", "seed", "mean_distortion", "stderr",
+               "out_of_region_fraction", "codebook_rate")
+
     def __post_init__(self):
         if self.mean_distortion is not None and self.mean_distortion < 0:
             raise ValidationError("mean distortion cannot be negative")
         if self.trials < 1 or self.n < 1:
             raise ValidationError("need at least one trial and one symbol")
 
+    def _texts(self) -> list[str | None]:
+        """Each scalar field as printed, None where unset: integers as they
+        are, figures to 12 significant digits."""
+        values = [getattr(self, name) for name in self._FIELDS]
+        return [None if v is None else str(v) if isinstance(v, int) else f"{v:.12g}"
+                for v in values]
+
+    def _type_texts(self) -> list[str]:
+        return [f"{x:.12g}" for x in self.empirical_type.probs]
+
     def to_kv(self) -> str:
-        lines = [f"n={self.n}", f"trials={self.trials}", f"seed={self.seed}"]
-        for key in ("mean_distortion", "stderr", "out_of_region_fraction", "codebook_rate"):
-            value = getattr(self, key)
-            if value is not None:
-                lines.append(f"{key}={value:.12g}")
-        lines.append(
-            "empirical_type=" + " ".join(f"{x:.12g}" for x in self.empirical_type.probs)
-        )
+        lines = [f"{name}={text}" for name, text in zip(self._FIELDS, self._texts())
+                 if text is not None]
+        lines.append("empirical_type=" + " ".join(self._type_texts()))
         return "\n".join(lines) + "\n"
 
     def csv_header(self) -> list[str]:
-        return [
-            "n",
-            "trials",
-            "seed",
-            "mean_distortion",
-            "stderr",
-            "out_of_region_fraction",
-            "codebook_rate",
-        ] + [f"type_{i}" for i in range(self.empirical_type.size)]
+        return list(self._FIELDS) + [f"type_{i}" for i in range(self.empirical_type.size)]
 
     def csv_row(self) -> list[str]:
-        def fmt(x):
-            return "" if x is None else f"{x:.12g}"
-
-        return [str(self.n), str(self.trials), str(self.seed)] + [
-            fmt(self.mean_distortion),
-            fmt(self.stderr),
-            fmt(self.out_of_region_fraction),
-            fmt(self.codebook_rate),
-        ] + [f"{x:.12g}" for x in self.empirical_type.probs]
+        return ["" if text is None else text for text in self._texts()] + self._type_texts()
 
 
 def _source_cdfs(sources: SourceList) -> np.ndarray:
@@ -192,8 +194,6 @@ def sample_sources(sources: SourceList, n: int, seed: int) -> np.ndarray:
 def _distortions(strings: np.ndarray, codebook: Codebook, d: DistortionMatrix) -> np.ndarray:
     """Average per-letter distortion of each string (rows) to its closest
     codeword."""
-    if codebook.size == 0:
-        raise ValidationError("cannot measure distortion to an empty codebook")
     if strings.ndim != 2 or strings.shape[1] != codebook.n:
         raise ValidationError("string length and codebook blocklength disagree")
     return d.values[strings[:, None, :], codebook.words[None]].mean(axis=2).min(axis=1)
@@ -211,16 +211,19 @@ def distortion_to_codebook(
     return float(_distortions(x[None], codebook, d)[0])
 
 
+def _lexicographic(sizes: list[int]):
+    """Every vector whose digit t lies in range(sizes[t]), in lexicographic
+    order, as tuples of digit columns of at most ``_CHUNK`` rows each."""
+    total = math.prod(sizes)
+    for start in range(0, total, _CHUNK):
+        yield np.unravel_index(np.arange(start, min(start + _CHUNK, total)), sizes)
+
+
 def _enumerate_strings(k: int, n: int) -> np.ndarray:
     """All k^n strings as an (k^n, n) int8 digit matrix in lexicographic order."""
-    total = k**n
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    out = np.empty((total, n), dtype=np.int8)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        out[start : start + idx.size] = ((idx[:, None] // powers[None, :]) % k).astype(
-            np.int8
-        )
+    out = np.empty((k**n, n), dtype=np.int8)
+    for i, digits in enumerate(_lexicographic([k] * n)):
+        out[i * _CHUNK : (i + 1) * _CHUNK] = np.stack(digits, axis=1, dtype=np.int8)
     return out
 
 
@@ -355,57 +358,39 @@ def build_covering_codebook(
     return Codebook(cands[chosen].astype(np.int64), n)
 
 
-def _best_response_enumerate(options, add, n):
-    sizes = np.array([len(o) for o in options], dtype=np.int64)
-    total = int(sizes.prod())
-    strides = np.ones(n, dtype=np.int64)
-    for k in range(n - 2, -1, -1):
-        strides[k] = strides[k + 1] * sizes[k + 1]
-    best_val, best_vec = -1.0, None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        # column-wise mixed radix decode keeps enumeration lexicographic
-        sums = np.zeros((idx.size, add[0].shape[1]))
-        symbols = np.empty((idx.size, n), dtype=np.int64)
-        for k in range(n):
-            choice = (idx // strides[k]) % sizes[k]
-            symbols[:, k] = options[k][choice]
-            sums += add[k][choice]
-        vals = sums.min(axis=1)
-        pos = int(np.argmax(vals))
-        if vals[pos] > best_val:
-            best_val = float(vals[pos])
-            best_vec = symbols[pos].copy()
-    return best_val, best_vec
-
-
 def best_response_distortion(
     realizations: np.ndarray, codebook: Codebook, d: DistortionMatrix
 ) -> tuple[float, np.ndarray]:
     """The largest distortion the switch can force against a fixed codebook,
     searching every per-time selection from the offered sets exhaustively.
     Returns (mean distortion, the lexicographically smallest maximizer)."""
-    if codebook.size == 0:
-        raise ValidationError("cannot best-respond to an empty codebook")
     realizations = np.asarray(realizations)
     if realizations.ndim != 2 or realizations.shape[1] != codebook.n:
         raise ValidationError("realizations and codebook blocklength disagree")
     _check_symbols(realizations, d.num_inputs, "realization")
     _check_symbols(codebook.words, d.num_outputs, "codeword")
-    n = codebook.n
-    options = [np.unique(realizations[:, k]) for k in range(n)]
-    total = 1
-    for o in options:
-        total *= len(o)
+    options = [np.unique(column) for column in realizations.T]
+    sizes = [len(o) for o in options]
+    total = math.prod(sizes)
     if total > BEST_RESPONSE_GUARD:
         raise GuardError(
             f"best response would search {total} selections, guard is "
             f"{BEST_RESPONSE_GUARD}"
         )
-    # add[k][pos] = distortion added at time k to each codeword by symbol pos
-    add = [d.values[options[k]][:, codebook.words[:, k]] for k in range(n)]
-    best_sum, vec = _best_response_enumerate(options, add, n)
-    return best_sum / n, vec
+    # add[t][i] = distortion added at time t to each codeword by options[t][i]
+    add = [d.values[o][:, column] for o, column in zip(options, codebook.words.T)]
+    best_sum, best = -1.0, None
+    for digits in _lexicographic(sizes):
+        sums = np.zeros((digits[0].size, codebook.size))
+        for a, choice in zip(add, digits):
+            sums += a[choice]
+        vals = sums.min(axis=1)
+        pos = int(np.argmax(vals))
+        # a later chunk wins only by a strictly larger value
+        if vals[pos] > best_sum:
+            best_sum, best = float(vals[pos]), [int(c[pos]) for c in digits]
+    vec = np.array([o[i] for o, i in zip(options, best)], dtype=np.int64)
+    return best_sum / codebook.n, vec
 
 
 def simulate_game(
@@ -466,7 +451,7 @@ def simulate_game(
         n=n,
         seed=seed,
         out_of_region_fraction=(outside / trials) if region is not None else None,
-        codebook_rate=codebook.rate if codebook is not None and codebook.size else None,
+        codebook_rate=codebook.rate if codebook is not None else None,
     )
 
 

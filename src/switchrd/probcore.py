@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -30,10 +31,12 @@ def _frozen_array(values, *, dtype=float) -> np.ndarray:
 
 
 def _check_pmf_entries(row: Sequence, what: str) -> None:
+    """Exact entries (ints, Fractions) must be >= 0 exactly; float entries
+    and the sum are held to ``SIMPLEX_ATOL``."""
     total = sum(row)
     for x in row:
-        if x < -SIMPLEX_ATOL:
-            raise ValidationError(f"{what} has a negative entry {x!r}")
+        if x < (0 if isinstance(x, (int, Fraction)) else -SIMPLEX_ATOL):
+            raise ValidationError(f"{what} has a negative entry {x}")
     if abs(total - 1) > SIMPLEX_ATOL:
         raise ValidationError(
             f"{what} sums to {float(total)!r}, expected 1 within {SIMPLEX_ATOL}"

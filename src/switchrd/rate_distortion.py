@@ -67,10 +67,14 @@ class RdCurve:
 
     def __post_init__(self):
         pts = tuple(self.points)
+        ceiling = math.inf  # the least rate printed so far
         for a, b in zip(pts, pts[1:]):
             if b.distortion < a.distortion - 1e-12:
                 raise ValidationError("curve points must be sorted by distortion")
-            if b.rate > a.rate + 1e-7:
+            # each rate is certified only to within its bracket, so a rise is
+            # a contradiction only when a lower end passes an earlier rate
+            ceiling = min(ceiling, a.rate)
+            if b.lower > ceiling + 1e-12:
                 raise ValidationError("rates must be nonincreasing in distortion")
         object.__setattr__(self, "points", pts)
 

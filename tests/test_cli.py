@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,6 +95,58 @@ def test_malformed_source_exits_3(capsys):
         capsys, "rd", PROBLEMS / "binary_pair.yaml", "--p", "1/2,x", "--curve", 11
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rd", "--p=-1e-10,1.0000000001", "--distortion", "0"],
+        ["synthesize", "--target=-1e-10,1.0000000001"],
+        ["simulate", "--target=-1e-10,1.0000000001", "--n", "5", "--trials", "5"],
+        ["region", "--check=-1e-10,1.0000000001"],
+    ],
+    ids=["p", "synthesize-target", "simulate-target", "check"],
+)
+def test_exact_negative_vector_entry_exits_3(capsys, argv):
+    # every CLI vector entry is read exactly, so -1e-10 is negative, not
+    # float rounding noise
+    code = main([argv[0], str(PROBLEMS / "binary_pair.yaml")] + argv[1:])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: distribution has a negative entry -1/10000000000\n"
+
+
+def test_rd_curve_rising_within_its_certified_brackets_exits_0(capsys, tmp_path):
+    # the rates of points 5 and 6 rise by 4.7e-7 bits, inside the 1e-6-bit
+    # brackets that certify them
+    problem = tmp_path / "rise.yaml"
+    problem.write_text(
+        "alphabet_x: 3\nalphabet_y: 3\nsources:\n  - [1/3, 1/3, 1/3]\ndistortion:\n"
+        "  - [2.1405501046863082, 1.4843729558251335, 0.7384582836813961]\n"
+        "  - [0.8454219065678339, 0.5178637500957962, 0.9883635282965217]\n"
+        "  - [0.018563224158922864, 1.36129847768578, 2.347989578740571]\n"
+    )
+    code, rows = run(
+        capsys, "rd", problem,
+        "--p", "0.9999998545824277,7.270878618031988e-08,7.270878618031988e-08",
+        "--curve", 11,
+    )
+    assert code == 0
+    assert len(rows) == 12
+    assert float(rows[6][1]) > float(rows[5][1]) + 1e-7
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["optimize", str(PROBLEMS / "binary_pair.yaml"), "--distortion", "0.1"]
+    code, out = run_text(capsys, *argv)
+    root = PROBLEMS.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchrd.cli", *argv], cwd=root, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert (code, proc.returncode) == (0, 0)
+    assert proc.stdout == out
 
 
 def test_region_list_binary_pair(capsys):
@@ -366,6 +421,22 @@ def test_simulate_rule_lacking_an_offered_subset_exits_3_at_every_seed(
     code = main([
         "simulate", str(PROBLEMS / "binary_pair.yaml"), "--rule", str(rule),
         "--n", "3", "--trials", "1", "--seed", str(seed),
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: rule has no entry for offered subset {1}\n"
+
+
+def test_simulate_rule_lacking_an_offered_subset_exits_3_before_the_codebook(
+    capsys, tmp_path
+):
+    # at n = 16 the covering codebook's table is past its guard, which would
+    # exit 4 had the codebook been built before the rule was checked
+    rule = tmp_path / "rule.txt"
+    rule.write_text("1: 1 0\n3: 0.5 0.5\n")
+    code = main([
+        "simulate", str(PROBLEMS / "binary_pair.yaml"), "--rule", str(rule),
+        "--n", "16", "--trials", "5", "--codebook-D", "0.25",
     ])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")

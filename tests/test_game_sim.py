@@ -75,10 +75,13 @@ def brute_force_best_response(realizations, words, d):
 
 
 class TestBestResponse:
+    @pytest.mark.parametrize("chunk", [game_sim._CHUNK, 7])
     @pytest.mark.parametrize("trial", range(20))
-    def test_matches_brute_force(self, trial):
+    def test_matches_brute_force(self, monkeypatch, trial, chunk):
         # integer distortions keep every sum exact, so ties are real ties and
-        # the lexicographically smallest maximizer is well defined
+        # the lexicographically smallest maximizer is well defined; a chunk of
+        # 7 selections puts ties on both sides of chunk boundaries
+        monkeypatch.setattr(game_sim, "_CHUNK", chunk)
         rng = np.random.default_rng(trial)
         k, n = int(rng.integers(2, 4)), int(rng.integers(1, 7))
         hamming = trial % 2 == 0
@@ -279,8 +282,7 @@ class TestStreamContract:
 
     def test_missing_rule_entry_is_refused_before_any_draw(self, monkeypatch):
         # the rule lacks {0,1} and {0,2}, both of which ternary_demo can
-        # offer; at every seed the smallest is named and no block is drawn,
-        # also when the codebook is empty and so invalid too
+        # offer; at every seed the smallest is named and no block is drawn
         def no_draw(*args):
             raise AssertionError("a block was drawn")
 
@@ -291,10 +293,9 @@ class TestStreamContract:
             for mask in range(1, 8) if mask not in (3, 5)
         })
         for seed in range(8):
-            for codebook in (None, Codebook([], 2)):
-                with pytest.raises(ValidationError) as err:
-                    simulate_game(sources, rule, codebook, d, 2, 40, seed)
-                assert str(err.value) == "rule has no entry for offered subset {0,1}"
+            with pytest.raises(ValidationError) as err:
+                simulate_game(sources, rule, None, d, 2, 40, seed)
+            assert str(err.value) == "rule has no entry for offered subset {0,1}"
 
     def test_missing_rule_entry_is_the_smallest_the_block_offers(self):
         # time 0 offers {0,2} and time 1 offers {0,1}; neither has an entry
@@ -328,12 +329,15 @@ def brute_force_cover(spec, d, target, n):
 
 
 class TestCoveringCodebook:
+    @pytest.mark.parametrize("chunk", [game_sim._CHUNK, 7])
     @pytest.mark.parametrize(
         "name, n, target",
         [("binary_pair.yaml", 7, 0.25), ("binary_pair.yaml", 8, 0.1),
          ("ternary_demo.yaml", 5, 0.25), ("ternary_demo.yaml", 4, 0.5)],
     )
-    def test_equals_brute_force_greedy_and_covers(self, name, n, target):
+    def test_equals_brute_force_greedy_and_covers(self, monkeypatch, name, n, target, chunk):
+        # a chunk of 7 strings splits both enumerations across many chunks
+        monkeypatch.setattr(game_sim, "_CHUNK", chunk)
         sources, d = shipped(name)
         spec = RegionSpec(sources, 0)
         book = build_covering_codebook(spec, d, target, n)
@@ -395,6 +399,45 @@ class TestCoveringCodebook:
         sources, d = shipped("binary_pair.yaml")
         with pytest.raises(GuardError, match="cover table would hold 646599147520 cells"):
             build_covering_codebook(RegionSpec(sources, 0), d, 0.25, 20)
+
+
+class TestCodebook:
+    @pytest.mark.parametrize(
+        "words, n, message",
+        [
+            ([], 2, "at least one word"),
+            (np.empty((0, 2), dtype=np.int64), 2, "at least one word"),
+            ([[0, 1], [0]], 2, "stated length"),
+            ([[0, 1, 0]], 2, "stated length"),
+            ([[0.0, 1.0]], 2, "must be integers"),
+            ([[0, 1], [1, 0], [0, 1]], 2, "distinct"),
+            ([[]], 0, "blocklength must be at least 1"),
+        ],
+    )
+    def test_invalid_words_are_refused_when_built(self, words, n, message):
+        with pytest.raises(ValidationError, match=message):
+            Codebook(words, n)
+
+
+class TestSimReport:
+    def test_every_layout_reads_one_field_order(self):
+        # an unset figure is left out of key=value and blank in CSV, and
+        # counts print as integers however many digits they have
+        report = game_sim.SimReport(
+            empirical_type=Distribution([0.25, 0.75]), mean_distortion=0.125,
+            stderr=1 / 3, trials=3, n=4, seed=10**13, codebook_rate=0.5,
+        )
+        assert report.to_kv() == (
+            "n=4\ntrials=3\nseed=10000000000000\nmean_distortion=0.125\n"
+            "stderr=0.333333333333\ncodebook_rate=0.5\nempirical_type=0.25 0.75\n"
+        )
+        assert report.csv_header() == [
+            "n", "trials", "seed", "mean_distortion", "stderr",
+            "out_of_region_fraction", "codebook_rate", "type_0", "type_1",
+        ]
+        assert report.csv_row() == [
+            "4", "3", "10000000000000", "0.125", "0.333333333333", "", "0.5", "0.25", "0.75",
+        ]
 
 
 class TestSymbolChecks:

@@ -65,6 +65,18 @@ def test_unreadable_path(tmp_path):
             VALID.replace("[zero, one]", "[zero, one, two]"), "labels must list",
             id="labels-length",
         ),
+        # exact entries are held to >= 0 exactly, not to float rounding slack
+        pytest.param(
+            VALID.replace("[2/3, 1/3]", "[-1/10000000000, 10000000001/10000000000]"),
+            "source has a negative entry -1/10000000000", id="negative-exact-source-row",
+        ),
+        pytest.param(
+            VALID.replace("mode: independent", "mode: joint\nnum_sources: 2").replace(
+                "sources:\n  - [2/3, 1/3]",
+                "sources: [-1/10000000000, 1/4, 1/4, 5000000001/10000000000]",
+            ),
+            "joint PMF has a negative entry -1/10000000000", id="negative-exact-joint-pmf",
+        ),
     ],
 )
 def test_malformed_file_is_rejected(tmp_path, text, message):

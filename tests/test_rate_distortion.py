@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -22,10 +23,18 @@ from switchrd import (
     rd_curve,
 )
 from switchrd import rate_distortion
+from switchrd.rate_distortion import RdCurve
 from switchrd.probcore import SIMPLEX_ATOL, compositions
 
 HAMMING = DistortionMatrix.hamming(2)
 UNIFORM = Distribution([0.5, 0.5])
+#: A source all but 1.5e-7 on symbol 0: its printed curve rises by more than
+#: 1e-7 bits between two points whose rates are certified only to 1e-6.
+CURVE_RISE_DISTORTION = [
+    [2.1405501046863082, 1.4843729558251335, 0.7384582836813961],
+    [0.8454219065678339, 0.5178637500957962, 0.9883635282965217],
+    [0.018563224158922864, 1.36129847768578, 2.347989578740571],
+]
 
 
 def h2(x):
@@ -245,6 +254,26 @@ class TestCurve:
     def test_needs_two_points(self):
         with pytest.raises(ValidationError):
             rd_curve(UNIFORM, HAMMING, 1)
+
+    def test_rise_within_the_certified_brackets_is_accepted(self):
+        # points 5 and 6 print rates 1.2825e-6 and 1.7493e-6, a rise of
+        # 4.7e-7 bits, but point 6's certified lower end (9.26e-7) is below
+        # point 5's rate, so the two contradict nothing
+        p = Distribution([0.9999998545824277, 7.270878618031988e-08, 7.270878618031988e-08])
+        d = DistortionMatrix(CURVE_RISE_DISTORTION)
+        pts = rd_curve(p, d, 11).points
+        assert pts[5].rate > pts[4].rate + 1e-7
+        assert pts[5].lower <= pts[4].rate
+        assert pts[-1].rate == 0.0
+
+    def test_a_lower_end_above_an_earlier_rate_is_refused(self):
+        curve = rd_curve(Distribution([0.2, 0.5, 0.3]), DistortionMatrix.hamming(3), 5)
+        pts = list(curve.points)
+        # R_p(D) is nonincreasing, so no point at a larger distortion can be
+        # certified above point 1's rate
+        pts[3] = dataclasses.replace(pts[3], lower=pts[1].rate + 1e-9)
+        with pytest.raises(ValidationError, match="nonincreasing"):
+            RdCurve(curve.source, tuple(pts))
 
 
 class TestBatch:
