@@ -121,9 +121,10 @@ class SimReport:
     out_of_region_fraction: float | None = None
     codebook_rate: float | None = None
 
-    #: Scalar fields in report order; the empirical type follows them.
-    _FIELDS = ("n", "trials", "seed", "mean_distortion", "stderr",
-               "out_of_region_fraction", "codebook_rate")
+    #: Scalar fields in report order, counts then figures; the empirical
+    #: type follows them.
+    _COUNTS = ("n", "trials", "seed")
+    _FIELDS = _COUNTS + ("mean_distortion", "stderr", "out_of_region_fraction", "codebook_rate")
 
     def __post_init__(self):
         if self.mean_distortion is not None and self.mean_distortion < 0:
@@ -132,11 +133,12 @@ class SimReport:
             raise ValidationError("need at least one trial and one symbol")
 
     def _texts(self) -> list[str | None]:
-        """Each scalar field as printed, None where unset: integers as they
-        are, figures to 12 significant digits."""
+        """Each scalar field as printed, None where unset: counts by ``str``
+        (numpy integers too), figures to 12 significant digits."""
         values = [getattr(self, name) for name in self._FIELDS]
-        return [None if v is None else str(v) if isinstance(v, int) else f"{v:.12g}"
-                for v in values]
+        return [str(v) for v in values[: len(self._COUNTS)]] + [
+            None if v is None else f"{v:.12g}" for v in values[len(self._COUNTS) :]
+        ]
 
     def _type_texts(self) -> list[str]:
         return [f"{x:.12g}" for x in self.empirical_type.probs]
@@ -213,17 +215,20 @@ def distortion_to_codebook(
 
 def _lexicographic(sizes: list[int]):
     """Every vector whose digit t lies in range(sizes[t]), in lexicographic
-    order, as tuples of digit columns of at most ``_CHUNK`` rows each."""
+    order, as digit matrices of at most ``_CHUNK`` rows and ``len(sizes)``
+    columns each."""
     total = math.prod(sizes)
+    strides = np.array([math.prod(sizes[t + 1 :]) for t in range(len(sizes))], dtype=np.int64)
     for start in range(0, total, _CHUNK):
-        yield np.unravel_index(np.arange(start, min(start + _CHUNK, total)), sizes)
+        idx = np.arange(start, min(start + _CHUNK, total))
+        yield idx[:, None] // strides % np.array(sizes, dtype=np.int64)
 
 
 def _enumerate_strings(k: int, n: int) -> np.ndarray:
     """All k^n strings as an (k^n, n) int8 digit matrix in lexicographic order."""
     out = np.empty((k**n, n), dtype=np.int8)
     for i, digits in enumerate(_lexicographic([k] * n)):
-        out[i * _CHUNK : (i + 1) * _CHUNK] = np.stack(digits, axis=1, dtype=np.int8)
+        out[i * _CHUNK : (i + 1) * _CHUNK] = digits
     return out
 
 
@@ -367,11 +372,12 @@ def best_response_distortion(
     realizations = np.asarray(realizations)
     if realizations.ndim != 2 or realizations.shape[1] != codebook.n:
         raise ValidationError("realizations and codebook blocklength disagree")
+    if realizations.shape[0] == 0:
+        raise ValidationError("a block needs at least one source")
     _check_symbols(realizations, d.num_inputs, "realization")
     _check_symbols(codebook.words, d.num_outputs, "codeword")
     options = [np.unique(column) for column in realizations.T]
-    sizes = [len(o) for o in options]
-    total = math.prod(sizes)
+    total = math.prod(len(o) for o in options)
     if total > BEST_RESPONSE_GUARD:
         raise GuardError(
             f"best response would search {total} selections, guard is "
@@ -379,17 +385,20 @@ def best_response_distortion(
         )
     # add[t][i] = distortion added at time t to each codeword by options[t][i]
     add = [d.values[o][:, column] for o, column in zip(options, codebook.words.T)]
+    # only the times that offer a choice are decoded, at most 22 of them;
+    # the sums still run in time order
     best_sum, best = -1.0, None
-    for digits in _lexicographic(sizes):
-        sums = np.zeros((digits[0].size, codebook.size))
-        for a, choice in zip(add, digits):
-            sums += a[choice]
+    for digits in _lexicographic([len(o) for o in options if len(o) > 1]):
+        sums = np.zeros((digits.shape[0], codebook.size))
+        columns = iter(digits.T)
+        for a in add:
+            sums += a[next(columns)] if len(a) > 1 else a[0]
         vals = sums.min(axis=1)
         pos = int(np.argmax(vals))
         # a later chunk wins only by a strictly larger value
         if vals[pos] > best_sum:
-            best_sum, best = float(vals[pos]), [int(c[pos]) for c in digits]
-    vec = np.array([o[i] for o, i in zip(options, best)], dtype=np.int64)
+            best_sum, best = float(vals[pos]), iter(digits[pos].tolist())
+    vec = np.array([o[next(best)] if len(o) > 1 else o[0] for o in options], dtype=np.int64)
     return best_sum / codebook.n, vec
 
 

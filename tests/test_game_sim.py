@@ -97,6 +97,30 @@ class TestBestResponse:
         assert value == expected_value
         assert vec.tolist() == expected_vec
 
+    @pytest.mark.parametrize("rows, n, differ", [(1, 70, 0), (2, 100, 10)])
+    def test_long_block_with_few_choices(self, rows, n, differ):
+        # more time steps than numpy has array dimensions; only the steps
+        # where the rows disagree offer the switch a choice
+        rng = np.random.default_rng(n)
+        realizations = np.repeat(rng.integers(0, 3, size=(1, n)), rows, axis=0)
+        times = rng.permutation(n)[:differ]
+        realizations[-1, times] = (realizations[0, times] + 1) % 3
+        words = rng.integers(0, 3, size=(5, n))
+        d = rng.integers(0, 4, size=(3, 3))
+        value, vec = best_response_distortion(
+            realizations, Codebook(words, n), DistortionMatrix(d.tolist())
+        )
+        expected_value, expected_vec = brute_force_best_response(realizations, words, d)
+        assert value == expected_value
+        assert vec.tolist() == expected_vec
+
+    def test_a_block_without_sources_is_refused(self):
+        with pytest.raises(ValidationError, match="at least one source"):
+            best_response_distortion(
+                np.zeros((0, 2), dtype=int), Codebook([[0, 1]], 2),
+                DistortionMatrix([[0, 1], [1, 0]]),
+            )
+
 
 def reference_sample(sources, n, gen):
     """One block drawn the way the simulator's stream contract is defined:
@@ -420,12 +444,14 @@ class TestCodebook:
 
 
 class TestSimReport:
-    def test_every_layout_reads_one_field_order(self):
+    @pytest.mark.parametrize("seed", [10**13, np.int64(10**13)])
+    def test_every_layout_reads_one_field_order(self, seed):
         # an unset figure is left out of key=value and blank in CSV, and
-        # counts print as integers however many digits they have
+        # counts print as integers however many digits they have, numpy
+        # integers included
         report = game_sim.SimReport(
             empirical_type=Distribution([0.25, 0.75]), mean_distortion=0.125,
-            stderr=1 / 3, trials=3, n=4, seed=10**13, codebook_rate=0.5,
+            stderr=1 / 3, trials=np.int64(3), n=4, seed=seed, codebook_rate=0.5,
         )
         assert report.to_kv() == (
             "n=4\ntrials=3\nseed=10000000000000\nmean_distortion=0.125\n"
