@@ -31,7 +31,7 @@ from .errors import (
 from .game_sim import build_covering_codebook, simulate_game
 from .optimizer import maximize_over_hull, maximize_over_region, rd_tilde_curve
 from .probcore import Distribution, _check_pmf_entries
-from .problem import ProblemSpec, load_problem, parse_number, parse_vector
+from .problem import ProblemSpec, load_problem, parse_nonnegative, parse_vector
 from .rate_distortion import RATE_TOL, rate_at_distortion, rd_curve
 from .region import RegionSpec, _subset_labels, enumerate_constraints, format_subset, is_member
 from .strategy import SwitchRule, _check_rule_covers, synthesize_rule
@@ -88,7 +88,7 @@ def cmd_rd(args) -> int:
         curve = rd_curve(p, problem.distortion, args.curve, args.tol)
         rows = [[_fmt(pt.distortion), _fmt(pt.rate)] for pt in curve.points]
     else:
-        target = float(parse_number(args.distortion))
+        target = parse_nonnegative(args.distortion, "distortion target")
         pt = rate_at_distortion(p, problem.distortion, target, args.tol)
         rows = [[_fmt(pt.distortion), _fmt(pt.rate)]]
     _emit(_csv_text(["D", "R"], rows), args.output)
@@ -140,7 +140,7 @@ def cmd_optimize(args) -> int:
         targets = [t for t, _ in curve]
         region_results = [r for _, r in curve]
     else:
-        targets = [float(parse_number(args.distortion))]
+        targets = [parse_nonnegative(args.distortion, "distortion target")]
         region_results = [maximize_over_region(spec, d, targets[0], args.tol)]
     k = problem.alphabet_x
     header = ["D", "R_tilde", "R_star"] + [f"p_{i}" for i in range(k)] + ["method"]
@@ -178,9 +178,8 @@ def cmd_simulate(args) -> int:
     _check_rule_covers(rule, problem.sources)
     codebook = None
     if args.codebook_D is not None:
-        codebook = build_covering_codebook(
-            spec, problem.distortion, float(parse_number(args.codebook_D)), args.n
-        )
+        codebook_d = parse_nonnegative(args.codebook_D, "distortion target")
+        codebook = build_covering_codebook(spec, problem.distortion, codebook_d, args.n)
     report = simulate_game(
         problem.sources,
         rule,

@@ -52,6 +52,15 @@ def parse_number(value) -> Fraction:
     raise ValidationError(f"cannot parse number {value!r}")
 
 
+def parse_nonnegative(value, what: str) -> float:
+    """A number that must be >= 0, as a float. The sign is checked on the
+    exact value, before the conversion could round a tiny negative to -0.0."""
+    x = parse_number(value)
+    if x < 0:
+        raise ValidationError(f"{what} must be nonnegative")
+    return float(x)
+
+
 def parse_vector(text: str) -> list[Fraction]:
     """Parse a comma- or space-separated vector of numbers."""
     tokens = [t for t in text.replace(",", " ").split() if t]
@@ -116,7 +125,9 @@ def load_problem(path: str) -> ProblemSpec:
         isinstance(row, list) for row in distortion_raw
     ):
         raise ValidationError("distortion must be a list of rows")
-    dist_rows = [[float(parse_number(x)) for x in row] for row in distortion_raw]
+    dist_rows = [
+        [parse_nonnegative(x, "distortion entries") for x in row] for row in distortion_raw
+    ]
     if len(dist_rows) != alphabet_x or any(len(r) != alphabet_y for r in dist_rows):
         raise ValidationError(
             f"distortion must be {alphabet_x} rows of {alphabet_y} entries"

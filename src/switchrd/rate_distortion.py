@@ -38,6 +38,10 @@ _MAX_ITERS = 200_000
 #: Longest run of updates between two convergence checks; only runs this long
 #: are extrapolated, since shorter ones say too little about the decay rate.
 _MAX_BURST = 16
+#: Updates after which a probe of a best-only slope search yields, so the
+#: rest of the batch need not wait on it: the check after the bursts of 1, 2,
+#: 4, 8, 16, 16 and 16 updates.
+_YIELD_AFTER = 63
 #: Share of the uniform output law mixed into every warm start.
 _WARM_MIX = 0.01
 _LN2 = float(np.log(2.0))
@@ -109,15 +113,28 @@ def _aitken_gain(step, prev_step):
     return np.divide(ratio, 1.0 - ratio, out=np.zeros_like(ratio), where=geometric)
 
 
-def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None):
+@np.errstate(under="ignore")
+def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=None):
     """Alternating minimization for a batch of sources at per-row slopes.
 
     ps: (N, X) source rows; d_arr: (X, Y); slopes: (N,) all <= 0. Returns
-    (rate, dist, w, q, gap). ``gap`` is each row's certified bound, in bits,
-    on the suboptimality of its objective rate - slope * dist; a row stops
-    once it is below ``tol`` or ``_MAX_ITERS`` updates run out. Rows are solved
-    independently of each other.
+    (rate, dist, w, q, gap, paused). ``gap`` is each row's certified bound, in
+    bits, on the suboptimality of its objective rate - slope * dist; a row
+    stops once it is below ``tol`` or ``_MAX_ITERS`` updates run out. Rows are
+    solved independently of each other.
 
+    * With ``yield_after``, the call also ends at its first check after
+      that many updates. Rows still running then *yield*: ``paused`` holds
+      the updates each has run (0 for every row that stopped), ``q`` the
+      state it goes on from and ``gap`` that of its last check; rate, dist
+      and w are left at 0. Calling again with those rows, their ``q`` as
+      ``q0`` and their counts as ``spent`` resumes them: a row's burst
+      schedule depends only on its count, and the warm-start mix below is
+      skipped, so every iterate equals that of one uninterrupted call. The
+      rows of a call must share their schedule: none has run an update, or
+      each has run at least 2 * ``_MAX_BURST`` - 1. A row whose last burst
+      the iteration budget cuts short runs it alone: the other rows yield
+      there.
     * Weakly dominated reproduction columns (see ``_undominated_columns``)
       are dropped exactly before solving; ``w`` and ``q`` carry zeros there.
     * A warm start ``q0`` is mixed with a share ``_WARM_MIX`` of the uniform
@@ -134,6 +151,8 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None):
       neither candidate sets a coordinate below a tenth of its value, so one
       step cannot throw away mass that must grow back; the better candidate
       is kept only where it strictly lowers the objective.
+    * Kernel entries and output masses underflow to 0 by design, so a call
+      ignores underflow whatever numpy's error state is outside it.
     """
     ps = np.asarray(ps, dtype=float)
     n, nx = ps.shape
@@ -141,46 +160,51 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None):
     keep = _undominated_columns(d_arr)
     if keep.size < ny:
         sub_q0 = None if q0 is None else np.asarray(q0, dtype=float)[:, keep]
-        rate, dist, w_sub, q_sub, gap = _solve_fixed_slopes(
-            ps, d_arr[:, keep], slopes, tol, sub_q0
+        rate, dist, w_sub, q_sub, gap, paused = _solve_fixed_slopes(
+            ps, d_arr[:, keep], slopes, tol, sub_q0, spent, yield_after
         )
         w = np.zeros((n, nx, ny))
         q = np.zeros((n, ny))
         w[:, :, keep] = w_sub
         q[:, keep] = q_sub
-        return rate, dist, w, q, gap
+        return rate, dist, w, q, gap, paused
     rate = np.zeros(n)
     dist = np.zeros(n)
     w = np.zeros((n, nx, ny))
     q = np.zeros((n, ny))
     gap = np.full(n, np.inf)
-
-    # first-order corner test: the best constant column is the global optimum
-    # iff no other column has an update factor above 1 there
-    best_cols = np.argmin(ps @ d_arr, axis=1)
-    shifted = d_arr[None, :, :] - d_arr[:, best_cols].T[:, :, None]
-    exponents = np.clip(slopes[:, None, None] * shifted, None, 1023.0)
-    corner_factors = np.einsum("nx,nxy->ny", ps, np.exp2(exponents))
-    corner = corner_factors.max(axis=1) <= 1.0 + 1e-12
-    if corner.any():
-        rows = np.nonzero(corner)[0]
-        w[rows, :, best_cols[rows]] = 1.0
-        q[rows, best_cols[rows]] = 1.0
-        dist[rows] = (ps[rows] @ d_arr)[np.arange(rows.size), best_cols[rows]]
-        gap[rows] = 0.0
+    paused = np.zeros(n, dtype=int)
 
     # keep the largest exponent at zero per input row so that extreme slopes
     # cannot underflow the whole row
     gaps = d_arr - d_arr.min(axis=1, keepdims=True)
     argmin_cols = np.argmin(gaps, axis=1)
     kernel = np.exp2(slopes[:, None, None] * gaps[None, :, :])
-    if q0 is None:
-        q_iter = np.full((n, ny), 1.0 / ny)
+    corner = np.zeros(n, dtype=bool)
+    if np.any(spent):
+        # a resumed row was not at the corner, and goes on from its state
+        q[:] = q0
     else:
-        q_iter = np.maximum(np.asarray(q0, dtype=float), 0.0)
-        q_iter = q_iter / q_iter.sum(axis=1, keepdims=True)
-        q_iter = (1.0 - _WARM_MIX) * q_iter + _WARM_MIX / ny
-    q[~corner] = q_iter[~corner]
+        # first-order corner test: the best constant column is the global
+        # optimum iff no other column has an update factor above 1 there
+        best_cols = np.argmin(ps @ d_arr, axis=1)
+        shifted = d_arr[None, :, :] - d_arr[:, best_cols].T[:, :, None]
+        exponents = np.clip(slopes[:, None, None] * shifted, None, 1023.0)
+        corner_factors = np.einsum("nx,nxy->ny", ps, np.exp2(exponents))
+        corner = corner_factors.max(axis=1) <= 1.0 + 1e-12
+        if corner.any():
+            rows = np.nonzero(corner)[0]
+            w[rows, :, best_cols[rows]] = 1.0
+            q[rows, best_cols[rows]] = 1.0
+            dist[rows] = (ps[rows] @ d_arr)[np.arange(rows.size), best_cols[rows]]
+            gap[rows] = 0.0
+        if q0 is None:
+            q_iter = np.full((n, ny), 1.0 / ny)
+        else:
+            q_iter = np.maximum(np.asarray(q0, dtype=float), 0.0)
+            q_iter = q_iter / q_iter.sum(axis=1, keepdims=True)
+            q_iter = (1.0 - _WARM_MIX) * q_iter + _WARM_MIX / ny
+        q[~corner] = q_iter[~corner]
 
     # an input whose every column underflowed (the slope is steep enough that
     # only the cheapest column survives) goes to its cheapest column
@@ -188,36 +212,46 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None):
         # q(y) <- q(y) sum_x p(x) 2^(s d(x,y)) / norm(x), the output marginal
         # of the channel below, without forming the channel
         norms = np.einsum("nxy,ny->nx", kern, q_act)
+        if norms.min() > 0.0:
+            return q_act * np.einsum("nx,nxy->ny", ps_act / norms, kern)
         dead = norms <= 0.0
         weights = np.divide(ps_act, norms, out=np.zeros_like(norms), where=~dead)
         q_next = q_act * np.einsum("nx,nxy->ny", weights, kern)
-        if dead.any():
-            rows, xs = np.nonzero(dead)
-            np.add.at(q_next, (rows, argmin_cols[xs]), ps_act[rows, xs])
+        rows, xs = np.nonzero(dead)
+        np.add.at(q_next, (rows, argmin_cols[xs]), ps_act[rows, xs])
         return q_next
 
     def channel(kern, q_act):
         # w(y|x) proportional to q(y) 2^(s d(x,y))
         scaled = kern * q_act[:, None, :]
         norms = scaled.sum(axis=2)
-        dead = norms <= 0.0
-        if dead.any():
-            rows, xs = np.nonzero(dead)
+        if not norms.min() > 0.0:
+            rows, xs = np.nonzero(norms <= 0.0)
             scaled[rows, xs, :] = 0.0
             scaled[rows, xs, argmin_cols[xs]] = 1.0
             norms = scaled.sum(axis=2)
         return scaled / norms[:, :, None], norms
 
     active = np.nonzero(~corner)[0]
-    check_every = 1
-    spent = 0
-    while spent < _MAX_ITERS and active.size:
-        kern = kernel[active]
-        q_act = q[active]
-        ps_act = ps[active]
+    kern, ps_act, q_act = kernel[active], ps[active], q[active]
+    spent = np.broadcast_to(spent, (n,))[active]
+    # bursts of 1, 2, 4, ... updates up to _MAX_BURST, so warm starts exit
+    # fast and crawls stay cheap; a row's schedule depends only on its count
+    check_every = min(int(spent.max(initial=0)) + 1, _MAX_BURST)
+    ran = 0
+    while active.size and (yield_after is None or ran < yield_after):
         # a burst of cheap multiplicative updates, then one convergence check;
-        # bursts grow so warm starts exit fast and crawls stay cheap
-        burst = min(check_every, _MAX_ITERS - spent)
+        # the iteration budget may cut a row's last burst short
+        left = _MAX_ITERS - spent
+        burst = min(check_every, int(left.min()))
+        cut = left > burst
+        if burst < check_every and cut.any():
+            # the cut falls here for some rows only; the others yield now
+            paused[active[cut]] = spent[cut]
+            q[active[cut]] = q_act[cut]
+            keep = ~cut
+            active, kern, ps_act = active[keep], kern[keep], ps_act[keep]
+            q_act, spent = q_act[keep], spent[keep]
         check_every = min(check_every * 2, _MAX_BURST)
         for _ in range(burst - 1):
             q_prev2 = q_act
@@ -225,10 +259,11 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None):
         w_act, norms = channel(kern, q_act)
         factors = np.einsum("nx,nxy->ny", ps_act / norms, kern)
         q_new = np.einsum("nx,nxy->ny", ps_act, w_act)
-        gap[active] = np.maximum(factors.max(axis=1) - 1.0, 0.0) / _LN2
-        done = gap[active] < tol
-        w[active] = w_act
-        q[active] = q_new
+        gap_act = np.maximum(factors.max(axis=1) - 1.0, 0.0) / _LN2
+        gap[active] = gap_act
+        done = gap_act < tol
+        spent += burst
+        ran += burst
         if burst == _MAX_BURST and not done.all():
             # Aitken extrapolation rescues the slow crawl near a change of the
             # optimal output support. It is tried per coordinate and along
@@ -260,13 +295,23 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None):
             # kept only where it strictly lowers the (monotone) objective
             better = np.isfinite(values[0]) & (values[pick, lanes] < values[0])
             better &= ~done
-            q[active[better]] = cands[pick, lanes][better]
-        active = active[~done]
-        spent += burst
+            q_new[better] = cands[pick, lanes][better]
+        # only a row that stops here needs its channel
+        stop = done | (spent >= _MAX_ITERS)
+        if stop.any():
+            w[active[stop]] = w_act[stop]
+            q[active[stop]] = q_new[stop]
+            keep = ~stop
+            active, kern, ps_act = active[keep], kern[keep], ps_act[keep]
+            q_new, spent = q_new[keep], spent[keep]
+        q_act = q_new
+    # rows still running have yielded
+    q[active] = q_act
+    paused[active] = spent
 
-    rows = np.nonzero(~corner)[0]
+    rows = np.nonzero(~corner & (paused == 0))[0]
     rate[rows], dist[rows] = _rates_and_distortions(ps[rows], w[rows], d_arr)
-    return rate, dist, w, q, gap
+    return rate, dist, w, q, gap, paused
 
 
 def _rates_and_distortions(ps, w, d_arr):
@@ -324,7 +369,7 @@ def ba_fixed_slope(
         raise ValidationError("source and distortion dimensions disagree")
     if slope == 0:
         return _zero_rate_point(p, d)
-    rate, dist, w, _, gap = _solve_fixed_slopes(
+    rate, dist, w, _, gap, _ = _solve_fixed_slopes(
         p.probs[None, :], d.values, np.array([slope]), tol
     )
     point = RdPoint(
@@ -352,6 +397,31 @@ def _mix_channels(ps, d_arr, w_low, w_high, targets):
     return (*_rates_and_distortions(ps, w, d_arr), w)
 
 
+def _channel_bound(ps, d_arr, targets, w_lead):
+    """An upper end on R_p(target) for each row from one channel ``w_lead``.
+
+    The channel is time-shared with the row's floor channel (every input sent
+    to a cheapest output) where its distortion under the row is above the
+    aim, and with the row's zero-rate corner where it is at or below it. The
+    aim is the target less 1e-12 of the largest distortion entry, so that
+    rounding leaves the mix's computed distortion at most the target. Every
+    channel whose distortion is at most the target has mutual information at
+    least R_p(target), so the mix's rate is an upper end wherever its computed
+    distortion is at most the target; elsewhere the bound is +inf.
+    """
+    n, nx = ps.shape
+    aim = targets - 1e-12 * d_arr.max()
+    floor_w = np.zeros(d_arr.shape)
+    floor_w[np.arange(nx), np.argmin(d_arr, axis=1)] = 1.0
+    corner_w = np.zeros((n, *d_arr.shape))
+    corner_w[np.arange(n), :, np.argmin(ps @ d_arr, axis=1)] = 1.0
+    above = (np.einsum("nx,xy,xy->n", ps, w_lead, d_arr) > aim)[:, None, None]
+    rate, dist, _ = _mix_channels(
+        ps, d_arr, np.where(above, floor_w, w_lead), np.where(above, w_lead, corner_w), aim
+    )
+    return np.where(dist <= targets, rate, np.inf)
+
+
 def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
     """R_p(D) for a batch of sources, each row at its own reachable target
     (floor - 1e-12 <= target < ceiling). Returns (rate, dist, w, slope,
@@ -375,34 +445,53 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
       its two sides time-shared at exactly the target. Mutual information is
       convex in the channel, so that rate lies inside the bracket. A row
       whose bracket is still wider when its slope bracket collapses, or
-      after 200 rounds, raises ConvergenceError carrying that mixed point;
-      ``labels`` names the rows in its message.
+      after 200 regula falsi probes, raises ConvergenceError carrying that
+      mixed point; ``labels`` names the rows in its message.
 
     Each probe warm-starts from its own row's previous one, so a row's answer
     does not depend on the rest of the batch.
 
-    With ``best_only`` the caller reads only the largest rate. Each round then
-    drops every searching row whose upper end plus ``tol`` is below, by more
-    than 1e-12 against rounding, the largest rate some row is sure to return:
-    a finished row's rate or a searching row's lower end. A row returns at
-    most R_p(target) + tol, which is at most its upper end plus ``tol``, so a
-    dropped row (rate -inf) would have returned less than the batch maximum.
-    The surviving rows run exactly the probes they run without dropping, so
-    their values are bit-identical.
+    With ``best_only`` the caller reads only the largest rate, and the search
+    stops waiting on rows it will not return:
+
+    * **Dropping.** Each round drops every searching row whose upper end
+      plus ``tol`` is below, by more than 1e-12 against rounding, the largest
+      rate some row is sure to return: a finished row's rate or a searching
+      row's lower end. A row returns at most R_p(target) + tol, which is at
+      most its upper end plus ``tol``, so a dropped row (rate -inf) would
+      have returned less than the batch maximum.
+    * **A second upper end.** For dropping, a row's upper end is the least
+      of its chord and of ``_channel_bound`` over the channels that led the
+      finished rows (the finished row with the largest rate leads): each is
+      the rate of a channel that meets the row's target, so it is an upper
+      end too. A row still closes on its chord alone, so the value it
+      returns does not depend on the batch.
+    * **Yielding.** A regula falsi probe yields after ``_YIELD_AFTER``
+      updates. Its row skips its next regula falsi step and resumes the
+      probe in the next round, exactly where it stopped, while every other
+      row moves on; in between, the drop test reads the row's last finished
+      bracket. Most probes that crawl belong to rows that get dropped, and a
+      dropped row's probe is never finished.
+
+    The rows that are not dropped run exactly the probes they run without
+    ``best_only``, so their values are bit-identical.
     """
     m = ps.shape[0]
     q_warm = np.zeros((m, d_arr.shape[1]))
-    # the best supporting line of each row's probes, read at its target; the
-    # zero-rate side's line is 0
+    # the best supporting line of each row's finished probes, read at its
+    # target; the zero-rate side's line is 0
     lower = np.zeros(m)
+    # updates run by each row's yielded probe, 0 where none is open
+    paused = np.zeros(m, dtype=int)
 
-    def solve(rows, slopes, warm):
-        rate, dist, w, q, gap = _solve_fixed_slopes(
-            ps[rows], d_arr, slopes, tol / 4, q0=warm
+    def solve(rows, slopes, warm, spent=0, yield_after=None):
+        rate, dist, w, q, gap, paused[rows] = _solve_fixed_slopes(
+            ps[rows], d_arr, slopes, tol / 4, q0=warm, spent=spent, yield_after=yield_after
         )
         q_warm[rows] = q
+        done = paused[rows] == 0
         lines = rate + slopes * (targets[rows] - dist) - gap
-        lower[rows] = np.maximum(lower[rows], lines)
+        lower[rows[done]] = np.maximum(lower[rows[done]], lines[done])
         return rate, dist, w, gap
 
     slope = np.full(m, -64.0)
@@ -429,6 +518,11 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
     chans[1, np.arange(m), :, np.argmin(costs, axis=1)] = 1.0
     last = np.full(m, -1)  # the side that moved last
     dropped = np.zeros(m, dtype=bool)
+    probes = np.zeros(m, dtype=int)  # regula falsi probes finished
+    due = np.zeros(m)  # the slope of each row's latest probe
+    yield_after = _YIELD_AFTER if best_only else None
+    bound = np.full(m, np.inf)  # upper ends from the leaders' channels
+    leader = -1
 
     def mix(rows):
         rate[rows], dist[rows], w[rows] = _mix_channels(
@@ -436,7 +530,26 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
         )
         slope[rows] = ends[:, rows].mean(axis=0)
 
-    for rounds in range(201):
+    def probe(rows):
+        # run (or resume) each row's probe at slope ``due``; a finished one
+        # moves a side
+        rate_s, dist_s, w_s, _ = solve(rows, due[rows], q_warm[rows], paused[rows], yield_after)
+        done = paused[rows] == 0
+        rows, s = rows[done], due[rows[done]]
+        f = dist_s[done] - targets[rows]
+        side = (f > 0.0).astype(int)
+        # when one side moves twice in a row, the other side's weight is
+        # scaled by 1 - f_new / f_old (Anderson & Bjorck), or halved
+        # (Illinois) where that factor is not positive
+        twice = last[rows] == side
+        scale = 1.0 - f[twice] / vals[side[twice], rows[twice]]
+        weights[1 - side[twice], rows[twice]] *= np.where(scale > 0.0, scale, 0.5)
+        ends[side, rows], vals[side, rows], weights[side, rows] = s, f, f
+        rates[side, rows], chans[side, rows] = rate_s[done], w_s[done]
+        last[rows] = side
+        probes[rows] += 1
+
+    while True:
         rows = np.nonzero(searching)[0]
         (v_lo, v_hi), (r_lo, r_hi) = vals[:, rows], rates[:, rows]
         upper = (r_lo * v_hi - r_hi * v_lo) / (v_hi - v_lo)
@@ -446,12 +559,21 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
         rows, upper = rows[~closed], upper[~closed]
         if best_only:
             # drop every row whose upper end is below what another is sure of
-            sure = max(rate[finished].max(initial=-np.inf), lower[rows].max(initial=-np.inf))
-            out = upper + tol + 1e-12 < sure
+            sure = lower[rows].max(initial=-np.inf)
+            finals = np.nonzero(finished)[0]
+            if finals.size:
+                top = finals[np.argmax(rate[finals])]
+                sure = max(sure, rate[top])
+                if top != leader:
+                    leader = top
+                    bound[rows] = np.minimum(
+                        bound[rows], _channel_bound(ps[rows], d_arr, targets[rows], w[top])
+                    )
+            out = np.minimum(upper, bound[rows]) + tol + 1e-12 < sure
             searching[rows[out]], dropped[rows[out]] = False, True
             rows, upper = rows[~out], upper[~out]
         lo, hi = ends[:, rows]
-        stuck = (hi - lo <= 1e-13 * np.maximum(1.0, -lo)) | (rounds == 200)
+        stuck = (hi - lo <= 1e-13 * np.maximum(1.0, -lo)) | (probes[rows] == 200)
         if stuck.any():
             i = int(np.argmax(stuck))
             row = rows[i]
@@ -468,26 +590,20 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
             )
         if not rows.size:
             break
-        g_lo, g_hi = weights[:, rows]
+        # a row whose probe yielded resumes it; the others take a new one
+        new = paused[rows] == 0
+        lo, hi = lo[new], hi[new]
+        g_lo, g_hi = weights[:, rows[new]]
         # interpolated in t = 2^s, in which D is close to linear near the
         # floor (D - floor falls like 2^(s * gap) as s -> -inf)
         t = np.exp2(lo) + (np.exp2(hi) - np.exp2(lo)) * g_lo / (g_lo - g_hi)
         with np.errstate(divide="ignore"):
             s = np.log2(t)
         # a probe rounded onto a side falls back to the midpoint
-        s = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
-        rate_s, dist_s, w_s, _ = solve(rows, s, q_warm[rows])
-        f = dist_s - targets[rows]
-        side = (f > 0.0).astype(int)
-        # when one side moves twice in a row, the other side's weight is
-        # scaled by 1 - f_new / f_old (Anderson & Bjorck), or halved
-        # (Illinois) where that factor is not positive
-        twice = last[rows] == side
-        scale = 1.0 - f[twice] / vals[side[twice], rows[twice]]
-        weights[1 - side[twice], rows[twice]] *= np.where(scale > 0.0, scale, 0.5)
-        ends[side, rows], vals[side, rows], weights[side, rows] = s, f, f
-        rates[side, rows], chans[side, rows] = rate_s, w_s
-        last[rows] = side
+        due[rows[new]] = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
+        for group in (rows[new], rows[~new]):
+            if group.size:
+                probe(group)
     rate[dropped] = -np.inf
     return rate, dist, w, slope, lower
 
@@ -573,10 +689,14 @@ def rates_at_distortion_batch(
     ``SIMPLEX_ATOL`` as ``Distribution`` checks it.
 
     ``best_only`` is for callers that read only the largest rate: the search
-    then stops early on every row whose certified bracket shows it below
-    another row's value, and such a row gets -inf. Every row that attains the
-    maximum, and every other row not given -inf, gets the same value, bit for
-    bit, as without ``best_only``.
+    then stops early on every row whose upper end shows it below another
+    row's value, and such a row gets -inf. A row's upper end is the least of
+    its own bracket's and of the rate of a finished row's channel
+    time-shared onto its target; a probe that crawls yields to the rest of
+    the batch, so the search need not wait on rows it then drops. Every row
+    that attains the maximum, and every other row not given -inf, gets the
+    same value, bit for bit, as without ``best_only``. A row that would fail
+    to converge may be dropped before it fails.
     """
     if not target >= 0:  # NaN fails too
         raise ValidationError("distortion target must be nonnegative")

@@ -116,6 +116,60 @@ def test_exact_negative_vector_entry_exits_3(capsys, argv):
     assert captured.err == "error: distribution has a negative entry -1/10000000000\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rd", "--p", "0.5,0.5", "--distortion=-1e-400"],
+        ["optimize", "--distortion=-1e-400"],
+        ["simulate", "--target", "0.7,0.3", "--n", "5", "--trials", "5", "--codebook-D=-1e-400"],
+    ],
+    ids=["rd", "optimize", "simulate-codebook"],
+)
+def test_exact_negative_distortion_target_exits_3(capsys, argv):
+    # -1e-400 is read exactly, so it is negative, though as a float it
+    # rounds to -0.0
+    code = main([argv[0], str(PROBLEMS / "binary_pair.yaml")] + argv[1:])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: distortion target must be nonnegative\n"
+
+
+#: The benchmark's four-symbol instance (three sources, 4-ary Hamming
+#: distortion, delta 0), whose hull batches are the largest of its runs.
+WC_K4_M3 = """\
+alphabet_x: 4
+alphabet_y: 4
+mode: independent
+delta: 0
+sources:
+  - [0.102231, 0.514738, 0.175252, 0.207779]
+  - [0.104910, 0.065014, 0.655466, 0.174610]
+  - [0.133652, 0.401393, 0.206629, 0.258326]
+distortion:
+  - [0, 1, 1, 1]
+  - [1, 0, 1, 1]
+  - [1, 1, 0, 1]
+  - [1, 1, 1, 0]
+"""
+
+
+@pytest.mark.parametrize(
+    "target, row",
+    [
+        ("0.239443", "0.239443,0.826379043677,0.749383763366,0.25,0.25,0.25,0.25,grid"),
+        # the best row of this hull batch crawls, so its probes yield and
+        # resume
+        ("0.508816", "0.508816,0.193769989727,0.128495879968,0.25,0.25,0.25,0.25,grid"),
+    ],
+)
+def test_optimize_four_symbols_prints_pinned_bytes(capsys, tmp_path, target, row):
+    problem = tmp_path / "wc_k4_m3.yaml"
+    problem.write_text(WC_K4_M3)
+    code, out = run_text(capsys, "optimize", problem, "--distortion", target)
+    assert code == 0
+    assert out == "D,R_tilde,R_star,p_0,p_1,p_2,p_3,method\n" + row + "\n"
+
+
 def test_rd_curve_rising_within_its_certified_brackets_exits_0(capsys, tmp_path):
     # the rates of points 5 and 6 rise by 4.7e-7 bits, inside the 1e-6-bit
     # brackets that certify them

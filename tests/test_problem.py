@@ -77,6 +77,11 @@ def test_unreadable_path(tmp_path):
             ),
             "joint PMF has a negative entry -1/10000000000", id="negative-exact-joint-pmf",
         ),
+        # -1e-400 is exactly negative, though as a float it rounds to -0.0
+        pytest.param(
+            VALID.replace("  - [0, 1]\n", "  - [-1e-400, 1]\n"),
+            "distortion entries must be nonnegative", id="negative-exact-distortion-entry",
+        ),
     ],
 )
 def test_malformed_file_is_rejected(tmp_path, text, message):

@@ -388,6 +388,174 @@ class TestBestOnly:
         assert ps[best].tolist() == [0.65, 0.35, 0.0]
         assert rates[best] == rate_at_distortion(Distribution(ps[best]), d, target).rate
 
+    def test_rows_whose_probes_yield_keep_their_values(self, monkeypatch):
+        # mixtures of the benchmark's four-symbol sources: the best row's
+        # probes, and many others, yield and resume
+        sources = np.array([
+            [0.102231, 0.514738, 0.175252, 0.207779],
+            [0.104910, 0.065014, 0.655466, 0.174610],
+            [0.133652, 0.401393, 0.206629, 0.258326],
+        ])
+        ps = compositions(24, 3) / 24 @ sources
+        d = DistortionMatrix.hamming(4)
+        full = rates_at_distortion_batch(ps, d, 0.508816)
+        solve = rate_distortion._solve_fixed_slopes
+        yielded = []
+
+        def spy(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            yielded.extend(args[0][out[5] > 0].tolist())
+            return out
+
+        monkeypatch.setattr(rate_distortion, "_solve_fixed_slopes", spy)
+        fast = rates_at_distortion_batch(ps, d, 0.508816, best_only=True)
+        best = int(np.argmax(full))
+        assert ps[best].tolist() in yielded
+        assert int(np.argmax(fast)) == best
+        kept = ~np.isneginf(fast)
+        assert np.array_equal(fast[kept], full[kept])
+        assert np.all(full[~kept] < full[best])
+
+    def test_leaves_the_numpy_error_state_as_it_was(self, monkeypatch):
+        # the solver ignores underflow inside itself only, whether it returns
+        # or raises
+        ps = np.array([[0.9, 0.1], [0.3, 0.7]])
+        want = rates_at_distortion_batch(ps, HAMMING, 0.2, best_only=True)
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            got = rates_at_distortion_batch(ps, HAMMING, 0.2, best_only=True)
+            assert np.geterr() == before
+            monkeypatch.setattr(rate_distortion, "_MAX_ITERS", 2)
+            with pytest.raises(ConvergenceError):
+                rates_at_distortion_batch(ps, HAMMING, 0.2, best_only=True)
+            assert np.geterr() == before
+        assert np.array_equal(got, want)
+
+
+def solve_in_rounds(ps, d_arr, slopes, tol, q0, starts):
+    """Each row's fixed-slope solve run the way a best-only slope search runs
+    its probes: in each round, a new call for the rows that start in it, then
+    one call that resumes every row that yielded before it."""
+    n = ps.shape[0]
+    out = [
+        np.zeros(n), np.zeros(n), np.zeros((n, *d_arr.shape)),
+        np.zeros((n, d_arr.shape[1])), np.zeros(n), np.zeros(n, dtype=int),
+    ]
+    rounds = 0
+    while rounds <= starts.max() or out[5].any():
+        waiting = np.nonzero(out[5])[0]
+        new = np.nonzero(starts == rounds)[0]
+        for rows, resume in ((new, False), (waiting, True)):
+            if rows.size:
+                spent = out[5][rows] if resume else 0
+                warm = out[3][rows] if resume else q0[rows]
+                part = rate_distortion._solve_fixed_slopes(
+                    ps[rows], d_arr, slopes[rows], tol, warm, spent,
+                    yield_after=rate_distortion._YIELD_AFTER,
+                )
+                for arr, value in zip(out, part):
+                    arr[rows] = value
+        rounds += 1
+    return out[:5]
+
+
+class TestYield:
+    """A solve that yields and resumes equals one uninterrupted call."""
+
+    def batch(self, seed=1, n=60):
+        rng = np.random.default_rng(seed)
+        ps = rng.dirichlet(np.ones(4), size=n)
+        d_arr = rng.uniform(0.0, 4.0, size=(4, 4))
+        slopes = -rng.uniform(0.2, 6.0, size=n)
+        q0 = rng.dirichlet(np.ones(4), size=n)
+        # half the rows start a round late, so resumed calls mix rows that
+        # have run different numbers of updates
+        return ps, d_arr, slopes, q0, np.arange(n) % 2
+
+    def assert_equal_to_one_call(self, ps, d_arr, slopes, tol, q0, starts):
+        whole = rate_distortion._solve_fixed_slopes(ps, d_arr, slopes, tol, q0)
+        assert not whole[5].any()
+        for got, want in zip(solve_in_rounds(ps, d_arr, slopes, tol, q0, starts), whole):
+            assert np.array_equal(got, want)
+        return whole
+
+    def test_resuming_is_exact(self):
+        ps, d_arr, slopes, q0, starts = self.batch()
+        tol = 1e-12
+
+        def running_after(updates):
+            paused = rate_distortion._solve_fixed_slopes(
+                ps, d_arr, slopes, tol, q0, yield_after=updates
+            )[5]
+            return paused > 0
+
+        # rows that converge before the yield's check (the one after 47
+        # updates precedes it), at it, and after it, some only after several
+        # resumes
+        assert rate_distortion._YIELD_AFTER == 63
+        assert (~running_after(47)).any()
+        assert (running_after(47) & ~running_after(63)).any()
+        assert running_after(127).any()
+        self.assert_equal_to_one_call(ps, d_arr, slopes, tol, q0, starts)
+
+    def test_the_iteration_budget_holds_across_yields(self, monkeypatch):
+        # no row converges, and every row runs out of updates in a resumed
+        # stretch: rows started a round apart reach the budget in the same
+        # call at different bursts
+        monkeypatch.setattr(rate_distortion, "_MAX_ITERS", 150)
+        ps, d_arr, slopes, q0, starts = self.batch(n=20)
+        whole = self.assert_equal_to_one_call(ps, d_arr, slopes, 0.0, q0, starts)
+        # the budget cuts the last burst short: 150 updates, not the 159 that
+        # end the burst crossing it
+        monkeypatch.setattr(rate_distortion, "_MAX_ITERS", 159)
+        longer = rate_distortion._solve_fixed_slopes(ps, d_arr, slopes, 0.0, q0)
+        assert not np.array_equal(longer[3], whole[3])
+
+
+def channels(nx, ny):
+    return st.lists(simplex_vectors(ny), min_size=nx, max_size=nx).map(np.array)
+
+
+class TestChannelBound:
+    """Any channel, time-shared onto the target, bounds R_p(target) above."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=simplex_vectors(3), d=distortion_matrices(3, 3), w=channels(3, 3),
+        frac=st.floats(0.0, 0.999),
+    )
+    def test_is_at_least_the_certified_lower_end(self, p, d, w, frac):
+        src = Distribution(p)
+        floor, ceiling = d_min(src, d), d_max(src, d)
+        target = floor + frac * (ceiling - floor)
+        if not target < ceiling:
+            return
+        bound = rate_distortion._channel_bound(src.probs[None], d.values, np.array([target]), w)
+        try:
+            lower = rate_at_distortion(src, d, target).lower
+        except ConvergenceError as exc:
+            lower = exc.last_point.lower
+        assert bound[0] >= lower - 1e-12
+        if target >= floor + 1e-9:
+            assert np.isfinite(bound[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(0.01, 0.99), w=channels(2, 2), frac=st.floats(0.0, 0.999))
+    def test_binary_hamming_closed_form(self, a, w, frac):
+        target = frac * min(a, 1 - a)
+        bound = rate_distortion._channel_bound(
+            np.array([[a, 1 - a]]), HAMMING.values, np.array([target]), w
+        )
+        assert bound[0] >= h2(a) - h2(target) - 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(p=simplex_vectors(3), d=distortion_matrices(3, 3), w=channels(3, 3))
+    def test_is_inf_where_no_mix_reaches_the_target(self, p, d, w):
+        src = Distribution(p)
+        target = d_min(src, d) - 1e-6
+        bound = rate_distortion._channel_bound(src.probs[None], d.values, np.array([target]), w)
+        assert bound[0] == np.inf
+
 
 def kary_uniform_rd(k, target):
     """Closed form for the uniform k-ary source under Hamming distortion."""
