@@ -12,6 +12,11 @@ to the lattice/ascent resolution. One input always gives one result, and
 merging uses value-then-lexicographic order so the outcome does not depend
 on evaluation order.
 
+The ascent takes its slopes from the rate solver's certificate: every rate
+comes with the envelope gradient of R_p(D) in p at the dual pair of its
+Blahut line (``rate_distortion._rates_and_gradients``), so only the starting
+batch and the line searches reach the solver.
+
 A candidate whose distortion floor lies above the target has rate +inf, and
 then so does the maximum. The lattice's batch asks the rate solver for its
 best row only, and a row the solver drops as certainly below that row comes
@@ -26,7 +31,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .probcore import Distribution, DistortionMatrix, SourceList, compositions
-from .rate_distortion import RATE_TOL, rates_at_distortion_batch
+from .rate_distortion import RATE_TOL, _rates_and_gradients
+# rates_at_distortion_batch is not called here; bench/test_bench.py traces the
+# optimizer.rates_at_distortion_batch binding
+from .rate_distortion import rates_at_distortion_batch  # noqa: F401
 from .region import RegionSpec, _greedy_oracle, _min_norm_point, _shortfalls, in_region, is_member
 
 #: Lattice step per parameter dimension, for the region and the hull alike;
@@ -36,7 +44,8 @@ _GRID_STEPS = {1: 1.0, 2: 0.005, 3: 0.02, 4: 0.05}
 _DRAWS = 16
 #: Rounds of the ascent.
 _ASCENT_ITERS = 40
-#: Step of the central finite differences in the ascent.
+#: Step of the ascent's probes, whose central differences are read off the
+#: first-order model of R_p(D).
 _FD_STEP = 1e-5
 
 
@@ -45,7 +54,9 @@ class MaximizerResult:
     """Best point found: ``value`` = R_argmax(D) in bits. ``method`` is
     "grid" (dense enumeration plus one refinement) or "multistart" (heuristic
     lower bound). ``evaluations`` counts the rows submitted to the rate
-    solver, those its early exit dropped included; ``starts`` the ascents."""
+    solver, those its early exit dropped included: the starting batch and 10
+    line-search candidates per ascent step (the ascent's probes are read off
+    the gradient, not solved); ``starts`` counts the ascents."""
 
     value: float
     argmax: Distribution
@@ -69,28 +80,39 @@ def _better(value, vec, best_value, best_vec) -> bool:
     return value == best_value and tuple(vec) < tuple(best_vec)
 
 
-def _pick_best(values, vecs):
-    best_value, best_vec = -np.inf, None
-    for value, vec in zip(values, vecs):
-        if best_vec is None or _better(value, vec, best_value, best_vec):
-            best_value, best_vec = float(value), np.array(vec)
-    return best_value, best_vec
+def _pick_best(values, vecs) -> int:
+    """Index of the largest value, the lexicographically smallest vector
+    among ties."""
+    best = 0
+    for i in range(1, len(values)):
+        if _better(values[i], vecs[i], values[best], vecs[best]):
+            best = i
+    return best
 
 
-def _ascend(seeds, batch_value, repair):
-    """Projected coordinate ascent with central finite differences, run from
-    every ``(value, point)`` seed in lockstep; returns ``(point, value)`` per
-    seed.
+def _ascend(seeds, batch_value, repair, to_source):
+    """Projected coordinate ascent on the envelope gradient, run from every
+    ``(value, point, gradient)`` seed in lockstep; returns ``(point, value)``
+    per seed.
 
-    Each step solves one batch of probes and one batch of line-search
-    candidates over every start that is still moving. The rate solver treats
-    the rows of a batch independently, so each start follows the same path
-    as it would alone. Probe and candidate points are repaired back into the
-    feasible set (``repair`` maps each row of a batch), so the effective
-    motion is along the feasible boundary when constraints bind.
+    ``gradient`` is the derivative of R_p(D) in the source p at
+    ``to_source(point)``; ``batch_value`` maps a batch of points to their
+    values and gradients (``_rates_and_gradients``). Each step puts the 2k
+    probes x +- ``_FD_STEP`` u, u a unit direction projected onto the
+    simplex's plane, through ``repair`` and reads their central differences
+    off the first-order model gradient . (to_source(probe) - to_source(x)),
+    so no probe reaches the rate solver and the repair still bends the
+    direction along the feasible boundary when constraints bind. Each step
+    then solves one batch: 10 line-search candidates per start that is still
+    moving, each repaired back into the feasible set; a start that moves
+    takes its winner's gradient from that batch. A start that moves to a
+    candidate of value +inf (a distortion floor above the target) stops
+    there. The rate solver treats the rows of a batch independently, so each
+    start follows the same path as it would alone.
     """
-    xs = [np.array(x0, dtype=float) for _, x0 in seeds]
-    vs = [float(v0) for v0, _ in seeds]
+    xs = [np.array(x0, dtype=float) for _, x0, _ in seeds]
+    vs = [float(v0) for v0, _, _ in seeds]
+    grads = [np.asarray(c0, dtype=float) for _, _, c0 in seeds]
     base_steps = [0.05] * len(xs)
     k = xs[0].size
     units = np.eye(k) - 1.0 / k
@@ -101,14 +123,10 @@ def _ascend(seeds, batch_value, repair):
         if not moving:
             break
         probes = repair(np.concatenate([xs[j] + offsets for j in moving]))
-        vals = batch_value(probes).reshape(len(moving), 2 * k)
         searching = []
-        for r, j in enumerate(moving):
-            if np.isinf(vals[r]).any():
-                xs[j] = probes[2 * k * r + int(np.argmax(np.isinf(vals[r])))]
-                vs[j] = np.inf
-                continue
-            slopes = (vals[r, 0::2] - vals[r, 1::2]) / (2.0 * _FD_STEP)
+        for j, near in zip(moving, probes.reshape(len(moving), 2 * k, k)):
+            model = (to_source(near) - to_source(xs[j])) @ grads[j]
+            slopes = (model[0::2] - model[1::2]) / (2.0 * _FD_STEP)
             direction = slopes - slopes.mean()
             norm = float(np.linalg.norm(direction))
             if norm < 1e-12:
@@ -118,15 +136,20 @@ def _ascend(seeds, batch_value, repair):
             searching.append((j, steps, repair(xs[j] + steps[:, None] * direction)))
         if not searching:
             break
-        cvals = batch_value(np.concatenate([group for _, _, group in searching]))
+        cvals, cgrads = batch_value(np.concatenate([group for _, _, group in searching]))
+        n = len(searching)
         moving = []
-        for (j, steps, group), cv in zip(searching, cvals.reshape(len(searching), -1)):
+        for (j, steps, group), cv, cg in zip(
+            searching, cvals.reshape(n, -1), cgrads.reshape(n, -1, cgrads.shape[1])
+        ):
             best = int(np.argmax(cv))
             if cv[best] > vs[j] + 1e-12:
                 xs[j] = group[best]
                 vs[j] = float(cv[best])
+                grads[j] = cg[best]
                 base_steps[j] = min(float(steps[best]) * 2.0, 0.25)
-                moving.append(j)
+                if np.isfinite(vs[j]):
+                    moving.append(j)
     return list(zip(xs, vs))
 
 
@@ -197,27 +220,27 @@ def _maximize(candidates, method, repair, to_source, d, target, tol):
 
     The grid's batch feeds only its best row, so it stops early on rows that
     are certified to fall below it, which come back as -inf and are never
-    picked; the multistart seeds and the ascent's probes need every value.
-    The first batch rejects a negative or NaN target."""
+    picked; the multistart seeds and the line searches need every value.
+    Each batch also returns every kept row's gradient, which seeds the
+    ascent. The first batch rejects a negative or NaN target."""
     evaluations = 0
 
     def batch_value(xs, best_only=False):
         nonlocal evaluations
         evaluations += len(xs)
-        return rates_at_distortion_batch(
-            to_source(xs), d, target, tol=tol, best_only=best_only,
-        )
+        return _rates_and_gradients(to_source(xs), d, target, tol, best_only)
 
-    values = batch_value(candidates, best_only=method == "grid")
+    values, grads = batch_value(candidates, best_only=method == "grid")
     if np.isposinf(values).any():
         x = np.array(min(map(tuple, candidates[np.isposinf(values)])))
         return MaximizerResult(np.inf, Distribution(to_source(x)), method, evaluations, 0)
-    best_value, best_x = _pick_best(values, candidates)
+    i = _pick_best(values, candidates)
+    best_value, best_x = float(values[i]), candidates[i]
     if method == "grid":
-        seeds = [(best_value, best_x)]
+        seeds = [(best_value, best_x, grads[i])]
     else:
-        seeds = list(zip(values.tolist(), candidates))
-    for x, v in _ascend(seeds, batch_value, repair):
+        seeds = list(zip(values.tolist(), candidates, grads))
+    for x, v in _ascend(seeds, batch_value, repair, to_source):
         if _better(v, x, best_value, best_x):
             best_value, best_x = v, x
     return MaximizerResult(

@@ -422,10 +422,12 @@ def _channel_bound(ps, d_arr, targets, w_lead):
     return np.where(dist <= targets, rate, np.inf)
 
 
+@np.errstate(under="ignore")
 def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
     """R_p(D) for a batch of sources, each row at its own reachable target
     (floor - 1e-12 <= target < ceiling). Returns (rate, dist, w, slope,
-    lower): every row stops on a certified bracket on R_p(target).
+    lower, dual_slope, dual_q): every row stops on a certified bracket on
+    R_p(target).
 
     * **Lower end.** A probe at slope s solves the fixed-slope trade-off to a
       certified gap g, at most tol / 4 unless ``_MAX_ITERS`` runs out first;
@@ -475,12 +477,28 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
 
     The rows that are not dropped run exactly the probes they run without
     ``best_only``, so their values are bit-identical.
+
+    **Dual pair.** ``dual_slope`` and ``dual_q`` are the slope and the output
+    law of the finished probe whose line is the row's lower end: a row at
+    the floor keeps its last probe's, and a row whose lower end is still the
+    zero-rate side's line keeps slope 0 and the uniform law. Blahut's line
+    is linear in p through L_s(p, q), so this pair gives the envelope
+    gradient of R_p(target) (see ``_envelope_gradients``). The returned
+    ``slope``, the middle of the slope bracket, and the time-shared channel
+    are no such pair: a row may close while its upper side is still the
+    zero-rate corner.
+
+    Channel masses underflow to 0 by design here too (time-sharing a
+    channel with entries near the smallest float, say), so the search
+    ignores underflow whatever numpy's error state is outside it.
     """
-    m = ps.shape[0]
-    q_warm = np.zeros((m, d_arr.shape[1]))
+    m, ny = ps.shape[0], d_arr.shape[1]
+    q_warm = np.zeros((m, ny))
     # the best supporting line of each row's finished probes, read at its
-    # target; the zero-rate side's line is 0
+    # target, and the probe it comes from; the zero-rate side's line is 0
     lower = np.zeros(m)
+    dual_slope = np.zeros(m)
+    dual_q = np.full((m, ny), 1.0 / ny)
     # updates run by each row's yielded probe, 0 where none is open
     paused = np.zeros(m, dtype=int)
 
@@ -491,7 +509,9 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
         q_warm[rows] = q
         done = paused[rows] == 0
         lines = rate + slopes * (targets[rows] - dist) - gap
-        lower[rows[done]] = np.maximum(lower[rows[done]], lines[done])
+        best = done & (lines > lower[rows])
+        lower[rows[best]] = lines[best]
+        dual_slope[rows[best]], dual_q[rows[best]] = slopes[best], q[best]
         return rate, dist, w, gap
 
     slope = np.full(m, -64.0)
@@ -505,6 +525,7 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
     # rows still above their target at the floor are finished
     finished = dist > targets
     lower[finished] = (rate - gap)[finished]
+    dual_slope[finished], dual_q[finished] = slope[finished], q_warm[finished]
     searching = ~finished
 
     # the bracket's two sides, at or below (0) and above (1) the target:
@@ -605,7 +626,7 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
             if group.size:
                 probe(group)
     rate[dropped] = -np.inf
-    return rate, dist, w, slope, lower
+    return rate, dist, w, slope, lower, dual_slope, dual_q
 
 
 def rate_at_distortion(
@@ -645,7 +666,7 @@ def _points_at(p, d, targets, tol):
     found = _slope_search(
         np.tile(p.probs, (rows.size, 1)), d.values, targets[rows], tol
     )
-    for i, rate, dist, w, slope, lower in zip(rows, *found):
+    for i, rate, dist, w, slope, lower in zip(rows, *found[:5]):
         points[i] = RdPoint(
             float(dist), float(rate), TransitionMatrix(w), float(slope), float(lower)
         )
@@ -698,6 +719,34 @@ def rates_at_distortion_batch(
     same value, bit for bit, as without ``best_only``. A row that would fail
     to converge may be dropped before it fails.
     """
+    return _rates_and_gradients(ps, d, target, tol, best_only)[0]
+
+
+@np.errstate(under="ignore")
+def _envelope_gradients(d_arr, slopes, qs):
+    """-log2 sum_y q(y) 2^(s d(x, y)) per row and input x, at each row's
+    slope s and output law q.
+
+    At a row's dual pair (see ``_slope_search``) this is the derivative of
+    R_p(target) in p(x) (Blahut 1972; Csiszar 1974): R_p(D) is the largest
+    Blahut line s D + L_s(p, q), L_s(p, q) = -sum_x p(x) log2 sum_y q(y)
+    2^(s d(x, y)) is linear in p, and by the envelope theorem only the
+    line's own p-dependence moves R. Slope 0 gives 0. The kernel is the
+    solver's, shifted by each input's cheapest entry, and its sums are
+    floored at 1e-300, so an input that q never reaches (a symbol with
+    p(x) = 0, say) gets a large finite entry, not +inf.
+    """
+    lows = d_arr.min(axis=1)
+    kernel = np.exp2(slopes[:, None, None] * (d_arr - lows[:, None])[None, :, :])
+    sums = np.einsum("nxy,ny->nx", kernel, qs)
+    return -slopes[:, None] * lows[None, :] - np.log2(np.maximum(sums, 1e-300))
+
+
+def _rates_and_gradients(ps, d, target, tol=RATE_TOL, best_only=False):
+    """``rates_at_distortion_batch``'s rates and, for each row, the envelope
+    gradient of R_p(target) in p (see ``_envelope_gradients``). A row with a
+    finite rate has a gradient; a row given +inf or -inf has none (NaN). A
+    row at or above its ceiling, rate 0, has gradient 0."""
     if not target >= 0:  # NaN fails too
         raise ValidationError("distortion target must be nonnegative")
     _check_tol(tol)
@@ -711,12 +760,16 @@ def rates_at_distortion_batch(
         raise ValidationError(f"every source row must be a distribution within {SIMPLEX_ATOL}")
     d_arr = d.values
     rates = np.zeros(ps.shape[0])
+    grads = np.zeros(ps.shape)
     floors = ps @ d_arr.min(axis=1)
     ceilings = (ps @ d_arr).min(axis=1)
     rates[target < floors - 1e-12] = np.inf
     idx = np.nonzero((target >= floors - 1e-12) & (target < ceilings))[0]
-    rates[idx] = _slope_search(
+    found = _slope_search(
         ps[idx], d_arr, np.full(idx.size, float(target)), tol,
         labels=idx, best_only=best_only,
-    )[0]
-    return rates
+    )
+    rates[idx] = found[0]
+    grads[idx] = _envelope_gradients(d_arr, *found[5:])
+    grads[np.isinf(rates)] = np.nan
+    return rates, grads

@@ -19,9 +19,10 @@ from switchrd import (
     maximize_over_hull,
     maximize_over_region,
     rd_tilde_curve,
-    rates_at_distortion_batch,
 )
+from switchrd import optimizer
 from switchrd.optimizer import _ascend, _candidates, _region_candidates, _simplex_vertex
+from switchrd.rate_distortion import _rates_and_gradients
 from switchrd.region import _greedy_oracle, _min_norm_point, in_region
 
 HAMMING = DistortionMatrix.hamming(2)
@@ -165,14 +166,69 @@ class TestRegionMaximizer:
         assert method == "multistart"
 
         def batch_value(ps):
-            return rates_at_distortion_batch(ps, d, 0.2, tol=FAST)
+            return _rates_and_gradients(ps, d, 0.2, FAST)
 
-        seeds = list(zip(batch_value(candidates).tolist(), candidates))
-        together = _ascend(seeds, batch_value, repair)
+        values, grads = batch_value(candidates)
+        seeds = list(zip(values.tolist(), candidates, grads))
+        together = _ascend(seeds, batch_value, repair, lambda p: p)
+        assert any(v > v0 for (v0, _, _), (_, v) in zip(seeds, together))
         for seed, (x, v) in zip(seeds, together):
-            [(x_alone, v_alone)] = _ascend([seed], batch_value, repair)
+            [(x_alone, v_alone)] = _ascend([seed], batch_value, repair, lambda p: p)
             np.testing.assert_array_equal(x, x_alone)
             assert v == v_alone
+
+    @pytest.mark.parametrize("search", ["region", "hull"])
+    def test_only_the_lattice_and_the_line_searches_reach_the_rate_solver(
+        self, monkeypatch, search
+    ):
+        # the ascent's probes are read off the gradient, so a grid search
+        # solves its lattice and then 10 line-search candidates per step
+        sizes = []
+        solve = optimizer._rates_and_gradients
+
+        def spy(ps, *args):
+            sizes.append(len(ps))
+            return solve(ps, *args)
+
+        monkeypatch.setattr(optimizer, "_rates_and_gradients", spy)
+        if search == "region":
+            res = maximize_over_region(RegionSpec(D3_SOURCES, 0), D3_DISTORTION, D3_TARGET)
+            lattice = len(_region_candidates(RegionSpec(D3_SOURCES, 0))[0])
+        else:
+            res = maximize_over_hull(D3_SOURCES, D3_DISTORTION, D3_TARGET)
+            lattice = len(_candidates(2, _simplex_vertex)[0])
+        assert res.method == "grid"
+        assert sizes[0] == lattice
+        assert len(sizes) > 1 and all(n == 10 for n in sizes[1:])
+        assert res.evaluations == lattice + 10 * (len(sizes) - 1)
+
+    def test_boundary_points_raise_no_floating_point_error(self):
+        # the delta = 1 oracle's vertices and lattice points with p(x) = 0;
+        # under the integer distortion some lattice rows at D = 0 meet a
+        # kernel sum of 0, whose logarithm the gradient floors
+        rng = np.random.default_rng(5)
+        free = RegionSpec(random_sources(rng, 5, 2), 1.0)
+        zeros = SourceList.independent([[0.6, 0.4, 0.0], [0.0, 0.3, 0.7]])
+        # the unit vectors: their region and their hull are the simplex,
+        # and inputs 0 and 1 share a zero-distortion output, so R~(0) = log2 3
+        corners = SourceList.independent(np.eye(4).tolist())
+        merged = DistortionMatrix([[0, 3, 3, 2], [0, 1, 0, 2], [3, 3, 3, 0], [3, 0, 2, 3]])
+        with np.errstate(all="raise"):
+            res = maximize_over_region(free, DistortionMatrix.hamming(5), 0.1, FAST)
+            assert res.method == "multistart"
+            assert res.value == pytest.approx(uniform_hamming_rate(5, 0.1), abs=1e-6)
+            for spec in (RegionSpec(zeros, 0), RegionSpec(zeros, 1.0)):
+                res = maximize_over_region(spec, DistortionMatrix.hamming(3), 0.0)
+                assert res.method == "grid"
+                assert res.value == pytest.approx(entropy(res.argmax), abs=1e-6)
+            res = maximize_over_hull(zeros, DistortionMatrix.hamming(3), 0.0)
+            assert res.value == pytest.approx(entropy(res.argmax), abs=1e-6)
+            for res in (
+                maximize_over_region(RegionSpec(corners, 0), merged, 0.0),
+                maximize_over_hull(corners, merged, 0.0),
+            ):
+                assert res.method == "grid"
+                assert res.value == pytest.approx(math.log2(3), abs=1e-6)
 
 
 class TestMultistartSeeds:

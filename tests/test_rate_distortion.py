@@ -337,6 +337,17 @@ class TestBatch:
         with pytest.raises(ValidationError):
             rates_at_distortion_batch(np.array(ps), HAMMING, 0.2)
 
+    def test_time_sharing_ignores_underflow(self):
+        # mixing a row's two sides underflows on this lattice; the search
+        # ignores underflow whatever numpy's error state outside it
+        dv = np.array([[3, 1, 2, 0], [0, 2, 1, 1], [2, 0, 2, 0], [0, 2, 1, 3]], dtype=float)
+        ps = compositions(10, 4) / 10
+        target = 1e-9 * float((ps @ dv).min(axis=1).max())
+        want = rates_at_distortion_batch(ps, DistortionMatrix(dv.tolist()), target)
+        with np.errstate(all="raise"):
+            got = rates_at_distortion_batch(ps, DistortionMatrix(dv.tolist()), target)
+        assert np.array_equal(got, want)
+
     def test_rows_within_the_simplex_tolerance_are_accepted(self):
         ps = np.array([[1.0 + SIMPLEX_ATOL / 2, -SIMPLEX_ATOL / 2], [0.5, 0.5]])
         rates = rates_at_distortion_batch(ps, HAMMING, 0.2)
@@ -430,6 +441,76 @@ class TestBestOnly:
                 rates_at_distortion_batch(ps, HAMMING, 0.2, best_only=True)
             assert np.geterr() == before
         assert np.array_equal(got, want)
+
+
+#: The benchmark's four-symbol sources under 4-ary Hamming distortion; at
+#: D = 0.508816 the hull's best lattice point is their mixture (0, .22, .78).
+WC_K4_M3_SOURCES = np.array([
+    [0.102231, 0.514738, 0.175252, 0.207779],
+    [0.104910, 0.065014, 0.655466, 0.174610],
+    [0.133652, 0.401393, 0.206629, 0.258326],
+])
+
+
+def projected(vectors):
+    """Each row less its mean: the part of a gradient the simplex sees."""
+    return vectors - vectors.mean(axis=-1, keepdims=True)
+
+
+class TestEnvelopeGradient:
+    @pytest.mark.parametrize("p0, target", [(0.3, 0.1), (0.1, 0.05), (0.45, 0.2), (0.8, 0.15)])
+    def test_binary_hamming_matches_the_closed_form(self, p0, target):
+        # R_p(D) = h(p0) - h(D) for D < min(p0, 1 - p0); at (.3, .7) and
+        # D = .1 the row closes while its upper side is still the zero-rate
+        # corner, whose slope would give 1.585 instead of log2(7/3)
+        rates, grads = rate_distortion._rates_and_gradients(
+            np.array([[p0, 1 - p0]]), HAMMING, target
+        )
+        assert rates[0] == pytest.approx(binary_rd(p0, target), abs=1e-6)
+        assert grads[0, 0] - grads[0, 1] == pytest.approx(math.log2((1 - p0) / p0), abs=1e-5)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_lossless_hamming_gradient_is_the_entropy_gradient(self, k):
+        # R_p(0) = H(p) under Hamming distortion, so on the simplex its
+        # gradient is -log2 p(x) up to a constant
+        ps = np.random.default_rng(k).dirichlet(np.ones(k), size=6)
+        rates, grads = rate_distortion._rates_and_gradients(ps, DistortionMatrix.hamming(k), 0.0)
+        entropies = -(ps * np.log2(ps)).sum(axis=1)
+        np.testing.assert_allclose(rates, entropies, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(projected(grads), projected(-np.log2(ps)), rtol=0, atol=1e-5)
+
+    def test_matches_central_differences_of_the_rates(self):
+        p = np.array([0.0, 0.22, 0.78]) @ WC_K4_M3_SOURCES
+        d = DistortionMatrix.hamming(4)
+        rates, grads = rate_distortion._rates_and_gradients(p[None, :], d, 0.508816, 1e-10)
+        step, units = 1e-4, projected(np.eye(4))
+        around = rates_at_distortion_batch(
+            np.vstack([p + step * units, p - step * units]), d, 0.508816, tol=1e-10
+        )
+        differences = (around[:4] - around[4:]) / (2 * step)
+        np.testing.assert_allclose(projected(grads[0]), differences, rtol=0, atol=1e-6)
+
+    def test_rows_without_a_certificate_carry_no_gradient(self):
+        # the batch of TestBestOnly's drop: row 211 is dropped, and every kept
+        # row has the gradient it has without best_only
+        d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
+        ps = compositions(20, 3) / 20
+        target = 2.6676048388493547
+        full, full_grads = rate_distortion._rates_and_gradients(ps, d, target)
+        rates, grads = rate_distortion._rates_and_gradients(ps, d, target, best_only=True)
+        assert np.isneginf(rates[211]) and np.isnan(grads[211]).all()
+        kept = ~np.isneginf(rates)
+        assert np.array_equal(rates[kept], full[kept])
+        assert np.array_equal(grads[kept], full_grads[kept])
+        assert np.isfinite(full_grads).all()
+        # an unreachable row has none either, and a zero-rate row has 0
+        d = DistortionMatrix([[0.0, 1.0], [1.0, 0.5]])
+        rates, grads = rate_distortion._rates_and_gradients(
+            np.array([[0.5, 0.5], [0.0, 1.0]]), d, 0.3
+        )
+        assert np.isposinf(rates[1]) and np.isnan(grads[1]).all()
+        rates, grads = rate_distortion._rates_and_gradients(np.array([[0.9, 0.1]]), HAMMING, 0.5)
+        assert rates[0] == 0.0 and (grads == 0.0).all()
 
 
 def solve_in_rounds(ps, d_arr, slopes, tol, q0, starts):
