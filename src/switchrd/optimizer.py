@@ -14,8 +14,8 @@ on evaluation order.
 
 The ascent takes its slopes from the rate solver's certificate: every rate
 comes with the envelope gradient of R_p(D) in p at the dual pair of its
-Blahut line (``rate_distortion._rates_and_gradients``), so only the starting
-batch and the line searches reach the solver.
+Blahut line (``rates_at_distortion_batch`` with ``gradients``), so only the
+starting batch and the line searches reach the solver.
 
 A candidate whose distortion floor lies above the target has rate +inf, and
 then so does the maximum. The lattice's batch asks the rate solver for its
@@ -31,10 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .probcore import Distribution, DistortionMatrix, SourceList, compositions
-from .rate_distortion import RATE_TOL, _rates_and_gradients
-# rates_at_distortion_batch is not called here; bench/test_bench.py traces the
-# optimizer.rates_at_distortion_batch binding
-from .rate_distortion import rates_at_distortion_batch  # noqa: F401
+from .rate_distortion import RATE_TOL, rates_at_distortion_batch
 from .region import RegionSpec, _greedy_oracle, _min_norm_point, _shortfalls, in_region, is_member
 
 #: Lattice step per parameter dimension, for the region and the hull alike;
@@ -97,7 +94,7 @@ def _ascend(seeds, batch_value, repair, to_source):
 
     ``gradient`` is the derivative of R_p(D) in the source p at
     ``to_source(point)``; ``batch_value`` maps a batch of points to their
-    values and gradients (``_rates_and_gradients``). Each step puts the 2k
+    values and gradients (``rates_at_distortion_batch``). Each step puts the 2k
     probes x +- ``_FD_STEP`` u, u a unit direction projected onto the
     simplex's plane, through ``repair`` and reads their central differences
     off the first-order model gradient . (to_source(probe) - to_source(x)),
@@ -228,7 +225,9 @@ def _maximize(candidates, method, repair, to_source, d, target, tol):
     def batch_value(xs, best_only=False):
         nonlocal evaluations
         evaluations += len(xs)
-        return _rates_and_gradients(to_source(xs), d, target, tol, best_only)
+        return rates_at_distortion_batch(
+            to_source(xs), d, target, tol=tol, best_only=best_only, gradients=True
+        )
 
     values, grads = batch_value(candidates, best_only=method == "grid")
     if np.isposinf(values).any():

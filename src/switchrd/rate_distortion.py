@@ -698,7 +698,8 @@ def rates_at_distortion_batch(
     *,
     tol: float = RATE_TOL,
     best_only: bool = False,
-) -> np.ndarray:
+    gradients: bool = False,
+):
     """Rates for many sources at one target distortion, searched side by side.
 
     Rows whose distortion floor exceeds the target get +inf (no channel can
@@ -718,8 +719,42 @@ def rates_at_distortion_batch(
     that attains the maximum, and every other row not given -inf, gets the
     same value, bit for bit, as without ``best_only``. A row that would fail
     to converge may be dropped before it fails.
+
+    With ``gradients`` the call returns ``(rates, grads)``: per row, the
+    envelope gradient of R_p(target) in p (see ``_envelope_gradients``),
+    read off the row's certificate at no extra solve. A row with a finite
+    rate has one; a row given +inf or -inf has none (NaN). A row at or above
+    its ceiling, rate 0, has gradient 0. The rates are the same either way.
     """
-    return _rates_and_gradients(ps, d, target, tol, best_only)[0]
+    if not target >= 0:  # NaN fails too
+        raise ValidationError("distortion target must be nonnegative")
+    _check_tol(tol)
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 2 or ps.shape[1] != d.num_inputs:
+        raise ValidationError(
+            f"sources must be rows of {d.num_inputs} probabilities, got shape {ps.shape}"
+        )
+    # NaN and inf entries fail these comparisons too
+    if not ((ps >= -SIMPLEX_ATOL).all() and (np.abs(ps.sum(axis=1) - 1.0) <= SIMPLEX_ATOL).all()):
+        raise ValidationError(f"every source row must be a distribution within {SIMPLEX_ATOL}")
+    d_arr = d.values
+    rates = np.zeros(ps.shape[0])
+    floors = ps @ d_arr.min(axis=1)
+    ceilings = (ps @ d_arr).min(axis=1)
+    rates[target < floors - 1e-12] = np.inf
+    idx = np.nonzero((target >= floors - 1e-12) & (target < ceilings))[0]
+    found = _slope_search(
+        ps[idx], d_arr, np.full(idx.size, float(target)), tol,
+        labels=idx, best_only=best_only,
+    )
+    rates[idx] = found[0]
+    if not gradients:
+        return rates
+    grads = np.zeros(ps.shape)
+    grads[np.isinf(rates)] = np.nan
+    kept = np.isfinite(found[0])
+    grads[idx[kept]] = _envelope_gradients(d_arr, found[5][kept], found[6][kept])
+    return rates, grads
 
 
 @np.errstate(under="ignore")
@@ -740,36 +775,3 @@ def _envelope_gradients(d_arr, slopes, qs):
     kernel = np.exp2(slopes[:, None, None] * (d_arr - lows[:, None])[None, :, :])
     sums = np.einsum("nxy,ny->nx", kernel, qs)
     return -slopes[:, None] * lows[None, :] - np.log2(np.maximum(sums, 1e-300))
-
-
-def _rates_and_gradients(ps, d, target, tol=RATE_TOL, best_only=False):
-    """``rates_at_distortion_batch``'s rates and, for each row, the envelope
-    gradient of R_p(target) in p (see ``_envelope_gradients``). A row with a
-    finite rate has a gradient; a row given +inf or -inf has none (NaN). A
-    row at or above its ceiling, rate 0, has gradient 0."""
-    if not target >= 0:  # NaN fails too
-        raise ValidationError("distortion target must be nonnegative")
-    _check_tol(tol)
-    ps = np.asarray(ps, dtype=float)
-    if ps.ndim != 2 or ps.shape[1] != d.num_inputs:
-        raise ValidationError(
-            f"sources must be rows of {d.num_inputs} probabilities, got shape {ps.shape}"
-        )
-    # NaN and inf entries fail these comparisons too
-    if not ((ps >= -SIMPLEX_ATOL).all() and (np.abs(ps.sum(axis=1) - 1.0) <= SIMPLEX_ATOL).all()):
-        raise ValidationError(f"every source row must be a distribution within {SIMPLEX_ATOL}")
-    d_arr = d.values
-    rates = np.zeros(ps.shape[0])
-    grads = np.zeros(ps.shape)
-    floors = ps @ d_arr.min(axis=1)
-    ceilings = (ps @ d_arr).min(axis=1)
-    rates[target < floors - 1e-12] = np.inf
-    idx = np.nonzero((target >= floors - 1e-12) & (target < ceilings))[0]
-    found = _slope_search(
-        ps[idx], d_arr, np.full(idx.size, float(target)), tol,
-        labels=idx, best_only=best_only,
-    )
-    rates[idx] = found[0]
-    grads[idx] = _envelope_gradients(d_arr, *found[5:])
-    grads[np.isinf(rates)] = np.nan
-    return rates, grads

@@ -22,7 +22,7 @@ from switchrd import (
 )
 from switchrd import optimizer
 from switchrd.optimizer import _ascend, _candidates, _region_candidates, _simplex_vertex
-from switchrd.rate_distortion import _rates_and_gradients
+from switchrd.rate_distortion import rates_at_distortion_batch
 from switchrd.region import _greedy_oracle, _min_norm_point, in_region
 
 HAMMING = DistortionMatrix.hamming(2)
@@ -166,7 +166,7 @@ class TestRegionMaximizer:
         assert method == "multistart"
 
         def batch_value(ps):
-            return _rates_and_gradients(ps, d, 0.2, FAST)
+            return rates_at_distortion_batch(ps, d, 0.2, tol=FAST, gradients=True)
 
         values, grads = batch_value(candidates)
         seeds = list(zip(values.tolist(), candidates, grads))
@@ -184,13 +184,13 @@ class TestRegionMaximizer:
         # the ascent's probes are read off the gradient, so a grid search
         # solves its lattice and then 10 line-search candidates per step
         sizes = []
-        solve = optimizer._rates_and_gradients
+        solve = optimizer.rates_at_distortion_batch
 
-        def spy(ps, *args):
+        def spy(ps, *args, **kwargs):
             sizes.append(len(ps))
-            return solve(ps, *args)
+            return solve(ps, *args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "_rates_and_gradients", spy)
+        monkeypatch.setattr(optimizer, "rates_at_distortion_batch", spy)
         if search == "region":
             res = maximize_over_region(RegionSpec(D3_SOURCES, 0), D3_DISTORTION, D3_TARGET)
             lattice = len(_region_candidates(RegionSpec(D3_SOURCES, 0))[0])

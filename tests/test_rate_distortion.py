@@ -463,8 +463,8 @@ class TestEnvelopeGradient:
         # R_p(D) = h(p0) - h(D) for D < min(p0, 1 - p0); at (.3, .7) and
         # D = .1 the row closes while its upper side is still the zero-rate
         # corner, whose slope would give 1.585 instead of log2(7/3)
-        rates, grads = rate_distortion._rates_and_gradients(
-            np.array([[p0, 1 - p0]]), HAMMING, target
+        rates, grads = rates_at_distortion_batch(
+            np.array([[p0, 1 - p0]]), HAMMING, target, gradients=True
         )
         assert rates[0] == pytest.approx(binary_rd(p0, target), abs=1e-6)
         assert grads[0, 0] - grads[0, 1] == pytest.approx(math.log2((1 - p0) / p0), abs=1e-5)
@@ -474,7 +474,9 @@ class TestEnvelopeGradient:
         # R_p(0) = H(p) under Hamming distortion, so on the simplex its
         # gradient is -log2 p(x) up to a constant
         ps = np.random.default_rng(k).dirichlet(np.ones(k), size=6)
-        rates, grads = rate_distortion._rates_and_gradients(ps, DistortionMatrix.hamming(k), 0.0)
+        rates, grads = rates_at_distortion_batch(
+            ps, DistortionMatrix.hamming(k), 0.0, gradients=True
+        )
         entropies = -(ps * np.log2(ps)).sum(axis=1)
         np.testing.assert_allclose(rates, entropies, rtol=0, atol=1e-6)
         np.testing.assert_allclose(projected(grads), projected(-np.log2(ps)), rtol=0, atol=1e-5)
@@ -482,7 +484,9 @@ class TestEnvelopeGradient:
     def test_matches_central_differences_of_the_rates(self):
         p = np.array([0.0, 0.22, 0.78]) @ WC_K4_M3_SOURCES
         d = DistortionMatrix.hamming(4)
-        rates, grads = rate_distortion._rates_and_gradients(p[None, :], d, 0.508816, 1e-10)
+        rates, grads = rates_at_distortion_batch(
+            p[None, :], d, 0.508816, tol=1e-10, gradients=True
+        )
         step, units = 1e-4, projected(np.eye(4))
         around = rates_at_distortion_batch(
             np.vstack([p + step * units, p - step * units]), d, 0.508816, tol=1e-10
@@ -496,20 +500,24 @@ class TestEnvelopeGradient:
         d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
         ps = compositions(20, 3) / 20
         target = 2.6676048388493547
-        full, full_grads = rate_distortion._rates_and_gradients(ps, d, target)
-        rates, grads = rate_distortion._rates_and_gradients(ps, d, target, best_only=True)
+        full, full_grads = rates_at_distortion_batch(ps, d, target, gradients=True)
+        rates, grads = rates_at_distortion_batch(ps, d, target, best_only=True, gradients=True)
         assert np.isneginf(rates[211]) and np.isnan(grads[211]).all()
         kept = ~np.isneginf(rates)
         assert np.array_equal(rates[kept], full[kept])
         assert np.array_equal(grads[kept], full_grads[kept])
         assert np.isfinite(full_grads).all()
+        # asking for gradients leaves the rates as they are
+        assert np.array_equal(full, rates_at_distortion_batch(ps, d, target))
         # an unreachable row has none either, and a zero-rate row has 0
         d = DistortionMatrix([[0.0, 1.0], [1.0, 0.5]])
-        rates, grads = rate_distortion._rates_and_gradients(
-            np.array([[0.5, 0.5], [0.0, 1.0]]), d, 0.3
+        rates, grads = rates_at_distortion_batch(
+            np.array([[0.5, 0.5], [0.0, 1.0]]), d, 0.3, gradients=True
         )
         assert np.isposinf(rates[1]) and np.isnan(grads[1]).all()
-        rates, grads = rate_distortion._rates_and_gradients(np.array([[0.9, 0.1]]), HAMMING, 0.5)
+        rates, grads = rates_at_distortion_batch(
+            np.array([[0.9, 0.1]]), HAMMING, 0.5, gradients=True
+        )
         assert rates[0] == 0.0 and (grads == 0.0).all()
 
 
