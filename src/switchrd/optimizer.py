@@ -15,7 +15,10 @@ on evaluation order.
 The ascent takes its slopes from the rate solver's certificate: every rate
 comes with the envelope gradient of R_p(D) in p at the dual pair of its
 Blahut line (``rates_at_distortion_batch`` with ``gradients``), so only the
-starting batch and the line searches reach the solver.
+starting batch and the line searches reach the solver. That line's dual pair
+(slope, output law) rides along with each point, and a line search passes
+its seed's pair as ``start``: its candidates lie a short step from the seed,
+so their slope searches begin next to their answers.
 
 A candidate whose distortion floor lies above the target has rate +inf, and
 then so does the maximum. The lattice's batch asks the rate solver for its
@@ -89,27 +92,30 @@ def _pick_best(values, vecs) -> int:
 
 def _ascend(seeds, batch_value, repair, to_source):
     """Projected coordinate ascent on the envelope gradient, run from every
-    ``(value, point, gradient)`` seed in lockstep; returns ``(point, value)``
-    per seed.
+    ``(value, point, gradient, dual)`` seed in lockstep; returns
+    ``(point, value)`` per seed.
 
     ``gradient`` is the derivative of R_p(D) in the source p at
-    ``to_source(point)``; ``batch_value`` maps a batch of points to their
-    values and gradients (``rates_at_distortion_batch``). Each step puts the 2k
-    probes x +- ``_FD_STEP`` u, u a unit direction projected onto the
-    simplex's plane, through ``repair`` and reads their central differences
-    off the first-order model gradient . (to_source(probe) - to_source(x)),
-    so no probe reaches the rate solver and the repair still bends the
-    direction along the feasible boundary when constraints bind. Each step
-    then solves one batch: 10 line-search candidates per start that is still
-    moving, each repaired back into the feasible set; a start that moves
-    takes its winner's gradient from that batch. A start that moves to a
-    candidate of value +inf (a distortion floor above the target) stops
-    there. The rate solver treats the rows of a batch independently, so each
-    start follows the same path as it would alone.
+    ``to_source(point)`` and ``dual`` its certificate's ``(slope, law)``
+    pair; ``batch_value(points, start)`` maps a batch of points to their
+    values, gradients and dual pairs (``rates_at_distortion_batch``). Each
+    step puts the 2k probes x +- ``_FD_STEP`` u, u a unit direction
+    projected onto the simplex's plane, through ``repair`` and reads their
+    central differences off the first-order model
+    gradient . (to_source(probe) - to_source(x)), so no probe reaches the
+    rate solver and the repair still bends the direction along the feasible
+    boundary when constraints bind. Each step then solves one batch: 10
+    line-search candidates per start that is still moving, each repaired
+    back into the feasible set and searched from its start's dual pair; a
+    start that moves takes its winner's gradient and pair from that batch. A
+    start that moves to a candidate of value +inf (a distortion floor above
+    the target) stops there. The rate solver treats the rows of a batch
+    independently, so each start follows the same path as it would alone.
     """
-    xs = [np.array(x0, dtype=float) for _, x0, _ in seeds]
-    vs = [float(v0) for v0, _, _ in seeds]
-    grads = [np.asarray(c0, dtype=float) for _, _, c0 in seeds]
+    xs = [np.array(x0, dtype=float) for _, x0, _, _ in seeds]
+    vs = [float(v0) for v0, _, _, _ in seeds]
+    grads = [np.asarray(c0, dtype=float) for _, _, c0, _ in seeds]
+    duals = [dual for _, _, _, dual in seeds]
     base_steps = [0.05] * len(xs)
     k = xs[0].size
     units = np.eye(k) - 1.0 / k
@@ -133,17 +139,22 @@ def _ascend(seeds, batch_value, repair, to_source):
             searching.append((j, steps, repair(xs[j] + steps[:, None] * direction)))
         if not searching:
             break
-        cvals, cgrads = batch_value(np.concatenate([group for _, _, group in searching]))
-        n = len(searching)
+        start = (
+            np.repeat([duals[j][0] for j, _, _ in searching], 10),
+            np.repeat([duals[j][1] for j, _, _ in searching], 10, axis=0),
+        )
+        cvals, cgrads, (cslopes, claws) = batch_value(
+            np.concatenate([group for _, _, group in searching]), start
+        )
         moving = []
-        for (j, steps, group), cv, cg in zip(
-            searching, cvals.reshape(n, -1), cgrads.reshape(n, -1, cgrads.shape[1])
-        ):
+        for i, (j, steps, group) in enumerate(searching):
+            cv = cvals[10 * i:10 * i + 10]
             best = int(np.argmax(cv))
             if cv[best] > vs[j] + 1e-12:
                 xs[j] = group[best]
                 vs[j] = float(cv[best])
-                grads[j] = cg[best]
+                grads[j] = cgrads[10 * i + best]
+                duals[j] = (cslopes[10 * i + best], claws[10 * i + best])
                 base_steps[j] = min(float(steps[best]) * 2.0, 0.25)
                 if np.isfinite(vs[j]):
                     moving.append(j)
@@ -218,27 +229,28 @@ def _maximize(candidates, method, repair, to_source, d, target, tol):
     The grid's batch feeds only its best row, so it stops early on rows that
     are certified to fall below it, which come back as -inf and are never
     picked; the multistart seeds and the line searches need every value.
-    Each batch also returns every kept row's gradient, which seeds the
-    ascent. The first batch rejects a negative or NaN target."""
+    Each batch also returns every kept row's gradient and dual pair, which
+    seed the ascent. The first batch rejects a negative or NaN target."""
     evaluations = 0
 
-    def batch_value(xs, best_only=False):
+    def batch_value(xs, start=None, best_only=False):
         nonlocal evaluations
         evaluations += len(xs)
         return rates_at_distortion_batch(
-            to_source(xs), d, target, tol=tol, best_only=best_only, gradients=True
+            to_source(xs), d, target, tol=tol, best_only=best_only, gradients=True, start=start
         )
 
-    values, grads = batch_value(candidates, best_only=method == "grid")
+    values, grads, (slopes, laws) = batch_value(candidates, best_only=method == "grid")
     if np.isposinf(values).any():
         x = np.array(min(map(tuple, candidates[np.isposinf(values)])))
         return MaximizerResult(np.inf, Distribution(to_source(x)), method, evaluations, 0)
     i = _pick_best(values, candidates)
     best_value, best_x = float(values[i]), candidates[i]
+    duals = list(zip(slopes, laws))
     if method == "grid":
-        seeds = [(best_value, best_x, grads[i])]
+        seeds = [(best_value, best_x, grads[i], duals[i])]
     else:
-        seeds = list(zip(values.tolist(), candidates, grads))
+        seeds = list(zip(values.tolist(), candidates, grads, duals))
     for x, v in _ascend(seeds, batch_value, repair, to_source):
         if _better(v, x, best_value, best_x):
             best_value, best_x = v, x

@@ -53,7 +53,8 @@ class RdPoint:
 
     ``rate`` is the mutual information of ``channel``, whose distortion is
     ``distortion``, so it is at least R_p(distortion); ``lower`` is a
-    certified lower bound on R_p(distortion)."""
+    certified lower bound on R_p(distortion), read off Blahut's line of
+    slope ``slope`` (0 at the zero-rate end)."""
 
     distortion: float
     rate: float
@@ -143,6 +144,7 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
       by the divergence of the optimum from the start over t, and the mixing
       caps that divergence at the cold start's plus log2(1 / _WARM_MIX) bits:
       a warm start can be somewhat worse than a cold one, but never by much.
+      A row of NaN in ``q0`` starts cold, from the uniform law itself.
     * Rows whose slope is shallow enough that the zero-rate corner is optimal
       are recognized in closed form and skip the iteration entirely.
     * At the end of each full burst of ``_MAX_BURST`` updates, the last
@@ -198,12 +200,13 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
             q[rows, best_cols[rows]] = 1.0
             dist[rows] = (ps[rows] @ d_arr)[np.arange(rows.size), best_cols[rows]]
             gap[rows] = 0.0
-        if q0 is None:
-            q_iter = np.full((n, ny), 1.0 / ny)
-        else:
-            q_iter = np.maximum(np.asarray(q0, dtype=float), 0.0)
-            q_iter = q_iter / q_iter.sum(axis=1, keepdims=True)
-            q_iter = (1.0 - _WARM_MIX) * q_iter + _WARM_MIX / ny
+        q_iter = np.full((n, ny), 1.0 / ny)
+        if q0 is not None:
+            q0 = np.asarray(q0, dtype=float)
+            warm = ~np.isnan(q0).any(axis=1)
+            q_warm = np.maximum(q0[warm], 0.0)
+            q_warm = q_warm / q_warm.sum(axis=1, keepdims=True)
+            q_iter[warm] = (1.0 - _WARM_MIX) * q_warm + _WARM_MIX / ny
         q[~corner] = q_iter[~corner]
 
     # an input whose every column underflowed (the slope is steep enough that
@@ -423,10 +426,10 @@ def _channel_bound(ps, d_arr, targets, w_lead):
 
 
 @np.errstate(under="ignore")
-def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
+def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=None):
     """R_p(D) for a batch of sources, each row at its own reachable target
-    (floor - 1e-12 <= target < ceiling). Returns (rate, dist, w, slope,
-    lower, dual_slope, dual_q): every row stops on a certified bracket on
+    (floor - 1e-12 <= target < ceiling). Returns (rate, dist, w, lower,
+    dual_slope, dual_q): every row stops on a certified bracket on
     R_p(target).
 
     * **Lower end.** A probe at slope s solves the fixed-slope trade-off to a
@@ -443,6 +446,17 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
       with lower end r - g. The upper side starts at slope 0, the zero-rate
       corner at the ceiling, which needs no solve. Regula falsi in t = 2^s
       with Anderson-Bjorck weights moves the sides (D(s) is nondecreasing).
+    * **Warm start.** ``start`` is an optional (slopes, output laws) pair per
+      row, say the dual pair of a nearby source. A row with a slope in
+      [SLOPE_FLOOR, 0) and a finite law solves a second probe at that pair
+      in the same call as its probe at -64, and both probes' lines compete
+      for the lower end. The warm probe becomes the side its distortion
+      falls on: at or below the target it is the lower side (unless the
+      probe at -64 is too, at a larger slope), and no doubling runs; above
+      it, it replaces the zero-rate corner as the upper side while the
+      probe at -64 doubles as above. The row's next probe warm-starts from
+      it. Any other row, a slope of 0 or NaN say, searches exactly as
+      without ``start``.
     * **Exit.** Once its bracket is at most ``tol`` bits wide, a row returns
       its two sides time-shared at exactly the target. Mutual information is
       convex in the channel, so that rate lies inside the bracket. A row
@@ -451,7 +465,8 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
       mixed point; ``labels`` names the rows in its message.
 
     Each probe warm-starts from its own row's previous one, so a row's answer
-    does not depend on the rest of the batch.
+    depends only on its own source, target and start, not on the rest of
+    the batch.
 
     With ``best_only`` the caller reads only the largest rate, and the search
     stops waiting on rows it will not return:
@@ -464,10 +479,12 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
       have returned less than the batch maximum.
     * **A second upper end.** For dropping, a row's upper end is the least
       of its chord and of ``_channel_bound`` over the channels that led the
-      finished rows (the finished row with the largest rate leads): each is
-      the rate of a channel that meets the row's target, so it is an upper
-      end too. A row still closes on its chord alone, so the value it
-      returns does not depend on the batch.
+      batch: each finished row that led the finished rows (the one with the
+      largest rate leads), and from the first round on, each bracket of the
+      searching row with the largest lower end, its two sides time-shared at
+      its own target. Each is the rate of a channel that meets the row's
+      target, so it is an upper end too. A row still closes on its chord
+      alone, so the value it returns does not depend on the batch.
     * **Yielding.** A regula falsi probe yields after ``_YIELD_AFTER``
       updates. Its row skips its next regula falsi step and resumes the
       probe in the next round, exactly where it stopped, while every other
@@ -483,10 +500,9 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
     the floor keeps its last probe's, and a row whose lower end is still the
     zero-rate side's line keeps slope 0 and the uniform law. Blahut's line
     is linear in p through L_s(p, q), so this pair gives the envelope
-    gradient of R_p(target) (see ``_envelope_gradients``). The returned
-    ``slope``, the middle of the slope bracket, and the time-shared channel
-    are no such pair: a row may close while its upper side is still the
-    zero-rate corner.
+    gradient of R_p(target) (see ``_envelope_gradients``). The time-shared
+    channel is no such pair: a row may close while its upper side is still
+    the zero-rate corner.
 
     Channel masses underflow to 0 by design here too (time-sharing a
     channel with entries near the smallest float, say), so the search
@@ -502,28 +518,56 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
     # updates run by each row's yielded probe, 0 where none is open
     paused = np.zeros(m, dtype=int)
 
+    def compete(rows, slopes, rate, dist, q, gap):
+        # a finished probe's line, read at the target, may raise the lower
+        # end; its pair then becomes the row's dual pair
+        lines = rate + slopes * (targets[rows] - dist) - gap
+        best = lines > lower[rows]
+        lower[rows[best]] = lines[best]
+        dual_slope[rows[best]], dual_q[rows[best]] = slopes[best], q[best]
+
     def solve(rows, slopes, warm, spent=0, yield_after=None):
         rate, dist, w, q, gap, paused[rows] = _solve_fixed_slopes(
             ps[rows], d_arr, slopes, tol / 4, q0=warm, spent=spent, yield_after=yield_after
         )
         q_warm[rows] = q
         done = paused[rows] == 0
-        lines = rate + slopes * (targets[rows] - dist) - gap
-        best = done & (lines > lower[rows])
-        lower[rows[best]] = lines[best]
-        dual_slope[rows[best]], dual_q[rows[best]] = slopes[best], q[best]
+        compete(rows[done], slopes[done], rate[done], dist[done], q[done], gap[done])
         return rate, dist, w, gap
 
     slope = np.full(m, -64.0)
-    rate, dist, w, gap = solve(np.arange(m), slope, None)
-    widen = dist > targets
+    # the rows whose start pair is usable take a warm probe, at that pair
+    hot, s_hot, law_hot = np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, ny))
+    if start is not None:
+        s_start, q_start = start
+        hot = np.nonzero(
+            np.isfinite(s_start) & (s_start < 0.0) & np.isfinite(q_start).all(axis=1)
+            & (q_start >= 0.0).all(axis=1) & (q_start.sum(axis=1) > 0.0)
+        )[0]
+        s_hot, law_hot = np.maximum(s_start[hot], SLOPE_FLOOR), q_start[hot]
+    # every row's probe at -64 and the warm probes in one call; the NaN rows
+    # start cold
+    out = _solve_fixed_slopes(
+        np.vstack([ps, ps[hot]]), d_arr, np.concatenate([slope, s_hot]), tol / 4,
+        q0=np.vstack([np.full((m, ny), np.nan), law_hot]),
+    )
+    (rate, dist, w, q, gap, _), (r_hot, d_hot, w_hot, q_hot, g_hot, _) = (
+        [a[:m] for a in out], [a[m:] for a in out]
+    )
+    q_warm[:] = q
+    # a row's two lines compete in turn, the cold one first
+    compete(np.arange(m), slope, rate, dist, q, gap)
+    compete(hot, s_hot, r_hot, d_hot, q_hot, g_hot)
+    below = np.zeros(m, dtype=bool)  # rows whose warm probe is at or below
+    below[hot] = d_hot <= targets[hot]
+    widen = (dist > targets) & ~below
     while widen.any():
         rows = np.nonzero(widen)[0]
         slope[rows] = np.maximum(2.0 * slope[rows], SLOPE_FLOOR)
         rate[rows], dist[rows], w[rows], gap[rows] = solve(rows, slope[rows], q_warm[rows])
-        widen = (dist > targets) & (slope > SLOPE_FLOOR)
+        widen = (dist > targets) & ~below & (slope > SLOPE_FLOOR)
     # rows still above their target at the floor are finished
-    finished = dist > targets
+    finished = (dist > targets) & ~below
     lower[finished] = (rate - gap)[finished]
     dual_slope[finished], dual_q[finished] = slope[finished], q_warm[finished]
     searching = ~finished
@@ -534,9 +578,21 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
     ends = np.stack([slope, np.zeros(m)])
     vals = np.stack([dist - targets, costs.min(axis=1) - targets])
     rates = np.stack([rate, np.zeros(m)])
-    weights = vals.copy()
     chans = np.stack([w, np.zeros_like(w)])
     chans[1, np.arange(m), :, np.argmin(costs, axis=1)] = 1.0
+    # each warm probe takes the side its distortion falls on, where it is
+    # nearer the target in slope than that side's probe so far
+    f_hot = d_hot - targets[hot]
+    side = (f_hot > 0.0).astype(int)
+    nearer = np.where(
+        side == 0, (vals[0, hot] > 0.0) | (s_hot >= ends[0, hot]), s_hot > ends[0, hot]
+    )
+    take = nearer & searching[hot]
+    rows, side = hot[take], side[take]
+    ends[side, rows], vals[side, rows] = s_hot[take], f_hot[take]
+    rates[side, rows], chans[side, rows] = r_hot[take], w_hot[take]
+    q_warm[rows] = q_hot[take]
+    weights = vals.copy()
     last = np.full(m, -1)  # the side that moved last
     dropped = np.zeros(m, dtype=bool)
     probes = np.zeros(m, dtype=int)  # regula falsi probes finished
@@ -544,12 +600,14 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
     yield_after = _YIELD_AFTER if best_only else None
     bound = np.full(m, np.inf)  # upper ends from the leaders' channels
     leader = -1
+    # the searching leader and its count of finished probes when its
+    # channel last bounded the batch
+    seen = (-1, -1)
 
     def mix(rows):
         rate[rows], dist[rows], w[rows] = _mix_channels(
             ps[rows], d_arr, chans[0, rows], chans[1, rows], targets[rows]
         )
-        slope[rows] = ends[:, rows].mean(axis=0)
 
     def probe(rows):
         # run (or resume) each row's probe at slope ``due``; a finished one
@@ -590,6 +648,18 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
                     bound[rows] = np.minimum(
                         bound[rows], _channel_bound(ps[rows], d_arr, targets[rows], w[top])
                     )
+            if rows.size:
+                # the searching row with the largest lower end leads too: its
+                # sides time-shared at its target are a channel like any other
+                top = rows[np.argmax(lower[rows])]
+                if seen != (top, probes[top]):
+                    seen = (top, probes[top])
+                    w_top = _mix_channels(
+                        ps[[top]], d_arr, chans[0, [top]], chans[1, [top]], targets[[top]]
+                    )[2][0]
+                    bound[rows] = np.minimum(
+                        bound[rows], _channel_bound(ps[rows], d_arr, targets[rows], w_top)
+                    )
             out = np.minimum(upper, bound[rows]) + tol + 1e-12 < sure
             searching[rows[out]], dropped[rows[out]] = False, True
             rows, upper = rows[~out], upper[~out]
@@ -601,7 +671,7 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
             mix([row])
             at = RdPoint(
                 float(dist[row]), float(rate[row]), TransitionMatrix(w[row]),
-                float(slope[row]), float(lower[row]),
+                float(dual_slope[row]), float(lower[row]),
             )
             label = "" if labels is None else f" for batch row {labels[row]}"
             raise ConvergenceError(
@@ -626,7 +696,7 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False):
             if group.size:
                 probe(group)
     rate[dropped] = -np.inf
-    return rate, dist, w, slope, lower, dual_slope, dual_q
+    return rate, dist, w, lower, dual_slope, dual_q
 
 
 def rate_at_distortion(
@@ -666,7 +736,7 @@ def _points_at(p, d, targets, tol):
     found = _slope_search(
         np.tile(p.probs, (rows.size, 1)), d.values, targets[rows], tol
     )
-    for i, rate, dist, w, slope, lower in zip(rows, *found[:5]):
+    for i, rate, dist, w, lower, slope in zip(rows, *found[:5]):
         points[i] = RdPoint(
             float(dist), float(rate), TransitionMatrix(w), float(slope), float(lower)
         )
@@ -699,6 +769,7 @@ def rates_at_distortion_batch(
     tol: float = RATE_TOL,
     best_only: bool = False,
     gradients: bool = False,
+    start=None,
 ):
     """Rates for many sources at one target distortion, searched side by side.
 
@@ -713,18 +784,29 @@ def rates_at_distortion_batch(
     ``best_only`` is for callers that read only the largest rate: the search
     then stops early on every row whose upper end shows it below another
     row's value, and such a row gets -inf. A row's upper end is the least of
-    its own bracket's and of the rate of a finished row's channel
-    time-shared onto its target; a probe that crawls yields to the rest of
-    the batch, so the search need not wait on rows it then drops. Every row
-    that attains the maximum, and every other row not given -inf, gets the
-    same value, bit for bit, as without ``best_only``. A row that would fail
-    to converge may be dropped before it fails.
+    its own bracket's and of the rates of leading rows' channels time-shared
+    onto its target: a finished row's, and from the first round on, that of
+    the searching row with the largest lower end. A probe that crawls yields
+    to the rest of the batch, so the search need not wait on rows it then
+    drops. Every row that attains the maximum, and every other row not given
+    -inf, gets the same value, bit for bit, as without ``best_only``. A row
+    that would fail to converge may be dropped before it fails.
 
-    With ``gradients`` the call returns ``(rates, grads)``: per row, the
-    envelope gradient of R_p(target) in p (see ``_envelope_gradients``),
-    read off the row's certificate at no extra solve. A row with a finite
-    rate has one; a row given +inf or -inf has none (NaN). A row at or above
-    its ceiling, rate 0, has gradient 0. The rates are the same either way.
+    With ``gradients`` the call returns ``(rates, grads, duals)``. ``grads``
+    holds, per row, the envelope gradient of R_p(target) in p (see
+    ``_envelope_gradients``), read off the row's certificate at no extra
+    solve. ``duals`` is the pair ``(slopes, laws)`` of that certificate: the
+    slope and the output law of the Blahut line that is the row's lower end.
+    A row with a finite rate has both; a row given +inf or -inf has neither
+    (NaN). A row at or above its ceiling, rate 0, has gradient 0 and the
+    pair of slope 0 and the uniform law. The rates are the same either way.
+
+    ``start`` takes such a pair, one slope and one output law per row, and
+    warm-starts each row's search from it (see ``_slope_search``): passing
+    the ``duals`` of nearby sources saves probes. A row whose slope is 0 or
+    not finite searches cold, exactly as without ``start``. A row's value
+    depends only on its own source and start, and lies within its bracket
+    either way.
     """
     if not target >= 0:  # NaN fails too
         raise ValidationError("distortion target must be nonnegative")
@@ -738,23 +820,35 @@ def rates_at_distortion_batch(
     if not ((ps >= -SIMPLEX_ATOL).all() and (np.abs(ps.sum(axis=1) - 1.0) <= SIMPLEX_ATOL).all()):
         raise ValidationError(f"every source row must be a distribution within {SIMPLEX_ATOL}")
     d_arr = d.values
-    rates = np.zeros(ps.shape[0])
+    n, ny = ps.shape[0], d_arr.shape[1]
+    if start is not None:
+        start = np.asarray(start[0], dtype=float), np.asarray(start[1], dtype=float)
+        if start[0].shape != (n,) or start[1].shape != (n, ny):
+            raise ValidationError(
+                f"start must hold {n} slopes and {n} laws over {ny} outputs, got shapes "
+                f"{start[0].shape} and {start[1].shape}"
+            )
+    rates = np.zeros(n)
     floors = ps @ d_arr.min(axis=1)
     ceilings = (ps @ d_arr).min(axis=1)
     rates[target < floors - 1e-12] = np.inf
     idx = np.nonzero((target >= floors - 1e-12) & (target < ceilings))[0]
     found = _slope_search(
-        ps[idx], d_arr, np.full(idx.size, float(target)), tol,
-        labels=idx, best_only=best_only,
+        ps[idx], d_arr, np.full(idx.size, float(target)), tol, labels=idx,
+        best_only=best_only, start=None if start is None else (start[0][idx], start[1][idx]),
     )
     rates[idx] = found[0]
     if not gradients:
         return rates
     grads = np.zeros(ps.shape)
-    grads[np.isinf(rates)] = np.nan
+    slopes = np.zeros(n)
+    laws = np.full((n, ny), 1.0 / ny)
+    none = np.isinf(rates)
+    grads[none], slopes[none], laws[none] = np.nan, np.nan, np.nan
     kept = np.isfinite(found[0])
-    grads[idx[kept]] = _envelope_gradients(d_arr, found[5][kept], found[6][kept])
-    return rates, grads
+    slopes[idx[kept]], laws[idx[kept]] = found[4][kept], found[5][kept]
+    grads[idx[kept]] = _envelope_gradients(d_arr, slopes[idx[kept]], laws[idx[kept]])
+    return rates, grads, (slopes, laws)
 
 
 @np.errstate(under="ignore")

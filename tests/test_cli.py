@@ -158,8 +158,8 @@ distortion:
     [
         ("0.239443", "0.239443,0.826379043677,0.749383763366,0.25,0.25,0.25,0.25,grid"),
         # the best row of this hull batch crawls, so its probes yield and
-        # resume
-        ("0.508816", "0.508816,0.193769989727,0.128495880488,0.25,0.25,0.25,0.25,grid"),
+        # resume; its line searches start from their seed's dual pair
+        ("0.508816", "0.508816,0.193769989727,0.12849588066,0.25,0.25,0.25,0.25,grid"),
     ],
 )
 def test_optimize_four_symbols_prints_pinned_bytes(capsys, tmp_path, target, row):

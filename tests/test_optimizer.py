@@ -22,7 +22,7 @@ from switchrd import (
 )
 from switchrd import optimizer
 from switchrd.optimizer import _ascend, _candidates, _region_candidates, _simplex_vertex
-from switchrd.rate_distortion import rates_at_distortion_batch
+from switchrd.rate_distortion import RATE_TOL, rates_at_distortion_batch
 from switchrd.region import _greedy_oracle, _min_norm_point, in_region
 
 HAMMING = DistortionMatrix.hamming(2)
@@ -87,6 +87,27 @@ D1_SOURCES = SourceList.independent(
 D1_DISTORTION = DistortionMatrix(
     [[int(c) for c in row] for row in "022323 300113 300303 013011 213102 222330".split()]
 )
+#: (D5, four symbols) a thin region under 4-ary Hamming distortion whose
+#: lattice holds no point near its most uniform law
+#: p* = (.331403, .331403, .005791, .331403), of entropy 1.627155.
+D5_K4_SOURCES = SourceList.independent(
+    [[0.011904, 0.342654, 0.000465, 0.644977],
+     [0.608763, 0.006398, 0.00044, 0.384399],
+     [0.40273, 0.471259, 0.004891, 0.12112]]
+)
+#: (D9) the worst of 38 random maximizations: Frank-Wolfe, from the
+#: multistart argmax or from p*, reaches 0.849582090 at a member of the
+#: region at D9_TARGET.
+D9_SOURCES = SourceList.independent(
+    [[0.14132602419595616, 0.003735308142705593, 0.08508682672819379,
+      0.0023329747358940287, 0.26193341705147527, 0.5055854491457752],
+     [0.43482750772118517, 0.03444674893805774, 0.030145962856579164,
+      0.2174610524755093, 0.08178444652867808, 0.20133428147999047]]
+)
+D9_DISTORTION = DistortionMatrix(
+    [[int(c) for c in row] for row in "032033 002130 300112 312122 210101 013001".split()]
+)
+D9_TARGET = 0.2549471066978872
 
 
 class TestRegionMaximizer:
@@ -165,13 +186,14 @@ class TestRegionMaximizer:
         candidates, method, repair = _region_candidates(spec)
         assert method == "multistart"
 
-        def batch_value(ps):
-            return rates_at_distortion_batch(ps, d, 0.2, tol=FAST, gradients=True)
+        def batch_value(ps, start=None):
+            return rates_at_distortion_batch(ps, d, 0.2, tol=FAST, gradients=True, start=start)
 
-        values, grads = batch_value(candidates)
-        seeds = list(zip(values.tolist(), candidates, grads))
+        values, grads, (slopes, laws) = batch_value(candidates)
+        seeds = list(zip(values.tolist(), candidates, grads, zip(slopes, laws)))
+        assert all(s < 0 for _, _, _, (s, _) in seeds)
         together = _ascend(seeds, batch_value, repair, lambda p: p)
-        assert any(v > v0 for (v0, _, _), (_, v) in zip(seeds, together))
+        assert any(v > v0 for (v0, _, _, _), (_, v) in zip(seeds, together))
         for seed, (x, v) in zip(seeds, together):
             [(x_alone, v_alone)] = _ascend([seed], batch_value, repair, lambda p: p)
             np.testing.assert_array_equal(x, x_alone)
@@ -299,6 +321,30 @@ class TestPinnedInstances:
         assert maximize_over_region(spec, d, 0.0).value >= h_star - 1e-6
         erokhin = h_star - h2(0.05) - 0.05 * math.log2(4)
         assert maximize_over_region(spec, d, 0.05).value >= erokhin - 1e-6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="D5 open: the lattice and its ascent reach R~(0) = 0.959527 "
+        "against H(p*) = 1.627155",
+    )
+    def test_d5_four_symbols_reaches_the_most_uniform_law(self):
+        # (D5) the four-symbol lattice holds no point near p*
+        spec = RegionSpec(D5_K4_SOURCES, 0)
+        oracle = _greedy_oracle(D5_K4_SOURCES, np.zeros(4))
+        h_star = entropy(Distribution(_min_norm_point(oracle, oracle(np.zeros(4)))[0]))
+        res = maximize_over_region(spec, DistortionMatrix.hamming(4), 0.0)
+        assert res.method == "grid"
+        assert res.value >= h_star - RATE_TOL
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="D9 open: the multistart ascent stalls at 0.754875136 against "
+        "Frank-Wolfe's 0.849582090",
+    )
+    def test_d9_reaches_the_frank_wolfe_value(self):
+        res = maximize_over_region(RegionSpec(D9_SOURCES, 0), D9_DISTORTION, D9_TARGET)
+        assert res.method == "multistart"
+        assert res.value >= 0.8495
 
     def test_d1_rises_to_one_bit(self):
         # (D1) random draws alone found 0.970679 at D = 0.3

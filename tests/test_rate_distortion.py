@@ -23,7 +23,7 @@ from switchrd import (
     rd_curve,
 )
 from switchrd import rate_distortion
-from switchrd.rate_distortion import RdCurve
+from switchrd.rate_distortion import RATE_TOL, RdCurve
 from switchrd.probcore import SIMPLEX_ATOL, compositions
 
 HAMMING = DistortionMatrix.hamming(2)
@@ -121,6 +121,14 @@ class TestRateAtDistortion:
     def test_rate_zero_at_ceiling(self):
         pt = rate_at_distortion(Distribution([2 / 3, 1 / 3]), HAMMING, 1 / 3)
         assert pt.rate == 0.0
+
+    @pytest.mark.parametrize("p0, target", [(0.3, 0.1), (0.1, 0.05), (0.45, 0.2), (0.5, 0.01)])
+    def test_slope_is_that_of_the_certifying_line(self, p0, target):
+        # R_p(D) = h(p0) - h(D) has slope log2(D / (1 - D)); at (.3, .7) and
+        # D = .1 the middle of the final slope bracket is -33.6 instead
+        pt = rate_at_distortion(Distribution([p0, 1 - p0]), HAMMING, target)
+        assert pt.slope == pytest.approx(math.log2(target / (1 - target)), abs=1e-6)
+        assert rate_at_distortion(Distribution([p0, 1 - p0]), HAMMING, 0.6).slope == 0.0
 
     @pytest.mark.parametrize("target", [math.nan, -0.1])
     def test_nan_or_negative_target_is_rejected(self, target):
@@ -427,6 +435,38 @@ class TestBestOnly:
         assert np.array_equal(fast[kept], full[kept])
         assert np.all(full[~kept] < full[best])
 
+    @pytest.mark.parametrize("batch", ["drop", "hull"])
+    def test_rows_leave_before_the_best_row_finishes(self, monkeypatch, batch):
+        # the searching row with the largest lower end bounds every row from
+        # the first round on, so no dropped row waits for a row to finish;
+        # every kept row is still the full search's, bit for bit
+        if batch == "drop":
+            d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
+            ps, target = compositions(20, 3) / 20, 2.6676048388493547
+        else:
+            d = DistortionMatrix.hamming(4)
+            ps, target = compositions(50, 3) / 50 @ WC_K4_M3_SOURCES, 0.508816
+        full = rates_at_distortion_batch(ps, d, target)
+        solve = rate_distortion._solve_fixed_slopes
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(rate_distortion, "_solve_fixed_slopes", spy)
+        fast = rates_at_distortion_batch(ps, d, target, best_only=True)
+        kept = ~np.isneginf(fast)
+        assert np.array_equal(fast[kept], full[kept])
+        best = int(np.argmax(full))
+        assert int(np.argmax(fast)) == best
+
+        def solves(row):
+            # the calls that solved or resumed a probe of this row
+            return sum(bool((rows == ps[row]).all(axis=1).any()) for rows in calls)
+
+        assert max(solves(row) for row in np.nonzero(~kept)[0]) < solves(best)
+
     def test_leaves_the_numpy_error_state_as_it_was(self, monkeypatch):
         # the solver ignores underflow inside itself only, whether it returns
         # or raises
@@ -463,7 +503,7 @@ class TestEnvelopeGradient:
         # R_p(D) = h(p0) - h(D) for D < min(p0, 1 - p0); at (.3, .7) and
         # D = .1 the row closes while its upper side is still the zero-rate
         # corner, whose slope would give 1.585 instead of log2(7/3)
-        rates, grads = rates_at_distortion_batch(
+        rates, grads, _ = rates_at_distortion_batch(
             np.array([[p0, 1 - p0]]), HAMMING, target, gradients=True
         )
         assert rates[0] == pytest.approx(binary_rd(p0, target), abs=1e-6)
@@ -474,7 +514,7 @@ class TestEnvelopeGradient:
         # R_p(0) = H(p) under Hamming distortion, so on the simplex its
         # gradient is -log2 p(x) up to a constant
         ps = np.random.default_rng(k).dirichlet(np.ones(k), size=6)
-        rates, grads = rates_at_distortion_batch(
+        rates, grads, _ = rates_at_distortion_batch(
             ps, DistortionMatrix.hamming(k), 0.0, gradients=True
         )
         entropies = -(ps * np.log2(ps)).sum(axis=1)
@@ -484,7 +524,7 @@ class TestEnvelopeGradient:
     def test_matches_central_differences_of_the_rates(self):
         p = np.array([0.0, 0.22, 0.78]) @ WC_K4_M3_SOURCES
         d = DistortionMatrix.hamming(4)
-        rates, grads = rates_at_distortion_batch(
+        rates, grads, _ = rates_at_distortion_batch(
             p[None, :], d, 0.508816, tol=1e-10, gradients=True
         )
         step, units = 1e-4, projected(np.eye(4))
@@ -500,8 +540,8 @@ class TestEnvelopeGradient:
         d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
         ps = compositions(20, 3) / 20
         target = 2.6676048388493547
-        full, full_grads = rates_at_distortion_batch(ps, d, target, gradients=True)
-        rates, grads = rates_at_distortion_batch(ps, d, target, best_only=True, gradients=True)
+        full, full_grads, _ = rates_at_distortion_batch(ps, d, target, gradients=True)
+        rates, grads, _ = rates_at_distortion_batch(ps, d, target, best_only=True, gradients=True)
         assert np.isneginf(rates[211]) and np.isnan(grads[211]).all()
         kept = ~np.isneginf(rates)
         assert np.array_equal(rates[kept], full[kept])
@@ -511,14 +551,116 @@ class TestEnvelopeGradient:
         assert np.array_equal(full, rates_at_distortion_batch(ps, d, target))
         # an unreachable row has none either, and a zero-rate row has 0
         d = DistortionMatrix([[0.0, 1.0], [1.0, 0.5]])
-        rates, grads = rates_at_distortion_batch(
+        rates, grads, _ = rates_at_distortion_batch(
             np.array([[0.5, 0.5], [0.0, 1.0]]), d, 0.3, gradients=True
         )
         assert np.isposinf(rates[1]) and np.isnan(grads[1]).all()
-        rates, grads = rates_at_distortion_batch(
+        rates, grads, _ = rates_at_distortion_batch(
             np.array([[0.9, 0.1]]), HAMMING, 0.5, gradients=True
         )
         assert rates[0] == 0.0 and (grads == 0.0).all()
+
+
+def nearby_starts():
+    """Mixtures of WC_K4_M3_SOURCES under 4-ary Hamming distortion at
+    D = 0.508816, and the dual pairs of sources a small step from each."""
+    ps = compositions(6, 3) / 6 @ WC_K4_M3_SOURCES
+    step = 0.005 * projected(np.random.default_rng(3).normal(size=ps.shape))
+    d = DistortionMatrix.hamming(4)
+    _, _, duals = rates_at_distortion_batch(ps + step, d, 0.508816, gradients=True)
+    return ps, d, 0.508816, duals
+
+
+class TestWarmStart:
+    def test_a_row_depends_only_on_its_own_start(self):
+        ps, d, target, (slopes, laws) = nearby_starts()
+        assert (slopes < 0).sum() > 10 and (slopes == 0).any()
+        rates, grads, (s_out, q_out) = rates_at_distortion_batch(
+            ps, d, target, gradients=True, start=(slopes, laws)
+        )
+        back = rates_at_distortion_batch(
+            ps[::-1], d, target, gradients=True, start=(slopes[::-1], laws[::-1])
+        )
+        for got, want in zip((back[0], back[1], *back[2]), (rates, grads, s_out, q_out)):
+            assert np.array_equal(got, want[::-1])
+        for i in range(0, len(ps), 4):
+            alone = rates_at_distortion_batch(
+                ps[i:i + 1], d, target, gradients=True, start=(slopes[i:i + 1], laws[i:i + 1])
+            )
+            assert alone[0][0] == rates[i] and alone[2][0][0] == s_out[i]
+            assert np.array_equal(alone[1][0], grads[i])
+            assert np.array_equal(alone[2][1][0], q_out[i])
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
+    def test_rates_lie_within_tol_of_the_cold_search(self, tol):
+        ps, d, target, start = nearby_starts()
+        cold = rates_at_distortion_batch(ps, d, target, tol=tol)
+        warm, _, (slopes, _) = rates_at_distortion_batch(
+            ps, d, target, tol=tol, gradients=True, start=start
+        )
+        tight = rates_at_distortion_batch(ps, d, target, tol=1e-10)
+        assert np.abs(warm - cold).max() <= tol
+        assert (warm >= tight - 1e-9).all() and (warm <= tight + tol).all()
+        # the certifying slope is the curve's, whatever the search started from
+        _, _, (cold_slopes, _) = rates_at_distortion_batch(ps, d, target, tol=tol, gradients=True)
+        np.testing.assert_allclose(slopes, cold_slopes, rtol=0, atol=0.05)
+
+    @settings(max_examples=20, deadline=None)
+    @given(batch=lattice_batches(), shift=st.integers(1, 3))
+    def test_any_start_keeps_each_rate_within_tol(self, batch, shift):
+        # each row starts from the pair of another lattice row
+        ps, d, target = batch
+        try:
+            cold, _, (slopes, laws) = rates_at_distortion_batch(ps, d, target, gradients=True)
+        except ConvergenceError:
+            return
+        start = (np.roll(slopes, shift), np.roll(laws, shift, axis=0))
+        warm = rates_at_distortion_batch(ps, d, target, start=start)
+        finite = np.isfinite(cold)
+        assert np.array_equal(np.isfinite(warm), finite)
+        assert np.abs(warm[finite] - cold[finite]).max(initial=0.0) <= RATE_TOL
+
+    def test_starting_from_the_own_pair_takes_fewer_probes(self, monkeypatch):
+        ps, d, target, _ = nearby_starts()
+        rates, _, own = rates_at_distortion_batch(ps, d, target, gradients=True)
+        solve = rate_distortion._solve_fixed_slopes
+        sizes = []
+
+        def spy(*args, **kwargs):
+            sizes.append(len(args[0]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(rate_distortion, "_solve_fixed_slopes", spy)
+        rates_at_distortion_batch(ps, d, target)
+        cold, sizes[:] = sum(sizes), []
+        again = rates_at_distortion_batch(ps, d, target, start=own)
+        assert sum(sizes) < cold
+        assert np.abs(again - rates).max() <= RATE_TOL
+
+    def test_a_slope_zero_or_nan_pair_searches_cold(self):
+        ps, d, target, (slopes, laws) = nearby_starts()
+        cold = rates_at_distortion_batch(ps, d, target, gradients=True)
+        n = len(ps)
+        for start in (
+            (np.zeros(n), laws),
+            (np.full(n, np.nan), laws),
+            (slopes, np.full(laws.shape, np.nan)),
+            (np.where(np.arange(n) % 2, 0.0, np.nan), np.full(laws.shape, 0.25)),
+        ):
+            got = rates_at_distortion_batch(ps, d, target, gradients=True, start=start)
+            for a, b in zip((got[0], got[1], *got[2]), (cold[0], cold[1], *cold[2])):
+                assert np.array_equal(a, b, equal_nan=True)
+        # rows with a pair do not change the rows without one
+        half = np.where(np.arange(n) % 2, 0.0, slopes)
+        got = rates_at_distortion_batch(ps, d, target, start=(half, laws))
+        assert np.array_equal(got[1::2], cold[0][1::2])
+
+    def test_a_start_of_another_shape_is_rejected(self):
+        ps, d, target, (slopes, laws) = nearby_starts()
+        with pytest.raises(ValidationError, match="start"):
+            rates_at_distortion_batch(ps, d, target, start=(slopes[1:], laws[1:]))
+        with pytest.raises(ValidationError, match="start"):
+            rates_at_distortion_batch(ps, d, target, start=(slopes, laws[:, 1:]))
 
 
 def solve_in_rounds(ps, d_arr, slopes, tol, q0, starts):
