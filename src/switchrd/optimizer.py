@@ -52,11 +52,12 @@ _FD_STEP = 1e-5
 @dataclass(frozen=True, eq=False)
 class MaximizerResult:
     """Best point found: ``value`` = R_argmax(D) in bits. ``method`` is
-    "grid" (dense enumeration plus one refinement) or "multistart" (heuristic
-    lower bound). ``evaluations`` counts the rows submitted to the rate
-    solver, those its early exit dropped included: the starting batch and 10
-    line-search candidates per ascent step (the ascent's probes are read off
-    the gradient, not solved); ``starts`` counts the ascents."""
+    "grid" (dense enumeration, then ascent from its best rows) or
+    "multistart" (heuristic lower bound). ``evaluations`` counts the rows
+    submitted to the rate solver, those its early exit dropped included: the
+    starting batch and 10 line-search candidates per ascent step (the
+    ascent's probes are read off the gradient, not solved); ``starts``
+    counts the ascents."""
 
     value: float
     argmax: Distribution
@@ -74,20 +75,13 @@ def _to_simplex(points: np.ndarray, fallback: np.ndarray) -> np.ndarray:
         return np.where(totals > 0, points / totals, fallback)
 
 
-def _better(value, vec, best_value, best_vec) -> bool:
-    if value > best_value:
-        return True
-    return value == best_value and tuple(vec) < tuple(best_vec)
-
-
 def _pick_best(values, vecs) -> int:
     """Index of the largest value, the lexicographically smallest vector
-    among ties."""
-    best = 0
-    for i in range(1, len(values)):
-        if _better(values[i], vecs[i], values[best], vecs[best]):
-            best = i
-    return best
+    among ties; ``values`` hold no NaN."""
+    values = np.asarray(values)
+    ties = np.nonzero(values == values.max())[0]
+    # lexsort's last key is its first
+    return int(ties[np.lexsort(np.asarray(vecs)[ties].T[::-1])[0]])
 
 
 def _ascend(seeds, batch_value, repair, to_source):
@@ -222,9 +216,10 @@ def _region_candidates(spec: RegionSpec):
 
 def _maximize(candidates, method, repair, to_source, d, target, tol):
     """Largest R_p(D) over parameters ``x`` with source ``p = to_source(x)``:
-    one batch over the candidates, then ascent from the best (grid) or from
-    all (multistart); ties go to the lexicographically smallest ``x``. +inf
-    means a candidate's distortion floor lies above the target.
+    one batch over the candidates, then ascent in lockstep from every row
+    within ``tol`` of the best (grid) or from all (multistart); ties go to
+    the lexicographically smallest ``x``. +inf means a candidate's
+    distortion floor lies above the target.
 
     The grid's batch feeds only its best row, so it stops early on rows that
     are certified to fall below it, which come back as -inf and are never
@@ -244,19 +239,15 @@ def _maximize(candidates, method, repair, to_source, d, target, tol):
     if np.isposinf(values).any():
         x = np.array(min(map(tuple, candidates[np.isposinf(values)])))
         return MaximizerResult(np.inf, Distribution(to_source(x)), method, evaluations, 0)
-    i = _pick_best(values, candidates)
-    best_value, best_x = float(values[i]), candidates[i]
-    duals = list(zip(slopes, laws))
+    rows = range(len(values))
     if method == "grid":
-        seeds = [(best_value, best_x, grads[i], duals[i])]
-    else:
-        seeds = list(zip(values.tolist(), candidates, grads, duals))
-    for x, v in _ascend(seeds, batch_value, repair, to_source):
-        if _better(v, x, best_value, best_x):
-            best_value, best_x = v, x
-    return MaximizerResult(
-        best_value, Distribution(to_source(best_x)), method, evaluations, len(seeds)
-    )
+        # every row within tol of the best, since rounding alone may rank
+        # mirror images of one point
+        rows = np.nonzero(values >= values.max() - tol)[0]
+    seeds = [(values[j], candidates[j], grads[j], (slopes[j], laws[j])) for j in rows]
+    xs, vs = zip(*_ascend(seeds, batch_value, repair, to_source))
+    i = _pick_best(vs, xs)
+    return MaximizerResult(vs[i], Distribution(to_source(xs[i])), method, evaluations, len(seeds))
 
 
 def _region_maximizer(spec: RegionSpec, d: DistortionMatrix, tol: float):
@@ -285,7 +276,7 @@ def maximize_over_region(
     each rate stops on a certified bracket ``tol`` bits wide.
 
     Up to 4 symbols the search enumerates the feasible simplex lattice and
-    refines the best point by ascent ("grid"); above that it ascends from
+    refines the best points by ascent ("grid"); above that it ascends from
     fixed draws, the most uniform attainable law and the region's vertices
     ("multistart"). A +inf value means some attainable distribution has a
     distortion floor above the target, so no finite rate suffices.

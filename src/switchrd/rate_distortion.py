@@ -35,8 +35,7 @@ SLOPE_FLOOR = -float(2**20)
 
 #: Iteration budget of every fixed-slope solve, read at call time.
 _MAX_ITERS = 200_000
-#: Longest run of updates between two convergence checks; only runs this long
-#: are extrapolated, since shorter ones say too little about the decay rate.
+#: Longest run of updates between two convergence checks.
 _MAX_BURST = 16
 #: Updates after which a probe of a best-only slope search yields, so the
 #: rest of the batch need not wait on it: the check after the bursts of 1, 2,
@@ -44,6 +43,12 @@ _MAX_BURST = 16
 _YIELD_AFTER = 63
 #: Share of the uniform output law mixed into every warm start.
 _WARM_MIX = 0.01
+#: Longest step of the squared extrapolation, in units of its first
+#: difference. Near a kink of R_p(D) the iteration crawls while its path
+#: bends, the step |r| / |v| grows past 10^4, and a step that long
+#: overshoots every time; at the cap an accepted cycle still stands in for
+#: thousands of plain updates.
+_MAX_STEP = 4096.0
 _LN2 = float(np.log(2.0))
 
 
@@ -105,15 +110,6 @@ def _undominated_columns(d_arr):
     return np.nonzero(~beats.any(axis=0))[0]
 
 
-def _aitken_gain(step, prev_step):
-    """``r / (1 - r)`` for the step ratio ``r = step / prev_step`` where
-    ``0 < r < 1``, else 0: how far a geometric sequence still moves, in
-    units of its last step."""
-    ratio = np.divide(step, prev_step, out=np.zeros_like(step), where=prev_step != 0.0)
-    geometric = (ratio > 0.0) & (ratio < 1.0)
-    return np.divide(ratio, 1.0 - ratio, out=np.zeros_like(ratio), where=geometric)
-
-
 @np.errstate(under="ignore")
 def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=None):
     """Alternating minimization for a batch of sources at per-row slopes.
@@ -147,12 +143,14 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
       A row of NaN in ``q0`` starts cold, from the uniform law itself.
     * Rows whose slope is shallow enough that the zero-rate corner is optimal
       are recognized in closed form and skip the iteration entirely.
-    * At the end of each full burst of ``_MAX_BURST`` updates, the last
-      steps are extrapolated (Aitken) where they shrink geometrically: per
-      coordinate, and along the whole last step. Before it is renormalized,
-      neither candidate sets a coordinate below a tenth of its value, so one
-      step cannot throw away mass that must grow back; the better candidate
-      is kept only where it strictly lowers the objective.
+    * The updates before each check run in cycles of three (SQUAREM,
+      Varadhan & Roland 2008): two updates, a squared extrapolation along
+      them, and an update from its point. The step is at most ``_MAX_STEP``.
+      The point is floored at a tenth of the second update's, so it cannot
+      throw away mass that must grow back, and it is kept only where it
+      strictly lowers the objective; elsewhere the cycle goes on from the
+      second update. A burst's one or two updates left over run plain, and
+      every update counts against ``_MAX_ITERS``.
     * Kernel entries and output masses underflow to 0 by design, so a call
       ignores underflow whatever numpy's error state is outside it.
     """
@@ -211,18 +209,48 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
 
     # an input whose every column underflowed (the slope is steep enough that
     # only the cheapest column survives) goes to its cheapest column
-    def update(kern, ps_act, q_act):
+    def update(kern, ps_act, q_act, norms=None):
         # q(y) <- q(y) sum_x p(x) 2^(s d(x,y)) / norm(x), the output marginal
-        # of the channel below, without forming the channel
-        norms = np.einsum("nxy,ny->nx", kern, q_act)
+        # of the channel below, without forming the channel; returns the
+        # norms at q_act too
+        if norms is None:
+            norms = np.einsum("nxy,ny->nx", kern, q_act)
         if norms.min() > 0.0:
-            return q_act * np.einsum("nx,nxy->ny", ps_act / norms, kern)
+            return q_act * np.einsum("nx,nxy->ny", ps_act / norms, kern), norms
         dead = norms <= 0.0
         weights = np.divide(ps_act, norms, out=np.zeros_like(norms), where=~dead)
         q_next = q_act * np.einsum("nx,nxy->ny", weights, kern)
         rows, xs = np.nonzero(dead)
         np.add.at(q_next, (rows, argmin_cols[xs]), ps_act[rows, xs])
-        return q_next
+        return q_next, norms
+
+    def log_norms(ps_act, norms):
+        return np.einsum("nx,nx->n", ps_act, np.log2(np.maximum(norms, 1e-300)))
+
+    def cycle(kern, ps_act, q0):
+        # two updates, the squared extrapolation along their first and second
+        # differences r and v, and an update from its point
+        q1, norms0 = update(kern, ps_act, q0)
+        q2 = update(kern, ps_act, q1)[0]
+        r = q1 - q0
+        v = q2 - q1 - r
+        # beta = |r| / |v| in [1, _MAX_STEP] is minus the step length; 1
+        # gives q2
+        vv = np.maximum(np.einsum("ny,ny->n", v, v), 1e-300)
+        beta = np.sqrt(np.einsum("ny,ny->n", r, r) / vv)
+        beta = np.minimum(np.maximum(beta, 1.0), _MAX_STEP)[:, None]
+        q_sq = np.maximum(q0 + 2.0 * beta * r + beta**2 * v, 0.1 * q2)
+        q_sq /= q_sq.sum(axis=1, keepdims=True)
+        norms_sq = np.einsum("nxy,ny->nx", kern, q_sq)
+        # kept where its norms are positive and the objective
+        # -sum_x p(x) log2 norm(x) falls
+        better = norms_sq.min(axis=1) > 0.0
+        better &= log_norms(ps_act, norms_sq) > log_norms(ps_act, norms0)
+        if better.all():
+            return update(kern, ps_act, q_sq, norms_sq)[0]
+        q_kept = np.where(better[:, None], q_sq, q2)
+        norms = np.where(better[:, None], norms_sq, np.einsum("nxy,ny->nx", kern, q2))
+        return update(kern, ps_act, q_kept, norms)[0]
 
     def channel(kern, q_act):
         # w(y|x) proportional to q(y) 2^(s d(x,y))
@@ -256,9 +284,10 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
             active, kern, ps_act = active[keep], kern[keep], ps_act[keep]
             q_act, spent = q_act[keep], spent[keep]
         check_every = min(check_every * 2, _MAX_BURST)
-        for _ in range(burst - 1):
-            q_prev2 = q_act
-            q_act = update(kern, ps_act, q_act)
+        for _ in range((burst - 1) // 3):
+            q_act = cycle(kern, ps_act, q_act)
+        for _ in range((burst - 1) % 3):
+            q_act = update(kern, ps_act, q_act)[0]
         w_act, norms = channel(kern, q_act)
         factors = np.einsum("nx,nxy->ny", ps_act / norms, kern)
         q_new = np.einsum("nx,nxy->ny", ps_act, w_act)
@@ -267,38 +296,6 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
         done = gap_act < tol
         spent += burst
         ran += burst
-        if burst == _MAX_BURST and not done.all():
-            # Aitken extrapolation rescues the slow crawl near a change of the
-            # optimal output support. It is tried per coordinate and along
-            # the whole last step: the first follows modes that decay at
-            # different rates, the second keeps the mass that one coordinate
-            # loses on the coordinates that gain it.
-            d1 = q_act - q_prev2
-            d2 = q_new - q_act
-            per_coord = np.maximum(q_new + d2 * _aitken_gain(d2, d1), 0.1 * q_new)
-            gain = _aitken_gain(
-                np.einsum("ny,ny->n", d1, d2), np.einsum("ny,ny->n", d1, d1)
-            )
-            # before renormalizing, no coordinate falls below a tenth of its
-            # value
-            room = np.divide(
-                0.9 * q_new, -d2, out=np.full_like(d2, np.inf), where=d2 < 0.0
-            ).min(axis=1)
-            along_step = q_new + np.minimum(gain, room)[:, None] * d2
-            # objectives of the plain update and of both candidates
-            cands = np.stack([q_new, per_coord, along_step])
-            cands /= cands.sum(axis=2, keepdims=True)
-            cand_norms = np.einsum("cny,nxy->cnx", cands, kern)
-            values = -np.einsum(
-                "nx,cnx->cn", ps_act, np.log2(np.maximum(cand_norms, 1e-300))
-            )
-            values[cand_norms.min(axis=2) <= 0.0] = np.inf
-            pick = 1 + np.argmin(values[1:], axis=0)
-            lanes = np.arange(len(active))
-            # kept only where it strictly lowers the (monotone) objective
-            better = np.isfinite(values[0]) & (values[pick, lanes] < values[0])
-            better &= ~done
-            q_new[better] = cands[pick, lanes][better]
         # only a row that stops here needs its channel
         stop = done | (spent >= _MAX_ITERS)
         if stop.any():

@@ -34,8 +34,8 @@ SHIPPED = [
     ),
     pytest.param(
         "ternary_demo.yaml", 3, "0.2",
-        "0.2,0.663034405834,0.56354720234,0.333333323357,0.333333323357,"
-        "0.333333353285,grid".split(","),
+        "0.2,0.663034405834,0.56354720234,0.333333323357,0.333333353285,"
+        "0.333333323357,grid".split(","),
         id="ternary_demo.yaml-3-0.2",
     ),
 ]
@@ -159,7 +159,7 @@ distortion:
         ("0.239443", "0.239443,0.826379043677,0.749383763366,0.25,0.25,0.25,0.25,grid"),
         # the best row of this hull batch crawls, so its probes yield and
         # resume; its line searches start from their seed's dual pair
-        ("0.508816", "0.508816,0.193769989727,0.12849588066,0.25,0.25,0.25,0.25,grid"),
+        ("0.508816", "0.508816,0.193769989727,0.128495949169,0.25,0.25,0.25,0.25,grid"),
     ],
 )
 def test_optimize_four_symbols_prints_pinned_bytes(capsys, tmp_path, target, row):

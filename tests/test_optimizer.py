@@ -108,6 +108,16 @@ D9_DISTORTION = DistortionMatrix(
     [[int(c) for c in row] for row in "032033 002130 300112 312122 210101 013001".split()]
 )
 D9_TARGET = 0.2549471066978872
+#: Instance #64 of an 80-maximization stress, under 4-ary Hamming distortion
+#: at delta 0.02: lattice rows that are mirror images of each other tie
+#: within 1e-8 bits here, and an ascent from one of them alone can end in a
+#: lower local maximum (0.1777 bits).
+TIES_SOURCES = SourceList.independent(
+    [[0.026118, 0.95399, 0.000159, 0.019733],
+     [0.310096, 0.053975, 0.456507, 0.179422],
+     [0.218518, 0.722262, 0.052458, 0.006762]]
+)
+TIES_TARGET = 0.5160384135320375
 
 
 class TestRegionMaximizer:
@@ -253,6 +263,57 @@ class TestRegionMaximizer:
                 assert res.value == pytest.approx(math.log2(3), abs=1e-6)
 
 
+def pick_best_by_loop(values, vecs):
+    """The rule of ``_pick_best``, one comparison at a time."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best] or (
+            values[i] == values[best] and tuple(vecs[i]) < tuple(vecs[best])
+        ):
+            best = i
+    return best
+
+
+class TestPickBest:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), k=st.integers(1, 4))
+    def test_matches_the_loop_on_exact_ties(self, data, n, k):
+        # few distinct entries, so values and whole vectors tie often
+        values = data.draw(
+            st.lists(st.sampled_from([-np.inf, 0.0, 0.5, 1.0]), min_size=n, max_size=n)
+        )
+        vecs = data.draw(
+            st.lists(
+                st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=k, max_size=k),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        got = optimizer._pick_best(np.array(values), np.array(vecs))
+        assert got == pick_best_by_loop(values, vecs)
+
+    def test_grid_seeds_are_every_row_within_tol_of_the_best(self, monkeypatch):
+        # ternary_demo's lattice at D = 0.2 holds three permutations of one
+        # near-uniform law, whose values tie but for rounding
+        seeds = []
+        ascend = optimizer._ascend
+
+        def spy(starts, *args):
+            seeds.extend(starts)
+            return ascend(starts, *args)
+
+        monkeypatch.setattr(optimizer, "_ascend", spy)
+        spec = RegionSpec(SourceList.independent([[0.5, 0.3, 0.2], [0.6, 0.2, 0.2]]), 0)
+        d = DistortionMatrix.hamming(3)
+        res = maximize_over_region(spec, d, 0.2)
+        candidates = _region_candidates(spec)[0]
+        values = rates_at_distortion_batch(candidates, d, 0.2, best_only=True)
+        tied = candidates[values >= values.max() - RATE_TOL]
+        assert res.starts == len(seeds) == len(tied) == 3
+        np.testing.assert_array_equal(np.array([x for _, x, _, _ in seeds]), tied)
+        assert (np.sort(tied, axis=1) == np.sort(tied[0])).all()
+
+
 class TestMultistartSeeds:
     def test_region_seeds_hold_the_draws_and_the_polytope_points(self):
         rng = np.random.default_rng(11)
@@ -345,6 +406,14 @@ class TestPinnedInstances:
         res = maximize_over_region(RegionSpec(D9_SOURCES, 0), D9_DISTORTION, D9_TARGET)
         assert res.method == "multistart"
         assert res.value >= 0.8495
+
+    def test_the_grid_ascends_from_every_tied_row(self):
+        res = maximize_over_region(
+            RegionSpec(TIES_SOURCES, 0.02), DistortionMatrix.hamming(4), TIES_TARGET
+        )
+        assert res.method == "grid"
+        assert res.starts > 1
+        assert res.value >= 0.1792512
 
     def test_d1_rises_to_one_bit(self):
         # (D1) random draws alone found 0.970679 at D = 0.3

@@ -403,7 +403,7 @@ class TestBestOnly:
         rates = rates_at_distortion_batch(ps, d, target, best_only=True)
         assert np.isneginf(rates[211])
         best = int(np.argmax(rates))
-        assert rates[best] == 0.04227446435094437
+        assert rates[best] == 0.04227446435101943
         assert ps[best].tolist() == [0.65, 0.35, 0.0]
         assert rates[best] == rate_at_distortion(Distribution(ps[best]), d, target).rate
 
@@ -743,6 +743,82 @@ class TestYield:
         assert not np.array_equal(longer[3], whole[3])
 
 
+def objective_after_each_check(ps, d_arr, slopes, most=255):
+    """Each row's objective -sum_x p(x) log2 sum_y q(y) 2^(s d(x, y)) at the
+    output law q it holds after each convergence check of a cold fixed-slope
+    solve, up to the check after ``most`` updates. The solve is read at each
+    check by ending it there (``yield_after``), which leaves every iterate as
+    it is; a row that has stopped keeps its last law."""
+    kernel = np.exp2(slopes[:, None, None] * d_arr[None, :, :])
+    values, updates = [], 1
+    while updates <= most:
+        out = rate_distortion._solve_fixed_slopes(ps, d_arr, slopes, 1e-12, yield_after=updates)
+        norms = np.einsum("nxy,ny->nx", kernel, out[3])
+        values.append(-np.einsum("nx,nx->n", ps, np.log2(norms)))
+        if not out[5].any():
+            break
+        updates = out[5].max() + 1
+    return np.array(values)
+
+
+class TestSquaredExtrapolation:
+    """The squared extrapolation between checks keeps a point only where it
+    lowers the objective, so the objective never rises from one check to the
+    next, and it saves most of the updates that plain iteration runs."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4))
+    def test_the_objective_never_rises_between_checks(self, seed, k):
+        rng = np.random.default_rng(seed)
+        ps = rng.dirichlet(np.full(k, 0.7), size=30)
+        d_arr = rng.uniform(0.0, 4.0, size=(k, k))
+        slopes = -rng.uniform(0.2, 8.0, size=30)
+        values = objective_after_each_check(ps, d_arr, slopes)
+        assert np.diff(values, axis=0).max(initial=0.0) <= 1e-12
+
+    # the sources where extrapolation used to discard output mass that had
+    # to grow back (see TestRateAtDistortion)
+    @pytest.mark.parametrize(
+        "p, d, targets",
+        [
+            ([0.4, 0.2, 0.4], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 3.0]], (0.2, 0.3)),
+            ([1.0 / 2.25, 0.25 / 2.25, 1.0 / 2.25], DistortionMatrix.hamming(3).values, (0.2,)),
+        ],
+    )
+    def test_the_objective_never_rises_where_mass_was_discarded(self, p, d, targets):
+        # a ladder of slopes and those of the lines certifying the tested rates
+        dist, d = Distribution(p), DistortionMatrix(d)
+        certifying = [rate_at_distortion(dist, d, t).slope for t in targets]
+        slopes = np.concatenate([-(2.0 ** np.arange(-2, 6)), certifying])
+        values = objective_after_each_check(np.tile(p, (slopes.size, 1)), d.values, slopes)
+        assert len(values) > 3
+        assert np.diff(values, axis=0).max() <= 1e-12
+
+    def test_the_yielding_hull_batch_keeps_its_update_budget(self, monkeypatch):
+        # the best-only hull lattice of TestBestOnly, whose probes yield and
+        # resume: counted in sequential map evaluations (one contraction of
+        # the whole call each), it takes about 2,000 with the extrapolation
+        # and about 11,800 with plain updates
+        ps = compositions(50, 3) / 50 @ WC_K4_M3_SOURCES
+        d = DistortionMatrix.hamming(4)
+        full = rates_at_distortion_batch(ps, d, 0.508816)
+
+        class CountingNumpy:
+            maps = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def einsum(self, subscripts, *operands, **kwargs):
+                CountingNumpy.maps += subscripts == "nx,nxy->ny"
+                return np.einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(rate_distortion, "np", CountingNumpy())
+        fast = rates_at_distortion_batch(ps, d, 0.508816, best_only=True)
+        assert fast.max() == full.max()
+        assert CountingNumpy.maps < 3000
+
+
 def channels(nx, ny):
     return st.lists(simplex_vectors(ny), min_size=nx, max_size=nx).map(np.array)
 
@@ -844,6 +920,33 @@ class TestSlopeSearch:
         )
         target = 0.8494930527521765
         pt = rate_at_distortion(Distribution([1 / 3] * 3), d, target)
+        assert pt.distortion == pytest.approx(target, abs=1e-12)
+        assert pt.rate - pt.lower <= 1e-6
+
+    @pytest.mark.parametrize(
+        "p, d, target",
+        [
+            # the probes at the kink slope -1.0838 used to run out of updates
+            (
+                [0.1402821156036739, 0.6182437632268749, 0.24147412116945116],
+                [[3.9114315959214103, 1.6256492938767582, 0.018296758096877586],
+                 [2.6422358295075434, 2.861201426062131, 3.792078094999081],
+                 [0.9783942696147618, 1.2717325910615322, 2.9932556364426834]],
+                2.1370633928361404,
+            ),
+            # and here those at -3.1949, 0.409 of the way from floor to ceiling
+            (
+                [0.2987, 0.2185, 0.4828],
+                [[0.5, 0.5, 0.5], [3, 2.6103, 4], [0.5, 1.4302, 0.2971]],
+                0.93803224413,
+            ),
+        ],
+    )
+    def test_closes_the_bracket_on_a_straight_segment(self, p, d, target):
+        # on a straight segment of R_p(D) the distortion jumps across the
+        # target at one slope, where every output law between the two ends'
+        # is optimal and the fixed-slope iteration crawls
+        pt = rate_at_distortion(Distribution(p), DistortionMatrix(d), target)
         assert pt.distortion == pytest.approx(target, abs=1e-12)
         assert pt.rate - pt.lower <= 1e-6
 
