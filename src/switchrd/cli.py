@@ -149,7 +149,10 @@ def cmd_optimize(args) -> int:
         if problem.sources.is_joint:
             r_star = ""
         else:
-            r_star = _fmt(maximize_over_hull(problem.sources, d, target, args.tol).value)
+            hull = maximize_over_hull(
+                problem.sources, d, target, args.tol, start=(reg.slope, reg.law)
+            )
+            r_star = _fmt(hull.value)
         rows.append(
             [_fmt(target), _fmt(reg.value), r_star]
             + [_fmt(x) for x in reg.argmax.probs]

@@ -24,6 +24,13 @@ A candidate whose distortion floor lies above the target has rate +inf, and
 then so does the maximum. The lattice's batch asks the rate solver for its
 best row only, and a row the solver drops as certainly below that row comes
 back as -inf, so it is never picked.
+
+Each result carries its argmax's dual pair. The region search and the hull
+search run at the same target under the same distortion, and the hull lies
+inside the region, so the hull's first batch can start every row's slope
+search at the region result's pair (``maximize_over_hull(..., start=)``)
+rather than cold at slope -64; a row whose probe at that pair crawls yields
+to the rest of the batch, which then need not wait on it.
 """
 
 from __future__ import annotations
@@ -57,13 +64,18 @@ class MaximizerResult:
     submitted to the rate solver, those its early exit dropped included: the
     starting batch and 10 line-search candidates per ascent step (the
     ascent's probes are read off the gradient, not solved); ``starts``
-    counts the ascents."""
+    counts the ascents. ``slope`` and ``law`` are the argmax's dual pair: the
+    slope and the output law of the Blahut line that certifies ``value``
+    (slope 0 and the uniform law where the value is 0, NaN where it is
+    +inf), in the form ``maximize_over_hull``'s ``start`` takes."""
 
     value: float
     argmax: Distribution
     method: str
     evaluations: int
     starts: int
+    slope: float
+    law: np.ndarray
 
 
 def _to_simplex(points: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -87,7 +99,7 @@ def _pick_best(values, vecs) -> int:
 def _ascend(seeds, batch_value, repair, to_source):
     """Projected coordinate ascent on the envelope gradient, run from every
     ``(value, point, gradient, dual)`` seed in lockstep; returns
-    ``(point, value)`` per seed.
+    ``(point, value, dual)`` per seed.
 
     ``gradient`` is the derivative of R_p(D) in the source p at
     ``to_source(point)`` and ``dual`` its certificate's ``(slope, law)``
@@ -152,7 +164,7 @@ def _ascend(seeds, batch_value, repair, to_source):
                 base_steps[j] = min(float(steps[best]) * 2.0, 0.25)
                 if np.isfinite(vs[j]):
                     moving.append(j)
-    return list(zip(xs, vs))
+    return list(zip(xs, vs, duals))
 
 
 def _simplex_vertex(c: np.ndarray):
@@ -214,7 +226,7 @@ def _region_candidates(spec: RegionSpec):
     return candidates, method, repair
 
 
-def _maximize(candidates, method, repair, to_source, d, target, tol):
+def _maximize(candidates, method, repair, to_source, d, target, tol, start=None):
     """Largest R_p(D) over parameters ``x`` with source ``p = to_source(x)``:
     one batch over the candidates, then ascent in lockstep from every row
     within ``tol`` of the best (grid) or from all (multistart); ties go to
@@ -225,7 +237,9 @@ def _maximize(candidates, method, repair, to_source, d, target, tol):
     are certified to fall below it, which come back as -inf and are never
     picked; the multistart seeds and the line searches need every value.
     Each batch also returns every kept row's gradient and dual pair, which
-    seed the ascent. The first batch rejects a negative or NaN target."""
+    seed the ascent. ``start``, a ``(slope, law)`` pair, is every row's start
+    in the first batch (see ``rates_at_distortion_batch``). The first batch
+    rejects a negative or NaN target."""
     evaluations = 0
 
     def batch_value(xs, start=None, best_only=False):
@@ -235,19 +249,28 @@ def _maximize(candidates, method, repair, to_source, d, target, tol):
             to_source(xs), d, target, tol=tol, best_only=best_only, gradients=True, start=start
         )
 
-    values, grads, (slopes, laws) = batch_value(candidates, best_only=method == "grid")
+    if start is not None:
+        n = len(candidates)
+        start = np.full(n, start[0], dtype=float), np.tile(np.asarray(start[1], float), (n, 1))
+    values, grads, (slopes, laws) = batch_value(candidates, start, best_only=method == "grid")
     if np.isposinf(values).any():
         x = np.array(min(map(tuple, candidates[np.isposinf(values)])))
-        return MaximizerResult(np.inf, Distribution(to_source(x)), method, evaluations, 0)
+        return MaximizerResult(
+            np.inf, Distribution(to_source(x)), method, evaluations, 0,
+            np.nan, np.full(d.num_outputs, np.nan),
+        )
     rows = range(len(values))
     if method == "grid":
         # every row within tol of the best, since rounding alone may rank
         # mirror images of one point
         rows = np.nonzero(values >= values.max() - tol)[0]
     seeds = [(values[j], candidates[j], grads[j], (slopes[j], laws[j])) for j in rows]
-    xs, vs = zip(*_ascend(seeds, batch_value, repair, to_source))
+    xs, vs, duals = zip(*_ascend(seeds, batch_value, repair, to_source))
     i = _pick_best(vs, xs)
-    return MaximizerResult(vs[i], Distribution(to_source(xs[i])), method, evaluations, len(seeds))
+    slope, law = duals[i]
+    return MaximizerResult(
+        vs[i], Distribution(to_source(xs[i])), method, evaluations, len(seeds), float(slope), law
+    )
 
 
 def _region_maximizer(spec: RegionSpec, d: DistortionMatrix, tol: float):
@@ -290,9 +313,18 @@ def maximize_over_hull(
     d: DistortionMatrix,
     target: float,
     tol: float = RATE_TOL,
+    start=None,
 ) -> MaximizerResult:
     """Largest R_p(D) over convex mixtures of the sources (the baseline
-    attainable without lookahead). Searches mixture weights directly."""
+    attainable without lookahead). Searches mixture weights directly.
+
+    ``start`` is an optional ``(slope, law)`` dual pair, the ``slope`` and
+    ``law`` of a ``MaximizerResult`` at the same target and distortion, say
+    the region's. Every row of the first batch, lattice or multistart seeds,
+    starts its slope search from it (see ``rates_at_distortion_batch``).
+    Every rate still lies in its ``tol`` bracket; only its place in the
+    bracket may move. A pair with slope 0 or NaN gives the cold search's
+    result."""
     if sources.is_joint:
         raise ValidationError("the hull baseline is defined for independent sources")
     rows = sources.as_array()
@@ -302,7 +334,7 @@ def maximize_over_hull(
         return _to_simplex(lams, np.full(m, 1.0 / m))
 
     lams, method = _candidates(m, _simplex_vertex)
-    return _maximize(lams, method, repair, lambda lam: lam @ rows, d, target, tol)
+    return _maximize(lams, method, repair, lambda lam: lam @ rows, d, target, tol, start)
 
 
 def rd_tilde_curve(

@@ -453,7 +453,9 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
       it, it replaces the zero-rate corner as the upper side while the
       probe at -64 doubles as above. The row's next probe warm-starts from
       it. Any other row, a slope of 0 or NaN say, searches exactly as
-      without ``start``.
+      without ``start``. With ``best_only`` the warm probe may yield (see
+      below); its row then takes no step until the probe has finished, and
+      only then do its lines compete and its sides settle as above.
     * **Exit.** Once its bracket is at most ``tol`` bits wide, a row returns
       its two sides time-shared at exactly the target. Mutual information is
       convex in the channel, so that rate lies inside the bracket. A row
@@ -482,12 +484,17 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
       its own target. Each is the rate of a channel that meets the row's
       target, so it is an upper end too. A row still closes on its chord
       alone, so the value it returns does not depend on the batch.
-    * **Yielding.** A regula falsi probe yields after ``_YIELD_AFTER``
-      updates. Its row skips its next regula falsi step and resumes the
+    * **Yielding.** A regula falsi probe, and a warm probe of the opening
+      call, yields after ``_YIELD_AFTER`` updates (the opening call's probes
+      at -64 resume at once). Its row skips its next step and resumes the
       probe in the next round, exactly where it stopped, while every other
       row moves on; in between, the drop test reads the row's last finished
-      bracket. Most probes that crawl belong to rows that get dropped, and a
-      dropped row's probe is never finished.
+      bracket. A row whose warm probe has not finished has the chord from
+      its probe at -64 to the zero-rate corner, an upper end only where that
+      probe is at or below the target, and it does not close. Most probes
+      that crawl belong to rows that get dropped, and a dropped row's probe
+      is never finished: a warm start far from a row's own pair need not
+      hold up the batch.
 
     The rows that are not dropped run exactly the probes they run without
     ``best_only``, so their values are bit-identical.
@@ -543,63 +550,98 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
         )[0]
         s_hot, law_hot = np.maximum(s_start[hot], SLOPE_FLOOR), q_start[hot]
     # every row's probe at -64 and the warm probes in one call; the NaN rows
-    # start cold
+    # start cold. In a best-only search the call yields, and the probes at
+    # -64 that were still running resume at once
+    yield_after = _YIELD_AFTER if best_only else None
     out = _solve_fixed_slopes(
         np.vstack([ps, ps[hot]]), d_arr, np.concatenate([slope, s_hot]), tol / 4,
-        q0=np.vstack([np.full((m, ny), np.nan), law_hot]),
+        q0=np.vstack([np.full((m, ny), np.nan), law_hot]), yield_after=yield_after,
     )
-    (rate, dist, w, q, gap, _), (r_hot, d_hot, w_hot, q_hot, g_hot, _) = (
+    (rate, dist, w, q, gap, p_cold), (r_hot, d_hot, w_hot, q_hot, g_hot, p_hot) = (
         [a[:m] for a in out], [a[m:] for a in out]
     )
+    run = np.nonzero(p_cold)[0]
+    if run.size:
+        rate[run], dist[run], w[run], q[run], gap[run], _ = _solve_fixed_slopes(
+            ps[run], d_arr, slope[run], tol / 4, q0=q[run], spent=p_cold[run]
+        )
     q_warm[:] = q
-    # a row's two lines compete in turn, the cold one first
+    # a row's two lines compete in turn, the cold one first; a warm probe
+    # that yielded competes once it finishes
     compete(np.arange(m), slope, rate, dist, q, gap)
-    compete(hot, s_hot, r_hot, d_hot, q_hot, g_hot)
-    below = np.zeros(m, dtype=bool)  # rows whose warm probe is at or below
-    below[hot] = d_hot <= targets[hot]
-    widen = (dist > targets) & ~below
-    while widen.any():
-        rows = np.nonzero(widen)[0]
-        slope[rows] = np.maximum(2.0 * slope[rows], SLOPE_FLOOR)
-        rate[rows], dist[rows], w[rows], gap[rows] = solve(rows, slope[rows], q_warm[rows])
-        widen = (dist > targets) & ~below & (slope > SLOPE_FLOOR)
-    # rows still above their target at the floor are finished
-    finished = (dist > targets) & ~below
-    lower[finished] = (rate - gap)[finished]
-    dual_slope[finished], dual_q[finished] = slope[finished], q_warm[finished]
-    searching = ~finished
+    ready = p_hot == 0
+    compete(hot[ready], s_hot[ready], r_hot[ready], d_hot[ready], q_hot[ready], g_hot[ready])
 
     # the bracket's two sides, at or below (0) and above (1) the target:
-    # slopes, D - target, rates, regula falsi weights and channels
+    # slopes, D - target, rates, regula falsi weights and channels. Side 0 is
+    # the probe at -64 until ``settle`` sets it
     costs = ps @ d_arr
     ends = np.stack([slope, np.zeros(m)])
     vals = np.stack([dist - targets, costs.min(axis=1) - targets])
     rates = np.stack([rate, np.zeros(m)])
     chans = np.stack([w, np.zeros_like(w)])
     chans[1, np.arange(m), :, np.argmin(costs, axis=1)] = 1.0
-    # each warm probe takes the side its distortion falls on, where it is
-    # nearer the target in slope than that side's probe so far
-    f_hot = d_hot - targets[hot]
-    side = (f_hot > 0.0).astype(int)
-    nearer = np.where(
-        side == 0, (vals[0, hot] > 0.0) | (s_hot >= ends[0, hot]), s_hot > ends[0, hot]
-    )
-    take = nearer & searching[hot]
-    rows, side = hot[take], side[take]
-    ends[side, rows], vals[side, rows] = s_hot[take], f_hot[take]
-    rates[side, rows], chans[side, rows] = r_hot[take], w_hot[take]
-    q_warm[rows] = q_hot[take]
     weights = vals.copy()
+    finished = np.zeros(m, dtype=bool)
+    searching = np.ones(m, dtype=bool)
     last = np.full(m, -1)  # the side that moved last
     dropped = np.zeros(m, dtype=bool)
     probes = np.zeros(m, dtype=int)  # regula falsi probes finished
     due = np.zeros(m)  # the slope of each row's latest probe
-    yield_after = _YIELD_AFTER if best_only else None
+    # rows whose warm probe yielded: they resume it as their probe at ``due``
+    # and take no other step until it finishes
+    pending = np.zeros(m, dtype=bool)
+    late = hot[~ready]
+    pending[late], due[late], paused[late], q_warm[late] = (
+        True, s_hot[~ready], p_hot[~ready], q_hot[~ready]
+    )
     bound = np.full(m, np.inf)  # upper ends from the leaders' channels
     leader = -1
     # the searching leader and its count of finished probes when its
     # channel last bounded the batch
     seen = (-1, -1)
+
+    def settle(rows, hot, s_hot, r_hot, d_hot, w_hot, q_hot):
+        # ``rows`` have finished their opening probes, and ``hot`` among them
+        # a warm one with these results: widen the lower side where no probe
+        # is at or below the target, then set both sides; widening starts
+        # from the probe at -64
+        q_warm[rows] = q[rows]
+        at = np.zeros(m, dtype=bool)
+        at[rows] = True
+        below = np.zeros(m, dtype=bool)  # rows whose warm probe is at or below
+        below[hot] = d_hot <= targets[hot]
+        widen = at & (dist > targets) & ~below
+        while widen.any():
+            wide = np.nonzero(widen)[0]
+            slope[wide] = np.maximum(2.0 * slope[wide], SLOPE_FLOOR)
+            rate[wide], dist[wide], w[wide], gap[wide] = solve(wide, slope[wide], q_warm[wide])
+            widen = at & (dist > targets) & ~below & (slope > SLOPE_FLOOR)
+        # rows still above their target at the floor are finished
+        floor = at & (dist > targets) & ~below
+        lower[floor] = (rate - gap)[floor]
+        dual_slope[floor], dual_q[floor] = slope[floor], q_warm[floor]
+        finished[floor], searching[floor] = True, False
+        ends[0, rows], vals[0, rows] = slope[rows], dist[rows] - targets[rows]
+        rates[0, rows], chans[0, rows] = rate[rows], w[rows]
+        # each warm probe takes the side its distortion falls on, where it is
+        # nearer the target in slope than that side's probe so far
+        f_hot = d_hot - targets[hot]
+        side = (f_hot > 0.0).astype(int)
+        nearer = np.where(
+            side == 0, (vals[0, hot] > 0.0) | (s_hot >= ends[0, hot]), s_hot > ends[0, hot]
+        )
+        take = nearer & searching[hot]
+        taken, side = hot[take], side[take]
+        ends[side, taken], vals[side, taken] = s_hot[take], f_hot[take]
+        rates[side, taken], chans[side, taken] = r_hot[take], w_hot[take]
+        q_warm[taken] = q_hot[take]
+        weights[:, rows] = vals[:, rows]
+
+    settle(
+        np.nonzero(~pending)[0], hot[ready], s_hot[ready], r_hot[ready], d_hot[ready],
+        w_hot[ready], q_hot[ready],
+    )
 
     def mix(rows):
         rate[rows], dist[rows], w[rows] = _mix_channels(
@@ -607,10 +649,16 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
         )
 
     def probe(rows):
-        # run (or resume) each row's probe at slope ``due``; a finished one
-        # moves a side
+        # run (or resume) each row's probe at slope ``due``; a finished warm
+        # probe settles its row, any other finished one moves a side
         rate_s, dist_s, w_s, _ = solve(rows, due[rows], q_warm[rows], paused[rows], yield_after)
         done = paused[rows] == 0
+        warm = done & pending[rows]
+        if warm.any():
+            late = rows[warm]
+            pending[late] = False
+            settle(late, late, due[late], rate_s[warm], dist_s[warm], w_s[warm], q_warm[late])
+        done &= ~warm
         rows, s = rows[done], due[rows[done]]
         f = dist_s[done] - targets[rows]
         side = (f > 0.0).astype(int)
@@ -629,7 +677,10 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
         rows = np.nonzero(searching)[0]
         (v_lo, v_hi), (r_lo, r_hi) = vals[:, rows], rates[:, rows]
         upper = (r_lo * v_hi - r_hi * v_lo) / (v_hi - v_lo)
-        closed = upper - lower[rows] <= tol
+        # a pending row's side 0 may lie above the target, where its chord
+        # bounds nothing; a pending row does not close
+        upper[v_lo > 0.0] = np.inf
+        closed = (upper - lower[rows] <= tol) & ~pending[rows]
         mix(rows[closed])
         finished[rows[closed]], searching[rows[closed]] = True, False
         rows, upper = rows[~closed], upper[~closed]
@@ -785,9 +836,11 @@ def rates_at_distortion_batch(
     onto its target: a finished row's, and from the first round on, that of
     the searching row with the largest lower end. A probe that crawls yields
     to the rest of the batch, so the search need not wait on rows it then
-    drops. Every row that attains the maximum, and every other row not given
-    -inf, gets the same value, bit for bit, as without ``best_only``. A row
-    that would fail to converge may be dropped before it fails.
+    drops; so does the first probe at a row's ``start``, which may lie far
+    from the row's own pair. Every row that attains the maximum, and every
+    other row not given -inf, gets the same value, bit for bit, as without
+    ``best_only`` from the same ``start``. A row that would fail to converge
+    may be dropped before it fails.
 
     With ``gradients`` the call returns ``(rates, grads, duals)``. ``grads``
     holds, per row, the envelope gradient of R_p(target) in p (see

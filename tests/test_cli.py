@@ -157,9 +157,9 @@ distortion:
     "target, row",
     [
         ("0.239443", "0.239443,0.826379043677,0.749383763366,0.25,0.25,0.25,0.25,grid"),
-        # the best row of this hull batch crawls, so its probes yield and
-        # resume; its line searches start from their seed's dual pair
-        ("0.508816", "0.508816,0.193769989727,0.128495949169,0.25,0.25,0.25,0.25,grid"),
+        # the hull's lattice starts from the region's dual pair, and its line
+        # searches from their seed's
+        ("0.508816", "0.508816,0.193769989727,0.128495953758,0.25,0.25,0.25,0.25,grid"),
     ],
 )
 def test_optimize_four_symbols_prints_pinned_bytes(capsys, tmp_path, target, row):

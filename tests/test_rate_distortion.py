@@ -802,21 +802,104 @@ class TestSquaredExtrapolation:
         ps = compositions(50, 3) / 50 @ WC_K4_M3_SOURCES
         d = DistortionMatrix.hamming(4)
         full = rates_at_distortion_batch(ps, d, 0.508816)
-
-        class CountingNumpy:
-            maps = 0
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def einsum(self, subscripts, *operands, **kwargs):
-                CountingNumpy.maps += subscripts == "nx,nxy->ny"
-                return np.einsum(subscripts, *operands, **kwargs)
-
         monkeypatch.setattr(rate_distortion, "np", CountingNumpy())
         fast = rates_at_distortion_batch(ps, d, 0.508816, best_only=True)
         assert fast.max() == full.max()
         assert CountingNumpy.maps < 3000
+
+
+class CountingNumpy:
+    """A stand-in for the solver module's ``np`` that counts the map
+    evaluations, one ``nx,nxy->ny`` contraction of a whole call each: the
+    sequential depth of a batch."""
+
+    maps = 0
+
+    def __init__(self):
+        CountingNumpy.maps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, subscripts, *operands, **kwargs):
+        CountingNumpy.maps += subscripts == "nx,nxy->ny"
+        return np.einsum(subscripts, *operands, **kwargs)
+
+
+#: Instance #64 of an 80-maximization stress (4-ary Hamming distortion,
+#: delta 0.02): its hull lattice at TIES_TARGET, started from the dual pair
+#: of the region's maximum there, has warm probes that crawl.
+TIES_SOURCES = np.array([
+    [0.026118, 0.95399, 0.000159, 0.019733],
+    [0.310096, 0.053975, 0.456507, 0.179422],
+    [0.218518, 0.722262, 0.052458, 0.006762],
+])
+TIES_TARGET = 0.5160384135320375
+TIES_REGION_PAIR = (
+    -1.4923765733504855,
+    [0.2651389090243575, 0.2707720704469451, 0.30688075147884997, 0.1572082690498476],
+)
+
+
+class TestOpeningYield:
+    """In a best-only batch the warm probe of the opening call yields like
+    any other probe, so a start far from a row's own pair does not hold up
+    the batch, and every kept row is still the full search's."""
+
+    def batch(self):
+        ps = compositions(50, 3) / 50 @ TIES_SOURCES
+        n = len(ps)
+        start = (np.full(n, TIES_REGION_PAIR[0]), np.tile(TIES_REGION_PAIR[1], (n, 1)))
+        return ps, DistortionMatrix.hamming(4), start
+
+    def test_kept_rows_are_the_full_search_bit_for_bit(self, monkeypatch):
+        ps, d, start = self.batch()
+        full, full_grads, full_duals = rates_at_distortion_batch(
+            ps, d, TIES_TARGET, gradients=True, start=start
+        )
+        solve = rate_distortion._solve_fixed_slopes
+        opening = []
+
+        def spy(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            if not opening:
+                # every row takes a warm probe, stacked below the cold ones
+                opening.append(out[5][len(args[0]) // 2:])
+            return out
+
+        monkeypatch.setattr(rate_distortion, "_solve_fixed_slopes", spy)
+        fast, grads, duals = rates_at_distortion_batch(
+            ps, d, TIES_TARGET, best_only=True, gradients=True, start=start
+        )
+        # some warm probes of the opening call yielded
+        assert (opening[0] > 0).sum() > 10
+        best = int(np.argmax(full))
+        assert int(np.argmax(fast)) == best
+        kept = ~np.isneginf(fast)
+        assert (~kept).sum() > 100
+        for got, want in zip((fast, grads, *duals), (full, full_grads, *full_duals)):
+            assert np.array_equal(got[kept], want[kept])
+        assert np.all(full[~kept] < full[best])
+
+    def test_the_opening_call_stays_short(self, monkeypatch):
+        # the opening call runs at most _YIELD_AFTER updates and their checks;
+        # without the warm probe's yield it runs 582 maps here, waiting on
+        # the slowest warm probe
+        ps, d, start = self.batch()
+        solve = rate_distortion._solve_fixed_slopes
+        maps = []
+
+        def spy(*args, **kwargs):
+            before = CountingNumpy.maps
+            out = solve(*args, **kwargs)
+            maps.append(CountingNumpy.maps - before)
+            return out
+
+        monkeypatch.setattr(rate_distortion, "np", CountingNumpy())
+        monkeypatch.setattr(rate_distortion, "_solve_fixed_slopes", spy)
+        rates_at_distortion_batch(ps, d, TIES_TARGET, best_only=True, start=start)
+        assert maps[0] <= 1 + rate_distortion._YIELD_AFTER + 2 * 7
+        assert CountingNumpy.maps < 500
 
 
 def channels(nx, ny):
