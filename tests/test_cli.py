@@ -34,8 +34,8 @@ SHIPPED = [
     ),
     pytest.param(
         "ternary_demo.yaml", 3, "0.2",
-        "0.2,0.663034405834,0.56354720234,0.333333323357,0.333333353285,"
-        "0.333333323357,grid".split(","),
+        "0.2,0.663034405834,0.56354720234,0.333333333333,0.333333333333,"
+        "0.333333333333,grid".split(","),
         id="ternary_demo.yaml-3-0.2",
     ),
 ]
@@ -156,10 +156,10 @@ distortion:
 @pytest.mark.parametrize(
     "target, row",
     [
-        ("0.239443", "0.239443,0.826379043677,0.749383763366,0.25,0.25,0.25,0.25,grid"),
+        ("0.239443", "0.239443,0.826379043677,0.749384417791,0.25,0.25,0.25,0.25,grid"),
         # the hull's lattice starts from the region's dual pair, and its line
-        # searches from their seed's
-        ("0.508816", "0.508816,0.193769989727,0.128495953758,0.25,0.25,0.25,0.25,grid"),
+        # searches from their iterate's
+        ("0.508816", "0.508816,0.193769989727,0.128496018594,0.25,0.25,0.25,0.25,grid"),
     ],
 )
 def test_optimize_four_symbols_prints_pinned_bytes(capsys, tmp_path, target, row):
