@@ -20,6 +20,7 @@ import io
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import cache
 
 from .errors import (
     ConvergenceError,
@@ -146,6 +147,7 @@ def cmd_optimize(args) -> int:
     header = ["D", "R_tilde", "R_star"] + [f"p_{i}" for i in range(k)] + ["method"]
     rows = []
     for target, reg in zip(targets, region_results):
+        best = reg
         if problem.sources.is_joint:
             r_star = ""
         else:
@@ -153,9 +155,13 @@ def cmd_optimize(args) -> int:
                 problem.sources, d, target, args.tol, start=(reg.slope, reg.law)
             )
             r_star = _fmt(hull.value)
+            # the hull lies in the region, so its maximum is a region point
+            # too, and one the region's search fell short of
+            if hull.value > reg.value and is_member(hull.argmax, spec).satisfied:
+                best = hull
         rows.append(
-            [_fmt(target), _fmt(reg.value), r_star]
-            + [_fmt(x) for x in reg.argmax.probs]
+            [_fmt(target), _fmt(best.value), r_star]
+            + [_fmt(x) for x in best.argmax.probs]
             + [reg.method]
         )
     _emit(_csv_text(header, rows), args.output)
@@ -273,10 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves no state
+    on the parser, so every call of ``main`` can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

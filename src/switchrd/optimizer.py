@@ -2,20 +2,22 @@
 attainable region, plus the no-lookahead baseline over the convex hull of the
 sources. Both are one search over parameters x in a polytope, mapped linearly
 to a source p = x @ basis: the region with the identity, the simplex of
-mixture weights with the sources' rows.
+mixture weights with the rows of the hull's extreme sources. A source within
+1e-12 of the hull of the others adds no point to the hull, only a dimension
+to the weights, so it is dropped first.
 
 Each polytope enters through its linear oracle, whose points minimizing c.x
 are its vertices: the laws of priority rules for the region (the paper's
 simple conditional switching rules), the sources for the hull. R_p(D) is not
 concave in p, so the search starts from many points: up to 4 parameter
-dimensions a dense simplex lattice, above that the oracle's vertices for
-fixed symbol orders; both take the polytope's min-norm point p* too. One
-best-only rate batch over them seeds every row within ``tol`` of the best,
-and pairwise Frank-Wolfe refines all seeds in lockstep. Its iterates are
-mixtures of vertices, so they stay feasible with no repair. The result is a
-feasible lower bound on the true maximum. One input always gives one result,
-and merging uses value-then-lexicographic order so the outcome does not
-depend on evaluation order.
+dimensions a dense simplex lattice (built once per dimension), above that
+the oracle's vertices for fixed symbol orders; both take the polytope's
+min-norm point p* too. One best-only rate batch over them seeds every row
+within ``tol`` of the best, and pairwise Frank-Wolfe refines all seeds in
+lockstep. Its iterates are mixtures of vertices, so they stay feasible with
+no repair. The result is a feasible lower bound on the true maximum. One
+input always gives one result, and merging uses value-then-lexicographic
+order so the outcome does not depend on evaluation order.
 
 Frank-Wolfe takes its slopes from the rate solver's certificate: every rate
 comes with the envelope gradient of R_p(D) in p at the dual pair of its
@@ -41,13 +43,21 @@ to the rest of the batch, which then need not wait on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import ValidationError
 from .probcore import Distribution, DistortionMatrix, SourceList, compositions
 from .rate_distortion import RATE_TOL, rates_at_distortion_batch
-from .region import RegionSpec, _greedy_oracle, _min_norm_point, in_region, is_member
+from .region import (
+    RegionSpec,
+    _greedy_oracle,
+    _hull_distance,
+    _min_norm_point,
+    in_region,
+    is_member,
+)
 
 #: Lattice step per parameter dimension, for the region and the hull alike;
 #: larger dimensions start from the oracle's vertices.
@@ -182,6 +192,31 @@ def _simplex_vertex(c: np.ndarray):
     return j, np.eye(c.size)[j]
 
 
+@cache
+def _lattice(dim: int) -> np.ndarray:
+    """The ``_GRID_STEPS`` lattice of the ``dim``-simplex, built once per
+    dimension and read-only; its rows are unique and in lexicographic order,
+    as ``np.unique`` sorts them."""
+    ticks = round(1.0 / _GRID_STEPS[dim])
+    points = compositions(ticks, dim) / ticks
+    points.flags.writeable = False
+    return points
+
+
+def _with_row(points: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``np.unique(np.vstack([points, row]), axis=0)`` for ``points`` that
+    are already sorted and unique: ``row`` goes in at its place unless some
+    row equals it."""
+    differs = points != row
+    if not differs.any(axis=1).all():
+        return points
+    # a row sorts below ``row`` where its first differing entry is smaller;
+    # those rows are a prefix of the sorted points
+    first = np.argmax(differs, axis=1)
+    below = points[np.arange(len(points)), first] < row[first]
+    return np.insert(points, np.count_nonzero(below), row, axis=0)
+
+
 def _candidates(dim: int, oracle, inside=None):
     """Starting points in the polytope of ``oracle`` within the
     ``dim``-simplex, and their method: the ``_GRID_STEPS`` lattice ("grid")
@@ -189,19 +224,18 @@ def _candidates(dim: int, oracle, inside=None):
     above them ("multistart") the oracle's vertices for ``_DRAWS`` random
     symbol orders (numpy seed 0) and for the cyclic shifts of
     (0, ..., dim - 1). Both sets take the polytope's min-norm point p*, so
-    neither is empty, and repeats are dropped."""
+    neither is empty; the rows are sorted and repeats are dropped."""
     centre = _min_norm_point(oracle, oracle(np.arange(dim)))[0]
     if dim in _GRID_STEPS:
-        ticks = round(1.0 / _GRID_STEPS[dim])
-        points, method = compositions(ticks, dim) / ticks, "grid"
+        points = _lattice(dim)
         if inside is not None:
             points = points[inside(points)]
-    else:
-        rng = np.random.default_rng(0)
-        orders = [rng.permutation(dim) for _ in range(_DRAWS)]
-        orders += [np.roll(np.arange(dim), shift) for shift in range(dim)]
-        points, method = np.array([oracle(order)[1] for order in orders]), "multistart"
-    return np.unique(np.vstack([points, centre]), axis=0), method
+        return _with_row(points, centre), "grid"
+    rng = np.random.default_rng(0)
+    orders = [rng.permutation(dim) for _ in range(_DRAWS)]
+    orders += [np.roll(np.arange(dim), shift) for shift in range(dim)]
+    points = np.array([oracle(order)[1] for order in orders])
+    return np.unique(np.vstack([points, centre]), axis=0), "multistart"
 
 
 def _maximize(candidates, method, oracle, basis, d, target, tol, start=None):
@@ -286,6 +320,18 @@ def maximize_over_region(
     return at(target)
 
 
+def _extreme_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows that span the convex hull of ``rows``: from the last row to
+    the first, a row within 1e-12 of the hull of the other rows still kept
+    is dropped, so of two equal rows the first stays."""
+    kept = list(range(len(rows)))
+    for j in reversed(range(len(rows))):
+        others = [i for i in kept if i != j]
+        if others and _hull_distance(rows[others], rows[j]) <= 1e-12:
+            kept.remove(j)
+    return rows[kept]
+
+
 def maximize_over_hull(
     sources: SourceList,
     d: DistortionMatrix,
@@ -294,9 +340,11 @@ def maximize_over_hull(
     start=None,
 ) -> MaximizerResult:
     """Largest R_p(D) over convex mixtures of the sources (the baseline
-    attainable without lookahead). Searches mixture weights directly, from
-    their lattice up to 4 sources and from the sources and their uniform
-    mixture above, then by Frank-Wolfe over the sources.
+    attainable without lookahead). Searches mixture weights of the hull's
+    extreme sources directly, from their lattice up to 4 such sources and
+    from the sources and their uniform mixture above, then by Frank-Wolfe
+    over the sources. A source within 1e-12 of the hull of the others is
+    left out; of two equal sources the first is kept.
 
     ``start`` is an optional ``(slope, law)`` dual pair, the ``slope`` and
     ``law`` of a ``MaximizerResult`` at the same target and distortion, say
@@ -306,7 +354,7 @@ def maximize_over_hull(
     slope 0 or NaN gives the cold search's result."""
     if sources.is_joint:
         raise ValidationError("the hull baseline is defined for independent sources")
-    rows = sources.as_array()
+    rows = _extreme_rows(sources.as_array())
     lams, method = _candidates(rows.shape[0], _simplex_vertex)
     return _maximize(lams, method, _simplex_vertex, rows, d, target, tol, start)
 

@@ -187,7 +187,8 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
     else:
         # first-order corner test: the best constant column is the global
         # optimum iff no other column has an update factor above 1 there
-        best_cols = np.argmin(ps @ d_arr, axis=1)
+        costs = _costs(ps, d_arr)
+        best_cols = np.argmin(costs, axis=1)
         shifted = d_arr[None, :, :] - d_arr[:, best_cols].T[:, :, None]
         exponents = np.clip(slopes[:, None, None] * shifted, None, 1023.0)
         corner_factors = np.einsum("nx,nxy->ny", ps, np.exp2(exponents))
@@ -196,7 +197,7 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
             rows = np.nonzero(corner)[0]
             w[rows, :, best_cols[rows]] = 1.0
             q[rows, best_cols[rows]] = 1.0
-            dist[rows] = (ps[rows] @ d_arr)[np.arange(rows.size), best_cols[rows]]
+            dist[rows] = costs[rows, best_cols[rows]]
             gap[rows] = 0.0
         q_iter = np.full((n, ny), 1.0 / ny)
         if q0 is not None:
@@ -314,6 +315,14 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
     return rate, dist, w, q, gap, paused
 
 
+def _costs(ps, d_arr):
+    """Expected distortion of each constant output under each source row,
+    ``ps @ d_arr``. A matrix product may round one row differently in
+    batches of different sizes; this contraction does not, so a row's result
+    never depends on the rows solved beside it."""
+    return np.einsum("nx,xy->ny", ps, d_arr)
+
+
 def _rates_and_distortions(ps, w, d_arr):
     """Mutual information (bits, floored at 0) and expected distortion of
     each row's channel ``w[n]`` driven by source ``ps[n]``."""
@@ -414,7 +423,7 @@ def _channel_bound(ps, d_arr, targets, w_lead):
     floor_w = np.zeros(d_arr.shape)
     floor_w[np.arange(nx), np.argmin(d_arr, axis=1)] = 1.0
     corner_w = np.zeros((n, *d_arr.shape))
-    corner_w[np.arange(n), :, np.argmin(ps @ d_arr, axis=1)] = 1.0
+    corner_w[np.arange(n), :, np.argmin(_costs(ps, d_arr), axis=1)] = 1.0
     above = (np.einsum("nx,xy,xy->n", ps, w_lead, d_arr) > aim)[:, None, None]
     rate, dist, _ = _mix_channels(
         ps, d_arr, np.where(above, floor_w, w_lead), np.where(above, w_lead, corner_w), aim
@@ -575,7 +584,7 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
     # the bracket's two sides, at or below (0) and above (1) the target:
     # slopes, D - target, rates, regula falsi weights and channels. Side 0 is
     # the probe at -64 until ``settle`` sets it
-    costs = ps @ d_arr
+    costs = _costs(ps, d_arr)
     ends = np.stack([slope, np.zeros(m)])
     vals = np.stack([dist - targets, costs.min(axis=1) - targets])
     rates = np.stack([rate, np.zeros(m)])
@@ -879,8 +888,8 @@ def rates_at_distortion_batch(
                 f"{start[0].shape} and {start[1].shape}"
             )
     rates = np.zeros(n)
-    floors = ps @ d_arr.min(axis=1)
-    ceilings = (ps @ d_arr).min(axis=1)
+    floors = np.einsum("nx,x->n", ps, d_arr.min(axis=1))
+    ceilings = _costs(ps, d_arr).min(axis=1)
     rates[target < floors - 1e-12] = np.inf
     idx = np.nonzero((target >= floors - 1e-12) & (target < ceilings))[0]
     found = _slope_search(

@@ -422,12 +422,18 @@ def hull_member(p: Distribution, sources: SourceList, tol: float = 1e-8) -> bool
         raise ValidationError("hull membership is defined for independent sources")
     if p.size != sources.alphabet_size:
         raise ValidationError("distribution and sources use different alphabets")
-    rows = sources.as_array() - p.probs
+    return _hull_distance(sources.as_array(), p.probs) <= tol
+
+
+def _hull_distance(rows: np.ndarray, point: np.ndarray) -> float:
+    """Euclidean distance from ``point`` to the convex hull of ``rows``: the
+    norm of the min-norm point of the rows ``r_j - point``, from the row of
+    least norm (see ``hull_member``)."""
+    rows = rows - point
 
     def oracle(c):
         j = int(np.argmin(rows @ c))
         return j, rows[j]
 
     first = int(np.argmin(np.einsum("ij,ij->i", rows, rows)))
-    nearest = _min_norm_point(oracle, (first, rows[first]))[0]
-    return bool(np.linalg.norm(nearest) <= tol)
+    return float(np.linalg.norm(_min_norm_point(oracle, (first, rows[first]))[0]))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from switchrd import cli
 from switchrd.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -546,3 +547,62 @@ def test_optimize_region_rate_is_never_below_the_hull_rate(capsys, tmp_path, tar
     assert code == 0
     assert rows[1][-1] == "multistart"
     assert float(rows[1][1]) >= float(rows[1][2])
+
+
+#: The benchmark's three binary sources under a weighted distortion; the
+#: first lies between the other two.
+WC_K2_M3 = """\
+alphabet_x: 2
+alphabet_y: 2
+mode: independent
+delta: 0
+sources:
+  - [0.420057, 0.579943]
+  - [0.817763, 0.182237]
+  - [0.301934, 0.698066]
+distortion:
+  - [0, 2]
+  - [3, 0]
+"""
+
+
+@pytest.mark.parametrize("target", ["0.336046", "0.714097"])
+def test_optimize_prints_the_hull_maximum_where_it_beats_the_region_search(
+    capsys, tmp_path, target
+):
+    # the region's search stops short of the hull's maximum here; that
+    # maximum is a region point, so R~ prints it
+    problem = tmp_path / "wc_k2_m3.yaml"
+    problem.write_text(WC_K2_M3)
+    code, rows = run(capsys, "optimize", problem, "--distortion", target)
+    assert code == 0
+    assert float(rows[1][1]) >= float(rows[1][2])
+    assert rows[1][-1] == "grid"
+
+
+def test_the_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_a_shared_parser_prints_what_fresh_parsers_print(capsys, monkeypatch):
+    # a call refused while parsing leaves nothing behind on the shared parser
+    calls = [
+        ["optimize", PROBLEMS / "binary_pair.yaml", "--distortion", "0.1", "--curve", "3"],
+        ["region", PROBLEMS / "binary_pair.yaml", "--check", "1/2,1/2"],
+        ["rd", PROBLEMS / "ternary_demo.yaml", "--p", "1/3,1/3,1/3", "--curve", "3"],
+        ["synthesize", PROBLEMS / "ternary_demo.yaml", "--target", "1/3,1/3,1/3"],
+        ["optimize", PROBLEMS / "binary_pair.yaml", "--curve", "3"],
+    ]
+
+    def outputs():
+        got = []
+        for argv in calls:
+            code = cli.main([str(a) for a in argv])
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    shared = outputs()
+    assert shared[0][0] == 3 and all(code == 0 for code, *_ in shared[1:])
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == shared

@@ -21,7 +21,7 @@ from switchrd import (
     rd_tilde_curve,
 )
 from switchrd import optimizer
-from switchrd.optimizer import _candidates, _frank_wolfe, _simplex_vertex
+from switchrd.optimizer import _candidates, _frank_wolfe, _lattice, _simplex_vertex
 from switchrd.probcore import compositions
 from switchrd.rate_distortion import RATE_TOL, rate_at_distortion, rates_at_distortion_batch
 from switchrd.region import _greedy_oracle, _min_norm_point, in_region
@@ -448,6 +448,32 @@ class TestCandidates:
         assert len(candidates) == len(np.unique(np.vstack([inside, p_star]), axis=0))
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_the_lattice_is_built_once_and_read_only(self, dim):
+        lattice = _lattice(dim)
+        assert _lattice(dim) is lattice
+        assert not lattice.flags.writeable
+        ticks = round(1 / optimizer._GRID_STEPS[dim])
+        np.testing.assert_array_equal(lattice, np.unique(compositions(ticks, dim) / ticks, axis=0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_both_paths_return_the_sorted_lattice_and_p_star(self, dim):
+        rng = np.random.default_rng(dim)
+        cases = [(_simplex_vertex, None), (_simplex_vertex, lambda points: points[:, 0] <= 0.5)]
+        # a region needs two symbols
+        for delta in (0.0, 0.05) if dim > 1 else ():
+            spec = RegionSpec(random_sources(rng, dim, 3), delta)
+            oracle = _greedy_oracle(spec.sources, np.zeros(dim), spec.delta)
+            cases.append((oracle, lambda points, spec=spec: in_region(points, spec)))
+        for oracle, inside in cases:
+            points, method = _candidates(dim, oracle, inside)
+            lattice = _lattice(dim) if inside is None else _lattice(dim)[inside(_lattice(dim))]
+            p_star = _min_norm_point(oracle, oracle(np.arange(dim)))[0]
+            want = np.unique(np.vstack([lattice, p_star]), axis=0)
+            assert method == "grid" and points.shape == want.shape
+            np.testing.assert_array_equal(points, want)
+
+
 class TestPinnedInstances:
     def test_region_maximum_is_never_below_the_hull_maximum(self):
         # (D2) the hull lies inside the region, and the region here holds the
@@ -585,6 +611,42 @@ class TestHullMaximizer:
             hull = maximize_over_hull(srcs, d, 0.2, FAST)
             region = maximize_over_region(RegionSpec(srcs, 0), d, 0.2, FAST)
             assert hull.value <= region.value + 1e-6
+
+
+    def test_an_interior_source_leaves_the_search(self, monkeypatch):
+        # the first source lies between the other two, so the search runs
+        # over the two-source lattice and matches the binary closed form
+        rows = [[0.420057, 0.579943], [0.817763, 0.182237], [0.301934, 0.698066]]
+        dims = []
+
+        def spy(dim, oracle, inside=None):
+            dims.append(dim)
+            return _candidates(dim, oracle, inside)
+
+        monkeypatch.setattr(optimizer, "_candidates", spy)
+        lo, hi = min(r[0] for r in rows), max(r[0] for r in rows)
+        for target in (0.1, 0.2, 0.35):
+            res = maximize_over_hull(SourceList.independent(rows), HAMMING, target)
+            p0 = min(max(0.5, lo), hi)
+            assert res.value == pytest.approx(max(h2(p0) - h2(target), 0.0), abs=RATE_TOL)
+        assert dims == [2, 2, 2]
+
+    def test_a_repeated_source_changes_nothing(self):
+        p, q = [0.7, 0.3], [0.45, 0.55]
+        for target in (0.1, 0.3):
+            want = maximize_over_hull(SourceList.independent([p, q]), HAMMING, target)
+            got = maximize_over_hull(SourceList.independent([p, p, q]), HAMMING, target)
+            assert got.value == want.value and got.slope == want.slope
+            np.testing.assert_array_equal(got.argmax.probs, want.argmax.probs)
+            np.testing.assert_array_equal(got.law, want.law)
+            assert (got.evaluations, got.starts) == (want.evaluations, want.starts)
+
+    def test_one_source_twice_is_that_source(self):
+        p = [0.7, 0.3]
+        for target in (0.05, 0.2):
+            got = maximize_over_hull(SourceList.independent([p, p]), HAMMING, target)
+            assert got.value == rate_at_distortion(Distribution(p), HAMMING, target).rate
+            np.testing.assert_array_equal(got.argmax.probs, p)
 
 
 class TestDualPair:

@@ -394,6 +394,17 @@ class TestBestOnly:
         assert np.array_equal(fast[kept], full[kept])
         assert np.all(full[~kept] < full[best])
 
+    def test_keeps_every_surviving_row_under_a_dominated_column(self):
+        # the first column is dominated by the last; row 5's corner
+        # distortion once came out 1 ulp lower when solved alone
+        d = DistortionMatrix([[2, 2, 1.28125], [2, 0.5, 1.15625], [0, 2, 0]])
+        ps = compositions(3, 3) / 3
+        full = rates_at_distortion_batch(ps, d, 0.720703125)
+        fast = rates_at_distortion_batch(ps, d, 0.720703125, best_only=True)
+        kept = ~np.isneginf(fast)
+        assert kept[5]
+        assert np.array_equal(fast[kept], full[kept])
+
     def test_drops_a_row_certified_below_the_maximum(self):
         # batch row 211's probes crawl near slope -0.0281, and its full search
         # returns 1.94e-4 bits; its bracket falls below the maximum first
@@ -495,6 +506,40 @@ WC_K4_M3_SOURCES = np.array([
 def projected(vectors):
     """Each row less its mean: the part of a gradient the simplex sees."""
     return vectors - vectors.mean(axis=-1, keepdims=True)
+
+
+class TestBatchIndependence:
+    """A row's fixed-slope solve gives the same bits alone as in a batch."""
+
+    def test_a_corner_row_on_the_dominated_column_path(self):
+        d_arr = np.array([[2, 2, 1.28125], [2, 0.5, 1.15625], [0, 2, 0]])
+        row = np.array([1 / 3, 1 / 3, 1 / 3])
+        q0 = np.array([0.0, 1 / 3, 2 / 3])
+        slope = -1.5699742180592637
+        alone = rate_distortion._solve_fixed_slopes(
+            row[None, :], d_arr, np.array([slope]), 1e-10, q0=q0[None, :]
+        )
+        assert alone[1][0] == 0.8125
+        for other in ([0.2, 0.3, 0.5], [0.6, 0.1, 0.3]):
+            batch = rate_distortion._solve_fixed_slopes(
+                np.array([row, other]), d_arr, np.full(2, slope), 1e-10, q0=np.tile(q0, (2, 1))
+            )
+            for got, want in zip(batch, alone):
+                np.testing.assert_array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_rows_with_a_dominated_column(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny = int(rng.integers(2, 5)), int(rng.integers(3, 5))
+        d_arr = rng.integers(0, 9, size=(nx, ny)) / 4.0
+        d_arr[:, 0] = d_arr[:, 1:].max(axis=1) + 0.5  # dominated by every other column
+        ps = rng.dirichlet(np.ones(nx), size=7)
+        slopes = -rng.uniform(0.1, 8.0, size=7)
+        batch = rate_distortion._solve_fixed_slopes(ps, d_arr, slopes, 1e-10)
+        for i in range(len(ps)):
+            alone = rate_distortion._solve_fixed_slopes(ps[i:i + 1], d_arr, slopes[i:i + 1], 1e-10)
+            for got, want in zip(batch, alone):
+                np.testing.assert_array_equal(got[i], want[0])
 
 
 class TestEnvelopeGradient:
