@@ -19,6 +19,13 @@ no repair. The result is a feasible lower bound on the true maximum. One
 input always gives one result, and merging uses value-then-lexicographic
 order so the outcome does not depend on evaluation order.
 
+The region search has one certified early exit. Under a distortion that
+every relabelling of the inputs keeps, given a matching relabelling of the
+outputs (Hamming distortion, with or without erasure outputs), R_p(D) is
+Schur-concave in p, and every attainable law majorizes p*; so R~(D) =
+R_p*(D), and one rate solve at p* replaces the lattice, the first batch and
+Frank-Wolfe. Its bracket is then at most ``tol`` wide.
+
 Frank-Wolfe takes its slopes from the rate solver's certificate: every rate
 comes with the envelope gradient of R_p(D) in p at the dual pair of its
 Blahut line (``rates_at_distortion_batch`` with ``gradients``), so each step
@@ -73,16 +80,23 @@ _FW_STEPS = 200
 @dataclass(frozen=True, eq=False)
 class MaximizerResult:
     """Best point found: ``value`` = R_argmax(D) in bits. ``method`` names
-    the starting points: "grid" (a dense lattice) or "multistart" (the
-    polytope's vertices); either way the result is a lower bound on the true
-    maximum. ``evaluations`` counts the rows submitted to the rate solver,
-    those its early exit dropped included: the starting batch and 10
-    line-search candidates per Frank-Wolfe step of each start; ``starts``
-    counts the Frank-Wolfe starts, the rows of the starting batch within
-    ``tol`` of its best. ``slope`` and ``law`` are the argmax's dual pair:
-    the slope and the output law of the Blahut line that certifies
+    the starting points by dimension: "grid" (a dense lattice, up to 4) or
+    "multistart" (the polytope's vertices). ``evaluations`` counts the rows
+    submitted to the rate solver, those its early exit dropped included: the
+    starting batch and 10 line-search candidates per Frank-Wolfe step of
+    each start; ``starts`` counts the Frank-Wolfe starts, the rows of the
+    starting batch within ``tol`` of its best. A region search under a
+    symmetric distortion ends at p* instead (see ``maximize_over_region``):
+    one evaluation and no start. ``slope`` and ``law`` are the argmax's dual
+    pair: the slope and the output law of the Blahut line that certifies
     ``value`` (slope 0 and the uniform law where the value is 0, NaN where
-    it is +inf), in the form ``maximize_over_hull``'s ``start`` takes."""
+    it is +inf), in the form ``maximize_over_hull``'s ``start`` takes.
+
+    ``lower`` and ``upper`` bracket the true maximum. ``lower`` is that
+    Blahut line read at the target, a certified lower end on R_argmax(D);
+    ``upper`` is +inf, except where the search ends at p*: there it is
+    ``value``, a rate achieved at p*, so the bracket is at most ``tol``
+    wide. Both are +inf where the value is."""
 
     value: float
     argmax: Distribution
@@ -91,6 +105,8 @@ class MaximizerResult:
     starts: int
     slope: float
     law: np.ndarray
+    lower: float
+    upper: float
 
 
 def _pick_best(values, vecs) -> int:
@@ -106,12 +122,13 @@ def _frank_wolfe(seeds, oracle, batch_value, basis, tol):
     """Pairwise Frank-Wolfe (S. Lacoste-Julien and M. Jaggi, "On the global
     linear convergence of Frank-Wolfe optimization variants", NeurIPS 2015)
     over the polytope of the linear ``oracle``, run from every
-    ``(value, point, gradient, dual)`` seed in lockstep; returns
-    ``(point, value, dual)`` per seed.
+    ``(value, point, gradient, dual, lower)`` seed in lockstep; returns
+    ``(point, value, dual, lower)`` per seed.
 
-    ``gradient`` is the derivative of R_p(D) in the source p = point @ basis
-    and ``dual`` its certificate's ``(slope, law)`` pair; ``batch_value(points,
-    start)`` maps a batch of points to their values, gradients and dual pairs
+    ``gradient`` is the derivative of R_p(D) in the source p = point @ basis,
+    ``dual`` its certificate's ``(slope, law)`` pair and ``lower`` that
+    certificate's lower end; ``batch_value(points, start)`` maps a batch of
+    points to their values, gradients, dual pairs and lower ends
     (``rates_at_distortion_batch``). At its first step a start writes its
     point as a mixture of the oracle's vertices, by Wolfe's min-norm point
     over the polytope less the point, as rule synthesis does. Each step reads
@@ -135,10 +152,11 @@ def _frank_wolfe(seeds, oracle, batch_value, basis, tol):
         vertices[key] = y
         return key, y - offset
 
-    xs = [np.array(x, dtype=float) for _, x, _, _ in seeds]
-    vs = [float(v) for v, _, _, _ in seeds]
-    grads = [c for _, _, c, _ in seeds]
-    duals = [dual for _, _, _, dual in seeds]
+    xs = [np.array(x, dtype=float) for _, x, *_ in seeds]
+    vs = [float(v) for v, *_ in seeds]
+    grads = [c for _, _, c, *_ in seeds]
+    duals = [dual for _, _, _, dual, _ in seeds]
+    lowers = [float(lower) for *_, lower in seeds]
     mixes = [None] * len(seeds)  # vertex key -> weight, from the first step on
     reach = [0.05] * len(seeds)
     moving = range(len(seeds))
@@ -168,7 +186,7 @@ def _frank_wolfe(seeds, oracle, batch_value, basis, tol):
             np.repeat([duals[j][0] for j, *_ in searching], 10),
             np.repeat([duals[j][1] for j, *_ in searching], 10, axis=0),
         )
-        cvals, cgrads, (cslopes, claws) = batch_value(
+        cvals, cgrads, (cslopes, claws), clowers = batch_value(
             np.concatenate([points for *_, points, _ in searching]), start
         )
         moving = []
@@ -178,11 +196,12 @@ def _frank_wolfe(seeds, oracle, batch_value, basis, tol):
                 xs[j], vs[j] = points[best], float(cvals[10 * i + best])
                 grads[j] = cgrads[10 * i + best]
                 duals[j] = (cslopes[10 * i + best], claws[10 * i + best])
+                lowers[j] = float(clowers[10 * i + best])
                 mixes[j] = {key: w for key, w in zip(keys, weights[best]) if w > 0}
                 reach[j] = 2.0 * lengths[best]
                 if np.isfinite(vs[j]):
                     moving.append(j)
-    return list(zip(xs, vs, duals))
+    return list(zip(xs, vs, duals, lowers))
 
 
 def _simplex_vertex(c: np.ndarray):
@@ -217,6 +236,13 @@ def _with_row(points: np.ndarray, row: np.ndarray) -> np.ndarray:
     return np.insert(points, np.count_nonzero(below), row, axis=0)
 
 
+def _centre(dim: int, oracle) -> np.ndarray:
+    """The min-norm point p* of the polytope of ``oracle`` within the
+    ``dim``-simplex, by Wolfe's method from the vertex of the order
+    (0, ..., dim - 1)."""
+    return _min_norm_point(oracle, oracle(np.arange(dim)))[0]
+
+
 def _candidates(dim: int, oracle, inside=None):
     """Starting points in the polytope of ``oracle`` within the
     ``dim``-simplex, and their method: the ``_GRID_STEPS`` lattice ("grid")
@@ -225,7 +251,7 @@ def _candidates(dim: int, oracle, inside=None):
     symbol orders (numpy seed 0) and for the cyclic shifts of
     (0, ..., dim - 1). Both sets take the polytope's min-norm point p*, so
     neither is empty; the rows are sorted and repeats are dropped."""
-    centre = _min_norm_point(oracle, oracle(np.arange(dim)))[0]
+    centre = _centre(dim, oracle)
     if dim in _GRID_STEPS:
         points = _lattice(dim)
         if inside is not None:
@@ -264,34 +290,93 @@ def _maximize(candidates, method, oracle, basis, d, target, tol, start=None):
     if start is not None:
         n = len(candidates)
         start = np.full(n, start[0], dtype=float), np.tile(np.asarray(start[1], float), (n, 1))
-    values, grads, (slopes, laws) = batch_value(candidates, start, best_only=True)
+    values, grads, (slopes, laws), lowers = batch_value(candidates, start, best_only=True)
     if np.isposinf(values).any():
         x = np.array(min(map(tuple, candidates[np.isposinf(values)])))
         return MaximizerResult(
             np.inf, Distribution(x @ basis), method, evaluations, 0,
-            np.nan, np.full(d.num_outputs, np.nan),
+            np.nan, np.full(d.num_outputs, np.nan), np.inf, np.inf,
         )
     rows = np.nonzero(values >= values.max() - tol)[0]
-    seeds = [(values[j], candidates[j], grads[j], (slopes[j], laws[j])) for j in rows]
-    xs, vs, duals = zip(*_frank_wolfe(seeds, oracle, batch_value, basis, tol))
+    seeds = [
+        (values[j], candidates[j], grads[j], (slopes[j], laws[j]), lowers[j]) for j in rows
+    ]
+    xs, vs, duals, lows = zip(*_frank_wolfe(seeds, oracle, batch_value, basis, tol))
     i = _pick_best(vs, xs)
     slope, law = duals[i]
     return MaximizerResult(
-        vs[i], Distribution(xs[i] @ basis), method, evaluations, len(seeds), float(slope), law
+        vs[i], Distribution(xs[i] @ basis), method, evaluations, len(seeds), float(slope), law,
+        lows[i], np.inf,
+    )
+
+
+def _symmetric(d: DistortionMatrix) -> bool:
+    """True iff every relabelling of the inputs, with a matching relabelling
+    of the outputs, leaves ``d`` unchanged: Hamming distortion, say, scaled
+    or with extra outputs at one distortion from every input. The input
+    relabellings that pass form a group, so it is enough that each swap of
+    two adjacent input rows leaves the multiset of ``d``'s columns as it
+    is. Entries compare exactly."""
+    values = d.values
+
+    def columns(a):
+        # the columns in lexicographic order; lexsort's last key is its first
+        return a[:, np.lexsort(a[::-1])]
+
+    own = columns(values)
+    for i in range(values.shape[0] - 1):
+        order = np.arange(values.shape[0])
+        order[[i, i + 1]] = i + 1, i
+        if not np.array_equal(columns(values[order]), own):
+            return False
+    return True
+
+
+def _at_centre(p_star, method, d, target, tol) -> MaximizerResult:
+    """R_p*(D) as the region's maximum: one rate solve, whose bracket is the
+    result's ``[lower, upper]``."""
+    values, _, (slopes, laws), lowers = rates_at_distortion_batch(
+        p_star[None, :], d, target, tol=tol, gradients=True
+    )
+    value = float(values[0])
+    return MaximizerResult(
+        value, Distribution(p_star), method, 1, 0, float(slopes[0]), laws[0],
+        float(lowers[0]), value,
     )
 
 
 def _region_maximizer(spec: RegionSpec, d: DistortionMatrix, tol: float):
     """The region's candidates, built once, and its maximization at one target,
-    with the argmax checked against the region."""
+    with the argmax checked against the region.
+
+    Under a symmetric ``d`` (see ``_symmetric``) the candidates are p* alone
+    and each target takes one rate solve at p*. R_p(D) is then Schur-concave
+    in p: it is the largest of s D + F_p(s) over slopes s <= 0, and each
+    F_p(s) = min_q L_s(p, q) is concave and symmetric in p (A. W. Marshall,
+    I. Olkin and B. C. Arnold, "Inequalities: Theory of Majorization", ch.
+    3). The region is the core of the supermodular h = max(Q - delta, 0),
+    and every point of it majorizes its min-norm point p* (S. Fujishige,
+    "Lexicographically optimal base of a polymatroid with respect to a
+    weight vector", Math. Oper. Res. 5 (1980)), so R~(D) = R_p*(D). Every
+    other ``d`` takes the lattice or vertex batch and Frank-Wolfe."""
     k = spec.sources.alphabet_size
     if d.num_inputs != k:
         raise ValidationError("distortion and sources use different alphabets")
     oracle = _greedy_oracle(spec.sources, np.zeros(k), spec.delta)
-    candidates, method = _candidates(k, oracle, lambda points: in_region(points, spec))
+    if _symmetric(d):
+        candidates = _centre(k, oracle)[None, :]
+        method = "grid" if k in _GRID_STEPS else "multistart"
+
+        def search(target):
+            return _at_centre(candidates[0], method, d, target, tol)
+    else:
+        candidates, method = _candidates(k, oracle, lambda points: in_region(points, spec))
+
+        def search(target):
+            return _maximize(candidates, method, oracle, np.eye(k), d, target, tol)
 
     def at(target: float) -> MaximizerResult:
-        result = _maximize(candidates, method, oracle, np.eye(k), d, target, tol)
+        result = search(target)
         if np.isfinite(result.value) and not is_member(result.argmax, spec).satisfied:
             raise AssertionError("maximizer left the feasible region")
         return result
@@ -308,13 +393,20 @@ def maximize_over_region(
     """Largest R_p(D) over attainable p, with the achieving distribution;
     each rate stops on a certified bracket ``tol`` bits wide.
 
-    Up to 4 symbols the search starts from the feasible simplex lattice
-    ("grid"), above that from the region's vertices for fixed symbol orders
-    ("multistart"); both take the most uniform attainable law p*. Frank-Wolfe
-    over the region's vertices, the laws of priority rules, refines the best
-    starts, so the argmax is attainable by construction. A +inf value means
-    some attainable distribution has a distortion floor above the target, so
-    no finite rate suffices.
+    Under a symmetric distortion, one that every relabelling of the inputs
+    keeps given a matching relabelling of the outputs (Hamming distortion,
+    say), the most uniform attainable law p* is a maximizer, and the search
+    is one rate solve at p*: the argmax is p*, ``evaluations`` is 1,
+    ``starts`` is 0, and ``[lower, upper]`` brackets R~(D) within ``tol``.
+
+    Under any other distortion the search starts, up to 4 symbols, from the
+    feasible simplex lattice, above that from the region's vertices for
+    fixed symbol orders; both take p*. Frank-Wolfe over the region's
+    vertices, the laws of priority rules, refines the best starts, so the
+    argmax is attainable by construction; ties go to the lexicographically
+    smallest law. ``method`` is "grid" up to 4 symbols and "multistart"
+    above, on either path. A +inf value means some attainable distribution
+    has a distortion floor above the target, so no finite rate suffices.
     """
     _, at = _region_maximizer(spec, d, tol)
     return at(target)
@@ -368,7 +460,10 @@ def rd_tilde_curve(
     """Worst-case rate over a distortion grid spanning the smallest floor and
     the largest ceiling seen across the region's candidate set (its feasible
     lattice up to 4 symbols, its vertices for fixed orders above, and p*
-    either way), which every target reuses."""
+    either way), which every target reuses. Under a symmetric distortion
+    (see ``maximize_over_region``) the set is p* alone: the floor is then
+    the same for every law, and the ceiling, Schur-concave, peaks at p*, so
+    p* spans the candidates' extremes, and each target is one rate solve."""
     if num_points < 2:
         raise ValidationError("need at least two curve points")
     candidates, at = _region_maximizer(spec, d, tol)

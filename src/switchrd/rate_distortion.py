@@ -851,14 +851,17 @@ def rates_at_distortion_batch(
     ``best_only`` from the same ``start``. A row that would fail to converge
     may be dropped before it fails.
 
-    With ``gradients`` the call returns ``(rates, grads, duals)``. ``grads``
-    holds, per row, the envelope gradient of R_p(target) in p (see
+    With ``gradients`` the call returns ``(rates, grads, duals, lowers)``.
+    ``grads`` holds, per row, the envelope gradient of R_p(target) in p (see
     ``_envelope_gradients``), read off the row's certificate at no extra
     solve. ``duals`` is the pair ``(slopes, laws)`` of that certificate: the
     slope and the output law of the Blahut line that is the row's lower end.
-    A row with a finite rate has both; a row given +inf or -inf has neither
-    (NaN). A row at or above its ceiling, rate 0, has gradient 0 and the
-    pair of slope 0 and the uniform law. The rates are the same either way.
+    ``lowers`` holds those lower ends, so R_p(target) lies in ``[lowers,
+    rates]`` and the bracket is at most ``tol`` wide. A row with a finite
+    rate has all three; a row given +inf or -inf has no gradient and no pair
+    (NaN), and its lower end is its rate. A row at or above its ceiling,
+    rate 0, has gradient 0, the pair of slope 0 and the uniform law, and
+    lower end 0. The rates are the same either way.
 
     ``start`` takes such a pair, one slope and one output law per row, and
     warm-starts each row's search from it (see ``_slope_search``): passing
@@ -907,7 +910,9 @@ def rates_at_distortion_batch(
     kept = np.isfinite(found[0])
     slopes[idx[kept]], laws[idx[kept]] = found[4][kept], found[5][kept]
     grads[idx[kept]] = _envelope_gradients(d_arr, slopes[idx[kept]], laws[idx[kept]])
-    return rates, grads, (slopes, laws)
+    lowers = rates.copy()
+    lowers[idx[kept]] = found[3][kept]
+    return rates, grads, (slopes, laws), lowers
 
 
 @np.errstate(under="ignore")

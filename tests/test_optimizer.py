@@ -2,6 +2,7 @@ import itertools
 import math
 import unittest.mock
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,21 @@ from switchrd import (
     ValidationError,
     entropy,
     is_member,
+    load_problem,
     maximize_over_hull,
     maximize_over_region,
     rd_tilde_curve,
 )
 from switchrd import optimizer
-from switchrd.optimizer import _candidates, _frank_wolfe, _lattice, _simplex_vertex
+from switchrd.optimizer import (
+    _candidates,
+    _centre,
+    _frank_wolfe,
+    _lattice,
+    _maximize,
+    _simplex_vertex,
+    _symmetric,
+)
 from switchrd.probcore import compositions
 from switchrd.rate_distortion import RATE_TOL, rate_at_distortion, rates_at_distortion_batch
 from switchrd.region import _greedy_oracle, _min_norm_point, in_region
@@ -285,18 +295,19 @@ class TestRegionMaximizer:
         def batch_value(ps, start=None):
             return rates_at_distortion_batch(ps, d, 0.2, tol=FAST, gradients=True, start=start)
 
-        values, grads, (slopes, laws) = batch_value(candidates)
-        seeds = list(zip(values.tolist(), candidates, grads, zip(slopes, laws)))
-        assert all(s < 0 for _, _, _, (s, _) in seeds)
+        values, grads, (slopes, laws), lowers = batch_value(candidates)
+        seeds = list(zip(values.tolist(), candidates, grads, zip(slopes, laws), lowers))
+        assert all(s < 0 for _, _, _, (s, _), _ in seeds)
         basis = np.eye(5)
         together = _frank_wolfe(seeds, oracle, batch_value, basis, FAST)
-        assert sum(v > v0 for (v0, _, _, _), (_, v, _) in zip(seeds, together)) > 1
-        for seed, (x, v, (s, law)) in zip(seeds, together):
-            [(x_alone, v_alone, (s_alone, law_alone))] = _frank_wolfe(
+        assert sum(v > v0 for (v0, *_), (_, v, _, _) in zip(seeds, together)) > 1
+        for seed, (x, v, (s, law), lower) in zip(seeds, together):
+            [(x_alone, v_alone, (s_alone, law_alone), lower_alone)] = _frank_wolfe(
                 [seed], oracle, batch_value, basis, FAST
             )
             np.testing.assert_array_equal(x, x_alone)
-            assert v == v_alone and s == s_alone
+            assert v == v_alone and s == s_alone and lower == lower_alone
+            assert v - FAST <= lower <= v + 1e-12
             np.testing.assert_array_equal(law, law_alone)
 
     @pytest.mark.parametrize("search", ["region", "hull"])
@@ -384,7 +395,9 @@ class TestPickBest:
     @pytest.mark.parametrize("method", ["grid", "multistart"])
     def test_seeds_are_every_row_within_tol_of_the_best(self, monkeypatch, method):
         # the mirror instance's lattice holds mirror pairs whose values tie
-        # but for rounding; at k = 5 the seeds are the region's vertices and p*
+        # but for rounding; at k = 5 the seeds are the region's vertices and
+        # p*, under a distortion no relabelling keeps (Hamming, with the
+        # first input's row doubled), since a symmetric one ends at p*
         seeds = []
         frank_wolfe = optimizer._frank_wolfe
 
@@ -397,14 +410,15 @@ class TestPickBest:
             spec, d, target = RegionSpec(MIRROR_SOURCES, 0), MIRROR_DISTORTION, MIRROR_TARGET
         else:
             spec = RegionSpec(random_sources(np.random.default_rng(9), 5, 2), 0)
-            d, target = DistortionMatrix.hamming(5), 0.2
+            d = DistortionMatrix(((1.0 - np.eye(5)) * [[2], [1], [1], [1], [1]]).tolist())
+            target = 0.2
         res = maximize_over_region(spec, d, target)
         candidates = region_search(spec)[1]
         values = rates_at_distortion_batch(candidates, d, target, best_only=True)
         tied = candidates[values >= values.max() - RATE_TOL]
         assert res.method == method
         assert res.starts == len(seeds) == len(tied)
-        np.testing.assert_array_equal(np.array([x for _, x, _, _ in seeds]), tied)
+        np.testing.assert_array_equal(np.array([x for _, x, *_ in seeds]), tied)
         if method == "grid":
             assert len(tied) > 1
             np.testing.assert_array_equal(tied[::-1, [1, 0, 2]], tied)
@@ -682,7 +696,7 @@ class TestDualPair:
             maximize_over_region(BINARY_SPEC, d, 0.4, FAST),
             maximize_over_hull(BINARY_PAIR, d, 0.4, FAST),
         ):
-            assert res.value == math.inf
+            assert res.value == res.lower == res.upper == math.inf
             assert math.isnan(res.slope) and np.isnan(res.law).all()
 
     @pytest.mark.parametrize(
@@ -719,8 +733,9 @@ class TestRelabelling:
     """Renaming the symbols renames the problem: R~ and R* are the same up
     to the rates' brackets. The hull searches mixture weights, which no
     renaming moves; only its start, the region's dual pair, moves with the
-    labels. The region's starts do move with the labels, so R~ is checked
-    where Frank-Wolfe reaches one maximum from all of them."""
+    labels. Under Hamming distortion the region search ends at p*, which
+    moves with the labels; elsewhere its starts move with the labels, so R~
+    is checked where Frank-Wolfe reaches one maximum from all of them."""
 
     @pytest.mark.parametrize(
         "rows, target",
@@ -771,8 +786,9 @@ class TestRelabelling:
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_r_tilde_of_random_five_symbol_instances(self, seed):
-        # under Hamming distortion; under integer distortions the starts,
-        # which move with the labels, can still end at other local maxima
+        # under Hamming distortion, which ends at p*; under integer
+        # distortions the starts, which move with the labels, can still end
+        # at other local maxima
         rng = np.random.default_rng(seed)
         rows = rng.dirichlet(np.ones(5), size=int(rng.integers(2, 4)))
         d = 1.0 - np.eye(5)
@@ -820,3 +836,172 @@ class TestCurve:
         assert values[-1] == 0.0
         for target, res in curve[1:-1]:
             assert res.value == pytest.approx(1 - h2(target), abs=2e-3)
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def hamming_with_erasures(k, scale, erasures):
+    """``scale`` times k-ary Hamming distortion, with one extra output per
+    entry of ``erasures`` at that constant distortion from every input."""
+    d = scale * (1.0 - np.eye(k))
+    return DistortionMatrix(np.hstack([d, np.tile(erasures, (k, 1))]).tolist())
+
+
+def majorizes(a, b, tol=1e-9):
+    """True iff law ``a`` majorizes law ``b``: every partial sum of ``a``'s
+    largest entries is at least ``b``'s."""
+    return bool((np.cumsum(np.sort(a)[::-1]) >= np.cumsum(np.sort(b)[::-1]) - tol).all())
+
+
+class TestSymmetry:
+    """``_symmetric`` passes a distortion that every relabelling of the inputs
+    keeps, given a matching relabelling of the outputs, and nothing else."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            DistortionMatrix.hamming(2),
+            DistortionMatrix.hamming(5),
+            DistortionMatrix((2.5 * (1.0 - np.eye(4))).tolist()),
+            DistortionMatrix((1.0 - np.eye(4))[[2, 0, 3, 1]][:, [1, 3, 0, 2]].tolist()),
+            hamming_with_erasures(3, 1.0, [0.6]),
+            hamming_with_erasures(4, 2.0, [0.6, 1.5]),
+            DistortionMatrix([[0.5, 1.0], [1.0, 0.5]]),
+        ],
+        ids=["hamming-2", "hamming-5", "scaled", "permuted", "one-erasure", "two-erasures",
+             "shifted-binary"],
+    )
+    def test_passes(self, d):
+        assert _symmetric(d)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            DistortionMatrix([[0, 2], [3, 0]]),
+            DistortionMatrix([[abs(i - j) for j in range(3)] for i in range(3)]),
+            DistortionMatrix(np.random.default_rng(0).integers(0, 4, size=(4, 4)).tolist()),
+            MIRROR_DISTORTION,
+            DistortionMatrix(((1.0 - np.eye(5)) * [[2], [1], [1], [1], [1]]).tolist()),
+        ],
+        ids=["wc_k2_m3", "ternary-distance", "random-integer", "mirror", "one-row-doubled"],
+    )
+    def test_fails(self, d):
+        assert not _symmetric(d)
+
+    @pytest.mark.parametrize("target", WC_K3_M2_TARGETS)
+    def test_a_relabelled_hamming_instance_relabels_the_answer(self, target):
+        # (D8) each labelling of wc_k3_m2 ends at its own p*, which is the
+        # first labelling's, renamed
+        perms = list(itertools.permutations(range(3)))  # the identity first
+        results = [
+            maximize_over_region(RegionSpec(sources, 0), renamed, target)
+            for sources, renamed in (relabelled(WC_K3_M2, 1.0 - np.eye(3), list(p)) for p in perms)
+        ]
+        base = results[0]
+        for perm, res in zip(perms, results):
+            assert abs(res.value - base.value) <= 1e-12
+            np.testing.assert_allclose(
+                res.argmax.probs, base.argmax.probs[list(perm)], rtol=0, atol=1e-12
+            )
+
+
+class TestSymmetricExit:
+    """Under a symmetric distortion the region search is one rate solve at
+    p*, the region's min-norm point, whose bracket is the result's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 5),
+        m=st.integers(1, 3),
+        joint=st.booleans(),
+        delta=st.sampled_from([0.0, 0.05]),
+        erasure=st.booleans(),
+    )
+    def test_no_attainable_law_beats_p_star(self, seed, k, m, joint, delta, erasure):
+        rng = np.random.default_rng(seed)
+        if joint:
+            k, m = min(k, 4), max(m, 2)
+            pmf = rng.dirichlet(np.full(k**m, 0.5))
+            sources = SourceList.joint(pmf.tolist(), k, m)
+        else:
+            sources = random_sources(rng, k, m)
+        spec = RegionSpec(sources, delta)
+        scale = float(rng.choice([1.0, 2.5]))
+        d = hamming_with_erasures(k, scale, [0.6 * scale] if erasure else [])
+        oracle, candidates, method = region_search(spec)
+        p_star = _centre(k, oracle)
+        for _ in range(20):
+            assert majorizes(oracle(rng.normal(size=k))[1], p_star)
+        ceiling = float((p_star @ d.values).min())
+        target = float(rng.uniform(0.05, 0.95)) * ceiling
+        exit_ = maximize_over_region(spec, d, target, FAST)
+        np.testing.assert_array_equal(exit_.argmax.probs, p_star)
+        # the ends may cross by rounding
+        assert exit_.value == exit_.upper
+        assert -1e-12 <= exit_.upper - exit_.lower <= FAST
+        # the general search, lattice or vertices and Frank-Wolfe, certifies
+        # no more than R_p*(D): its lower end is at most R_p*(D), and its
+        # value at most R_p*(D) + tol
+        general = _maximize(candidates, method, oracle, np.eye(k), d, target, FAST)
+        assert general.lower <= exit_.upper + 1e-9
+        assert general.value <= exit_.upper + FAST + 1e-9
+
+    def test_one_rate_solve_per_target(self, monkeypatch):
+        batches = []
+        solve = optimizer.rates_at_distortion_batch
+
+        def spy(ps, *args, **kwargs):
+            batches.append(len(ps))
+            return solve(ps, *args, **kwargs)
+
+        def no_candidates(*args, **kwargs):
+            raise AssertionError("the symmetric exit builds no starting points")
+
+        monkeypatch.setattr(optimizer, "rates_at_distortion_batch", spy)
+        monkeypatch.setattr(optimizer, "_candidates", no_candidates)
+        spec = RegionSpec(D5_SOURCES, 0)
+        d = DistortionMatrix.hamming(5)
+        curve = rd_tilde_curve(spec, d, 4)
+        assert batches == [1] * 4
+        oracle = _greedy_oracle(D5_SOURCES, np.zeros(5))
+        p_star = _centre(5, oracle)
+        # the floor is 0 for every law, and the span ends at p*'s ceiling
+        assert [t for t, _ in curve] == pytest.approx(
+            np.linspace(0.0, (p_star @ d.values).min(), 4).tolist(), rel=1e-12, abs=0
+        )
+        for _, res in curve:
+            assert (res.method, res.evaluations, res.starts) == ("multistart", 1, 0)
+            np.testing.assert_array_equal(res.argmax.probs, p_star)
+
+    def test_the_general_path_has_an_open_upper_end(self):
+        res = maximize_over_region(RegionSpec(D3_SOURCES, 0), D3_DISTORTION, D3_TARGET)
+        assert res.upper == math.inf
+        assert res.value - RATE_TOL <= res.lower <= res.value
+
+    @pytest.mark.parametrize(
+        "spec, d, targets",
+        [
+            (None, "binary_pair.yaml", (0.1, 0.2)),
+            (None, "ternary_demo.yaml", (0.1, 0.2)),
+            (RegionSpec(SourceList.independent(WC_K3_M2), 0), DistortionMatrix.hamming(3),
+             WC_K3_M2_TARGETS),
+            (RegionSpec(SourceList.independent(WC_K4_M3), 0), DistortionMatrix.hamming(4),
+             WC_K4_M3_TARGETS),
+        ],
+        ids=["binary_pair", "ternary_demo", "wc_k3_m2", "wc_k4_m3"],
+    )
+    def test_every_hamming_row_carries_a_narrow_bracket(self, spec, d, targets):
+        # the shipped files at their pinned targets and along the five-point
+        # curve, and the benchmark's Hamming instances at their targets
+        results = []
+        if spec is None:
+            problem = load_problem(PROBLEMS / d)
+            spec, d = RegionSpec(problem.sources, problem.delta), problem.distortion
+            results = [res for _, res in rd_tilde_curve(spec, d, 5)]
+        results += [maximize_over_region(spec, d, t) for t in targets]
+        for res in results:
+            assert (res.evaluations, res.starts) == (1, 0)
+            assert res.value == res.upper
+            assert -1e-12 <= res.upper - res.lower <= 1e-6

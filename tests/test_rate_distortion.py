@@ -548,7 +548,7 @@ class TestEnvelopeGradient:
         # R_p(D) = h(p0) - h(D) for D < min(p0, 1 - p0); at (.3, .7) and
         # D = .1 the row closes while its upper side is still the zero-rate
         # corner, whose slope would give 1.585 instead of log2(7/3)
-        rates, grads, _ = rates_at_distortion_batch(
+        rates, grads, _, _ = rates_at_distortion_batch(
             np.array([[p0, 1 - p0]]), HAMMING, target, gradients=True
         )
         assert rates[0] == pytest.approx(binary_rd(p0, target), abs=1e-6)
@@ -559,7 +559,7 @@ class TestEnvelopeGradient:
         # R_p(0) = H(p) under Hamming distortion, so on the simplex its
         # gradient is -log2 p(x) up to a constant
         ps = np.random.default_rng(k).dirichlet(np.ones(k), size=6)
-        rates, grads, _ = rates_at_distortion_batch(
+        rates, grads, _, _ = rates_at_distortion_batch(
             ps, DistortionMatrix.hamming(k), 0.0, gradients=True
         )
         entropies = -(ps * np.log2(ps)).sum(axis=1)
@@ -569,7 +569,7 @@ class TestEnvelopeGradient:
     def test_matches_central_differences_of_the_rates(self):
         p = np.array([0.0, 0.22, 0.78]) @ WC_K4_M3_SOURCES
         d = DistortionMatrix.hamming(4)
-        rates, grads, _ = rates_at_distortion_batch(
+        rates, grads, _, _ = rates_at_distortion_batch(
             p[None, :], d, 0.508816, tol=1e-10, gradients=True
         )
         step, units = 1e-4, projected(np.eye(4))
@@ -585,8 +585,10 @@ class TestEnvelopeGradient:
         d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
         ps = compositions(20, 3) / 20
         target = 2.6676048388493547
-        full, full_grads, _ = rates_at_distortion_batch(ps, d, target, gradients=True)
-        rates, grads, _ = rates_at_distortion_batch(ps, d, target, best_only=True, gradients=True)
+        full, full_grads, _, _ = rates_at_distortion_batch(ps, d, target, gradients=True)
+        rates, grads, _, _ = rates_at_distortion_batch(
+            ps, d, target, best_only=True, gradients=True
+        )
         assert np.isneginf(rates[211]) and np.isnan(grads[211]).all()
         kept = ~np.isneginf(rates)
         assert np.array_equal(rates[kept], full[kept])
@@ -596,14 +598,35 @@ class TestEnvelopeGradient:
         assert np.array_equal(full, rates_at_distortion_batch(ps, d, target))
         # an unreachable row has none either, and a zero-rate row has 0
         d = DistortionMatrix([[0.0, 1.0], [1.0, 0.5]])
-        rates, grads, _ = rates_at_distortion_batch(
+        rates, grads, _, _ = rates_at_distortion_batch(
             np.array([[0.5, 0.5], [0.0, 1.0]]), d, 0.3, gradients=True
         )
         assert np.isposinf(rates[1]) and np.isnan(grads[1]).all()
-        rates, grads, _ = rates_at_distortion_batch(
+        rates, grads, _, _ = rates_at_distortion_batch(
             np.array([[0.9, 0.1]]), HAMMING, 0.5, gradients=True
         )
         assert rates[0] == 0.0 and (grads == 0.0).all()
+
+    def test_lower_ends_are_the_slope_search_brackets(self):
+        # each row's lower end is the one rate_at_distortion reports, and a
+        # row without a bracket has its rate as its lower end
+        ps = compositions(6, 3) / 6 @ WC_K4_M3_SOURCES
+        d = DistortionMatrix.hamming(4)
+        rates, _, _, lowers = rates_at_distortion_batch(ps, d, 0.508816, gradients=True)
+        assert ((rates - lowers >= 0.0) & (rates - lowers <= RATE_TOL)).all()
+        for p, lower in zip(ps, lowers):
+            assert lower == rate_at_distortion(Distribution(p), d, 0.508816).lower
+        d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
+        ps = compositions(20, 3) / 20
+        rates, _, _, lowers = rates_at_distortion_batch(
+            ps, d, 2.6676048388493547, best_only=True, gradients=True
+        )
+        assert np.isneginf(lowers[211])
+        d = DistortionMatrix([[0.0, 1.0], [1.0, 0.5]])
+        _, _, _, lowers = rates_at_distortion_batch(
+            np.array([[0.5, 0.5], [0.0, 1.0], [0.9, 0.1]]), d, 0.3, gradients=True
+        )
+        assert lowers[1] == np.inf and lowers[2] == 0.0
 
 
 def nearby_starts():
@@ -612,7 +635,7 @@ def nearby_starts():
     ps = compositions(6, 3) / 6 @ WC_K4_M3_SOURCES
     step = 0.005 * projected(np.random.default_rng(3).normal(size=ps.shape))
     d = DistortionMatrix.hamming(4)
-    _, _, duals = rates_at_distortion_batch(ps + step, d, 0.508816, gradients=True)
+    _, _, duals, _ = rates_at_distortion_batch(ps + step, d, 0.508816, gradients=True)
     return ps, d, 0.508816, duals
 
 
@@ -620,7 +643,7 @@ class TestWarmStart:
     def test_a_row_depends_only_on_its_own_start(self):
         ps, d, target, (slopes, laws) = nearby_starts()
         assert (slopes < 0).sum() > 10 and (slopes == 0).any()
-        rates, grads, (s_out, q_out) = rates_at_distortion_batch(
+        rates, grads, (s_out, q_out), _ = rates_at_distortion_batch(
             ps, d, target, gradients=True, start=(slopes, laws)
         )
         back = rates_at_distortion_batch(
@@ -640,14 +663,16 @@ class TestWarmStart:
     def test_rates_lie_within_tol_of_the_cold_search(self, tol):
         ps, d, target, start = nearby_starts()
         cold = rates_at_distortion_batch(ps, d, target, tol=tol)
-        warm, _, (slopes, _) = rates_at_distortion_batch(
+        warm, _, (slopes, _), _ = rates_at_distortion_batch(
             ps, d, target, tol=tol, gradients=True, start=start
         )
         tight = rates_at_distortion_batch(ps, d, target, tol=1e-10)
         assert np.abs(warm - cold).max() <= tol
         assert (warm >= tight - 1e-9).all() and (warm <= tight + tol).all()
         # the certifying slope is the curve's, whatever the search started from
-        _, _, (cold_slopes, _) = rates_at_distortion_batch(ps, d, target, tol=tol, gradients=True)
+        _, _, (cold_slopes, _), _ = rates_at_distortion_batch(
+            ps, d, target, tol=tol, gradients=True
+        )
         np.testing.assert_allclose(slopes, cold_slopes, rtol=0, atol=0.05)
 
     @settings(max_examples=20, deadline=None)
@@ -656,7 +681,7 @@ class TestWarmStart:
         # each row starts from the pair of another lattice row
         ps, d, target = batch
         try:
-            cold, _, (slopes, laws) = rates_at_distortion_batch(ps, d, target, gradients=True)
+            cold, _, (slopes, laws), _ = rates_at_distortion_batch(ps, d, target, gradients=True)
         except ConvergenceError:
             return
         start = (np.roll(slopes, shift), np.roll(laws, shift, axis=0))
@@ -667,7 +692,7 @@ class TestWarmStart:
 
     def test_starting_from_the_own_pair_takes_fewer_probes(self, monkeypatch):
         ps, d, target, _ = nearby_starts()
-        rates, _, own = rates_at_distortion_batch(ps, d, target, gradients=True)
+        rates, _, own, _ = rates_at_distortion_batch(ps, d, target, gradients=True)
         solve = rate_distortion._solve_fixed_slopes
         sizes = []
 
@@ -899,7 +924,7 @@ class TestOpeningYield:
 
     def test_kept_rows_are_the_full_search_bit_for_bit(self, monkeypatch):
         ps, d, start = self.batch()
-        full, full_grads, full_duals = rates_at_distortion_batch(
+        full, full_grads, full_duals, _ = rates_at_distortion_batch(
             ps, d, TIES_TARGET, gradients=True, start=start
         )
         solve = rate_distortion._solve_fixed_slopes
@@ -913,7 +938,7 @@ class TestOpeningYield:
             return out
 
         monkeypatch.setattr(rate_distortion, "_solve_fixed_slopes", spy)
-        fast, grads, duals = rates_at_distortion_batch(
+        fast, grads, duals, _ = rates_at_distortion_batch(
             ps, d, TIES_TARGET, best_only=True, gradients=True, start=start
         )
         # some warm probes of the opening call yielded
