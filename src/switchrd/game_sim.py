@@ -7,9 +7,14 @@ Hoeffding bound on the probability of the output type escaping the relaxed
 region. Both exhaustive walks, over strings and over the switch's per-time
 selections, read one decoder, ``_lexicographic``, which lists digit vectors
 in lexicographic order ``_CHUNK`` at a time, so the first of tied candidates
-is the lexicographically smallest in both. A ``Codebook`` is valid when
-built: at least one word, all of the stated length, integer symbols and no
-repeats; nothing downstream handles an empty or malformed one.
+is the lexicographically smallest in both. When every reproduction word is
+a candidate, the cover table is never summed word by word: each word splits
+into a prefix over the first n // 2 positions and a suffix over the rest, two
+small products give every target's distortion sums over all prefixes and all
+suffixes, and one broadcast comparison of the two fills the table, exact on
+integer-valued distortion. A ``Codebook`` is valid when built: at least one
+word, all of the stated length, integer symbols and no repeats; nothing
+downstream handles an empty or malformed one.
 
 A simulation reads one stream, ``np.random.default_rng(seed)``. Each trial
 takes the next ``(rows + 1) * n`` doubles of it, where ``rows`` is the number
@@ -27,9 +32,9 @@ None of the following changes a draw. Each chunk's doubles are drawn into one
 buffer allocated per simulation, in the order ``Generator.random`` gives
 them. Source and output symbols are uint8, as ``ALPHABET_GUARD`` keeps every
 symbol a rule can draw below 256; offered masks are OR-ed in the narrowest
-unsigned dtype that holds them, and a table of 2^k positions takes each mask
-to its row of the rule's CDFs. ``sample_sources`` and ``apply_rule`` return
-int64.
+unsigned dtype that holds them and widened to ``intp`` once, and each of the
+k - 1 columns of the rule's CDFs is read through a table of 2^k entries
+indexed by mask. ``sample_sources`` and ``apply_rule`` return int64.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ BEST_RESPONSE_GUARD = 2**22
 
 #: Strings decoded per step when enumerating strings or selections.
 _CHUNK = 1 << 16
-#: Cells of the cover table computed per matrix product.
+#: Cells of a sampled cover table computed per matrix product.
 _COVER_CELLS = 1 << 19
 #: Cells per chunk of trials: each trial holds n uniforms per source row and
 #: for the switch, n symbols per source, and n distortion terms per codeword.
@@ -225,8 +230,9 @@ def _lexicographic(sizes: list[int]):
 
 
 def _enumerate_strings(k: int, n: int) -> np.ndarray:
-    """All k^n strings as an (k^n, n) int8 digit matrix in lexicographic order."""
-    out = np.empty((k**n, n), dtype=np.int8)
+    """All k^n strings as a (k^n, n) digit matrix in lexicographic order, in
+    the narrowest unsigned dtype that holds k - 1."""
+    out = np.empty((k**n, n), dtype=np.min_scalar_type(k - 1))
     for i, digits in enumerate(_lexicographic([k] * n)):
         out[i * _CHUNK : (i + 1) * _CHUNK] = digits
     return out
@@ -235,7 +241,8 @@ def _enumerate_strings(k: int, n: int) -> np.ndarray:
 def _type_counts(strings: np.ndarray, k: int) -> np.ndarray:
     counts = np.empty((strings.shape[0], k), dtype=np.int32)
     for s in range(k):
-        counts[:, s] = (strings == s).sum(axis=1)
+        # uint8 cells sum into int32 about twice as fast as bools into int64
+        counts[:, s] = (strings == s).view(np.uint8).sum(axis=1, dtype=np.int32)
     return counts
 
 
@@ -280,7 +287,44 @@ def _sampled_words(
         marginal /= marginal.sum()
         gen = np.random.default_rng([seed, idx])
         pool.append(gen.choice(ky, size=(per_type, n), p=marginal))
-    return np.unique(np.vstack(pool), axis=0).astype(np.int8)
+    return np.unique(np.vstack(pool), axis=0).astype(np.min_scalar_type(ky - 1))
+
+
+def _onehot(strings: np.ndarray, k: int) -> np.ndarray:
+    """Each string's symbols one-hot over ``k`` letters, flattened to one row
+    of ``len * k`` entries: times ``_columns`` it sums per-letter distortions."""
+    onehot = np.zeros(strings.shape + (k,))
+    np.put_along_axis(onehot, strings[:, :, None].astype(np.int64), 1.0, axis=2)
+    return onehot.reshape(strings.shape[0], -1)
+
+
+def _columns(words: np.ndarray, d: DistortionMatrix) -> np.ndarray:
+    """The distortion column of each word's symbol at each position, stacked
+    to one column of ``len * num_inputs`` entries per word."""
+    return d.values.T[words].reshape(words.shape[0], -1).T
+
+
+def _largest_covered_sum(target_distortion: float, n: int) -> float:
+    """The largest float s with ``s / n <= target_distortion + 1e-12`` in
+    floating point. Division rounds monotonically, so a word whose per-letter
+    distortions sum to s is within the target exactly when s is at most this."""
+    bound = target_distortion + 1e-12
+    s = bound * n
+    while s / n > bound:
+        s = math.nextafter(s, -math.inf)
+    while s < math.inf and math.nextafter(s, math.inf) / n <= bound:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+def _split_verdicts(prefix: np.ndarray, suffix: np.ndarray, bound: float) -> np.ndarray:
+    """``verdict[t, a, b]``: prefix sum ``prefix[t, a]`` plus suffix sum
+    ``suffix[t, b]`` is at most ``bound``, tested as ``prefix <= bound -
+    suffix``. On integer-valued distortion the sums are integers and the
+    difference is exact, so this is the verdict on the whole word's sum; on
+    other distortion the two can differ by rounding at an exact tie, as the
+    summation order of a product already could."""
+    return prefix[:, :, None] <= (bound - suffix)[:, None, :]
 
 
 def build_covering_codebook(
@@ -322,27 +366,35 @@ def build_covering_codebook(
         raise GuardError(
             f"cover table would hold {num_c * num_t} cells, guard is {COVER_CELL_GUARD}"
         )
-    if not sampled:
-        cands = _enumerate_strings(d.num_outputs, n)
     targets = _admitted_strings(spec, n, types)
-    # covered[t, c]: candidate c is within the target distortion of target t.
-    # Each chunk of candidates is one product, one-hot targets times the
-    # candidates' per-position distortion columns; on integer-valued
-    # distortion the sums are exact in any order.
-    onehot = np.zeros((num_t, n, d.num_inputs))
-    np.put_along_axis(onehot, targets[:, :, None].astype(np.int64), 1.0, axis=2)
-    onehot = onehot.reshape(num_t, -1)
-    covered = np.empty((num_t, num_c), dtype=bool)
-    chunk = max(1, _COVER_CELLS // num_t)
-    for start in range(0, num_c, chunk):
-        block = cands[start : start + chunk]
-        dist = onehot @ d.values.T[block].reshape(block.shape[0], -1).T
-        dist /= n
-        covered[:, start : start + block.shape[0]] = dist <= target_distortion + 1e-12
+    # covered[t, c]: candidate c is within the target distortion of target t
+    bound = _largest_covered_sum(target_distortion, n)
+    if sampled:
+        # each chunk of candidates is one product; a gather of the per-cell
+        # distortions instead measured twice as slow
+        onehot = _onehot(targets, d.num_inputs)
+        covered = np.empty((num_t, num_c), dtype=bool)
+        chunk = max(1, _COVER_CELLS // num_t)
+        for start in range(0, num_c, chunk):
+            block = cands[start : start + chunk]
+            covered[:, start : start + block.shape[0]] = onehot @ _columns(block, d) <= bound
+    else:
+        # the full grid: word c = a * ky^(n - half) + b splits into a prefix
+        # a over the first half positions and a suffix b over the rest, so
+        # its sum is prefix[t, a] + suffix[t, b]
+        half = n // 2
+        prefix, suffix = (
+            _onehot(targets[:, lo:hi], d.num_inputs)
+            @ _columns(_enumerate_strings(d.num_outputs, hi - lo), d)
+            for lo, hi in ((0, half), (half, n))
+        )
+        covered = _split_verdicts(prefix, suffix, bound).reshape(num_t, num_c)
     # each pick's gain is kept current by subtracting what the previous pick
-    # newly covered; argmax ties go to the earliest candidate
+    # newly covered; argmax ties go to the earliest candidate. The table is
+    # summed as uint8 cells into int32, which numpy does faster than bools.
+    cells = covered.view(np.uint8)
     chosen = []
-    gains = covered.sum(axis=0)
+    gains = cells.sum(axis=0, dtype=np.int32)
     uncovered = np.ones(num_t, dtype=bool)
     while uncovered.any():
         best = int(np.argmax(gains))
@@ -358,9 +410,11 @@ def build_covering_codebook(
             )
         chosen.append(best)
         newly = uncovered & covered[:, best]
-        gains -= covered[newly].sum(axis=0)
+        gains -= cells[newly].sum(axis=0, dtype=np.int32)
         uncovered &= ~newly
-    return Codebook(cands[chosen].astype(np.int64), n)
+    if sampled:
+        return Codebook(cands[chosen], n)
+    return Codebook(np.stack(np.unravel_index(chosen, (d.num_outputs,) * n), axis=1), n)
 
 
 def best_response_distortion(

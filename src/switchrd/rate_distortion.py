@@ -59,7 +59,7 @@ class RdPoint:
     ``rate`` is the mutual information of ``channel``, whose distortion is
     ``distortion``, so it is at least R_p(distortion); ``lower`` is a
     certified lower bound on R_p(distortion), read off Blahut's line of
-    slope ``slope`` (0 at the zero-rate end)."""
+    slope ``slope`` (0 at the zero-rate end), and at most ``rate``."""
 
     distortion: float
     rate: float
@@ -442,7 +442,8 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
       certified gap g, at most tol / 4 unless ``_MAX_ITERS`` runs out first;
       say it has rate r and distortion d. By Blahut's dual,
       R_p(x) >= r + s (x - d) - g for every x, so the best such line over a
-      row's probes, read at the target, is a lower end.
+      row's probes, read at the target, is a lower end. It is returned
+      clamped to the row's rate, which rounding can leave just below it.
     * **Upper end.** Each row keeps two sides, a probe at or below its target
       and one above it. Their (d, r) points are achievable, so the chord
       between them, read at the target, is an upper end.
@@ -752,6 +753,9 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
         for group in (rows[new], rows[~new]):
             if group.size:
                 probe(group)
+    # a lower end read off a line can pass the rate by rounding; the bracket
+    # [lower, rate] must not cross
+    np.minimum(lower, rate, out=lower)
     rate[dropped] = -np.inf
     return rate, dist, w, lower, dual_slope, dual_q
 
@@ -856,12 +860,13 @@ def rates_at_distortion_batch(
     ``_envelope_gradients``), read off the row's certificate at no extra
     solve. ``duals`` is the pair ``(slopes, laws)`` of that certificate: the
     slope and the output law of the Blahut line that is the row's lower end.
-    ``lowers`` holds those lower ends, so R_p(target) lies in ``[lowers,
-    rates]`` and the bracket is at most ``tol`` wide. A row with a finite
-    rate has all three; a row given +inf or -inf has no gradient and no pair
-    (NaN), and its lower end is its rate. A row at or above its ceiling,
-    rate 0, has gradient 0, the pair of slope 0 and the uniform law, and
-    lower end 0. The rates are the same either way.
+    ``lowers`` holds those lower ends, clamped to the rates, so R_p(target)
+    lies in ``[lowers, rates]``, which never cross, and the bracket is at
+    most ``tol`` wide. A row with a finite rate has all three; a row given
+    +inf or -inf has no gradient and no pair (NaN), and its lower end is its
+    rate. A row at or above its ceiling, rate 0, has gradient 0, the pair of
+    slope 0 and the uniform law, and lower end 0. The rates are the same
+    either way.
 
     ``start`` takes such a pair, one slope and one output law per row, and
     warm-starts each row's search from it (see ``_slope_search``): passing

@@ -28,6 +28,7 @@ from switchrd import (
 )
 from switchrd import game_sim
 from switchrd.game_sim import Codebook, best_response_distortion
+from switchrd.region import realizable_subsets
 
 HAMMING = DistortionMatrix([[0, 1], [1, 0]])
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -180,14 +181,17 @@ JOINT = SourceList.joint(
      Fraction(1, 16), Fraction(1, 16), Fraction(1, 8)],
     3, 2,
 )
+# integer distortions other than Hamming, entries 0 to 3
+INT2 = DistortionMatrix([[0, 3], [1, 2]])
+INT3 = DistortionMatrix([[0, 3, 1], [2, 0, 3], [1, 2, 0]])
 # non-integer distortion, so that per-trial sums are not exact in any order
 UNEVEN = DistortionMatrix([[0, 0.3, 1.7], [0.9, 0.1, 0.45], [1.3, 0.55, 0.05]])
 
 
 def sim_cases():
     """(sources, rule, distortion, delta, codebook words or None), covering
-    both shipped files, joint mode, a relaxed region, non-integer distortion
-    and masks wider than one byte."""
+    both shipped files, joint mode, a relaxed region, non-integer distortion,
+    masks wider than one byte and a source symbol of probability 0."""
     binary, hamming2 = shipped("binary_pair.yaml")
     ternary, hamming3 = shipped("ternary_demo.yaml")
     rng = np.random.default_rng(5)
@@ -201,10 +205,21 @@ def sim_cases():
     wide = SourceList.independent(rng.dirichlet(np.arange(1, 11), size=2).tolist())
     words = rng.integers(0, 10, (6, 9))
     yield wide, greedy_max_rule(wide), DistortionMatrix.hamming(10), 0.05, words
+    # the first source never emits 1, so {1} is never offered; the rule,
+    # uniform on each offered set, has an entry for exactly the realizable
+    # subsets, and a simulation that reached {1} would read a missing entry
+    gap = SourceList.independent([[0.5, 0, 0.5], [0.2, 0.5, 0.3]])
+    masks = realizable_subsets(gap)
+    assert 2 not in masks
+    rule = SwitchRule({
+        mask: Distribution([((mask >> i) & 1) / mask.bit_count() for i in range(3)])
+        for mask in masks
+    })
+    yield gap, rule, UNEVEN, 0.05, rng.integers(0, 3, (5, 9))
 
 
 class TestStreamContract:
-    @pytest.mark.parametrize("case", range(7))
+    @pytest.mark.parametrize("case", range(8))
     @pytest.mark.parametrize("cells", [1, 500, game_sim._SIM_CELLS])
     def test_every_field_equals_the_per_trial_loop(self, monkeypatch, case, cells):
         # cells=1 puts every trial in a chunk of its own, 500 packs a few
@@ -355,19 +370,54 @@ def brute_force_cover(spec, d, target, n):
 class TestCoveringCodebook:
     @pytest.mark.parametrize("chunk", [game_sim._CHUNK, 7])
     @pytest.mark.parametrize(
-        "name, n, target",
-        [("binary_pair.yaml", 7, 0.25), ("binary_pair.yaml", 8, 0.1),
-         ("ternary_demo.yaml", 5, 0.25), ("ternary_demo.yaml", 4, 0.5)],
+        "name, d, n, target",
+        [("binary_pair.yaml", None, 7, 0.25), ("binary_pair.yaml", None, 8, 0.1),
+         ("ternary_demo.yaml", None, 5, 0.25), ("ternary_demo.yaml", None, 4, 0.5),
+         # targets a word's sum can equal exactly, at odd n, where the
+         # prefix and suffix halves differ in length
+         ("binary_pair.yaml", None, 7, 2 / 7), ("binary_pair.yaml", INT2, 7, 5 / 7),
+         ("ternary_demo.yaml", INT3, 5, 4 / 5), ("ternary_demo.yaml", INT3, 5, 0.25),
+         # halves of one position each
+         ("binary_pair.yaml", INT2, 2, 1.0)],
     )
-    def test_equals_brute_force_greedy_and_covers(self, monkeypatch, name, n, target, chunk):
+    def test_equals_brute_force_greedy_and_covers(self, monkeypatch, name, d, n, target, chunk):
         # a chunk of 7 strings splits both enumerations across many chunks
         monkeypatch.setattr(game_sim, "_CHUNK", chunk)
-        sources, d = shipped(name)
+        sources, hamming = shipped(name)
+        d = hamming if d is None else d
         spec = RegionSpec(sources, 0)
         book = build_covering_codebook(spec, d, target, n)
         np.testing.assert_array_equal(book.words, brute_force_cover(spec, d, target, n))
         for s in admitted_strings(spec, sources.alphabet_size, n):
             assert distortion_to_codebook(np.array(s), book, d) <= target + 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_split_verdicts_equal_the_mean_test(self, n):
+        # every integer total s of n letters of distortion 0..3, as a prefix
+        # sum over n // 2 letters plus a suffix sum over the rest, at targets
+        # on s / n, just either side of it, and 1e-12 below it, where the
+        # mean test's allowance brings the bound back onto s itself
+        half = n // 2
+        prefix = np.arange(3 * half + 1, dtype=float)[None]
+        suffix = np.arange(3 * (n - half) + 1, dtype=float)[None]
+        sums = prefix[0, :, None] + suffix[0, None, :]
+        for s in range(3 * n + 1):
+            for target in (s / n, s / n + 1e-13, s / n - 1e-13, s / n - 1e-12):
+                if target < 0:
+                    continue
+                bound = game_sim._largest_covered_sum(target, n)
+                verdicts = game_sim._split_verdicts(prefix, suffix, bound)[0]
+                np.testing.assert_array_equal(verdicts, sums / n <= target + 1e-12)
+
+    def test_output_symbols_past_127_are_not_wrapped(self):
+        # only output 129 is free; a signed byte would read it as -127
+        sources, _ = shipped("binary_pair.yaml")
+        values = np.ones((2, 130))
+        values[:, 129] = 0
+        book = build_covering_codebook(
+            RegionSpec(sources, 0), DistortionMatrix(values.tolist()), 0.0, 2
+        )
+        assert book.words.tolist() == [[129, 129]]
 
     def test_target_below_a_type_floor_is_infeasible(self):
         # every letter costs at least 0.5, so no word comes within 0.4

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchrd import (
@@ -307,7 +307,7 @@ class TestRegionMaximizer:
             )
             np.testing.assert_array_equal(x, x_alone)
             assert v == v_alone and s == s_alone and lower == lower_alone
-            assert v - FAST <= lower <= v + 1e-12
+            assert v - FAST <= lower <= v
             np.testing.assert_array_equal(law, law_alone)
 
     @pytest.mark.parametrize("search", ["region", "hull"])
@@ -688,7 +688,7 @@ class TestDualPair:
             res = maximize_over_hull(sources, d, target)
         assert res.slope < 0 and res.law.shape == (d.num_outputs,)
         lower = blahut_lower(res.argmax.probs, d, target, res.slope, res.law)
-        assert res.value - RATE_TOL <= lower <= res.value + 1e-12
+        assert res.value - RATE_TOL <= lower <= res.value
 
     def test_an_infinite_value_carries_no_pair(self):
         d = DistortionMatrix([[0.5, 1.0], [1.0, 0.5]])
@@ -919,6 +919,8 @@ class TestSymmetricExit:
         delta=st.sampled_from([0.0, 0.05]),
         erasure=st.booleans(),
     )
+    # p* = (1/2, 1/2): its rate line rounds 1e-16 above its rate unless clamped
+    @example(seed=99998, k=2, m=1, joint=False, delta=0.05, erasure=False)
     def test_no_attainable_law_beats_p_star(self, seed, k, m, joint, delta, erasure):
         rng = np.random.default_rng(seed)
         if joint:
@@ -938,9 +940,8 @@ class TestSymmetricExit:
         target = float(rng.uniform(0.05, 0.95)) * ceiling
         exit_ = maximize_over_region(spec, d, target, FAST)
         np.testing.assert_array_equal(exit_.argmax.probs, p_star)
-        # the ends may cross by rounding
         assert exit_.value == exit_.upper
-        assert -1e-12 <= exit_.upper - exit_.lower <= FAST
+        assert 0 <= exit_.upper - exit_.lower <= FAST
         # the general search, lattice or vertices and Frank-Wolfe, certifies
         # no more than R_p*(D): its lower end is at most R_p*(D), and its
         # value at most R_p*(D) + tol
@@ -1004,4 +1005,4 @@ class TestSymmetricExit:
         for res in results:
             assert (res.evaluations, res.starts) == (1, 0)
             assert res.value == res.upper
-            assert -1e-12 <= res.upper - res.lower <= 1e-6
+            assert 0 <= res.upper - res.lower <= 1e-6
