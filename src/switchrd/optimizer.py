@@ -24,7 +24,11 @@ every relabelling of the inputs keeps, given a matching relabelling of the
 outputs (Hamming distortion, with or without erasure outputs), R_p(D) is
 Schur-concave in p, and every attainable law majorizes p*; so R~(D) =
 R_p*(D), and one rate solve at p* replaces the lattice, the first batch and
-Frank-Wolfe. Its bracket is then at most ``tol`` wide.
+Frank-Wolfe. Its bracket is then at most ``tol`` wide. The hull has no such
+point, but the same Schur-concavity thins its starting batch: a law that
+majorizes another law of the batch cannot beat it, so the hull search starts
+only from the laws that majorize no other (up to a fixed number of pivots;
+see ``_least_majorized``).
 
 Frank-Wolfe takes its slopes from the rate solver's certificate: every rate
 comes with the envelope gradient of R_p(D) in p at the dual pair of its
@@ -72,6 +76,9 @@ _GRID_STEPS = {1: 1.0, 2: 0.005, 3: 0.02, 4: 0.05}
 #: Random symbol orders, from numpy seed 0, whose vertices start a search
 #: above the lattice's dimensions.
 _DRAWS = 16
+#: Pivots the majorization filter of the hull's starting batch compares
+#: against; the laws none of them reaches stay in the batch.
+_PIVOTS = 32
 #: Frank-Wolfe steps allowed to one start. On a face the iterates zig-zag
 #: and gain little per step, so the cap is generous.
 _FW_STEPS = 200
@@ -85,7 +92,9 @@ class MaximizerResult:
     submitted to the rate solver, those its early exit dropped included: the
     starting batch and 10 line-search candidates per Frank-Wolfe step of
     each start; ``starts`` counts the Frank-Wolfe starts, the rows of the
-    starting batch within ``tol`` of its best. A region search under a
+    starting batch within ``tol`` of its best. A hull search under a
+    symmetric distortion counts its starting batch after the majorization
+    filter (see ``maximize_over_hull``). A region search under a
     symmetric distortion ends at p* instead (see ``maximize_over_region``):
     one evaluation and no start. ``slope`` and ``law`` are the argmax's dual
     pair: the slope and the output law of the Blahut line that certifies
@@ -424,6 +433,34 @@ def _extreme_rows(rows: np.ndarray) -> np.ndarray:
     return rows[kept]
 
 
+def _least_majorized(laws: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``laws`` to keep: False on each row whose sorted
+    partial sums are >= a kept pivot's everywhere and > somewhere, so that
+    the row strictly majorizes the pivot, comparing the computed floats.
+
+    The rows are visited in increasing sum of squares, a stable order; the
+    sum of squares is strictly Schur-convex, so a row that strictly
+    majorizes another comes after it. Each round takes the first row not
+    yet dropped as a pivot and drops the later rows that majorize it; after
+    ``_PIVOTS`` rounds every row left is kept. Rows with one sorted form
+    never drop each other."""
+    order = np.argsort(np.einsum("ij,ij->i", laws, laws), kind="stable")
+    # one column per row in visiting order: its partial sums, the total left out
+    sums = np.cumsum(np.sort(laws[order], axis=1)[:, ::-1], axis=1)[:, :-1].T.copy()
+    left = np.ones(len(laws), dtype=bool)
+    pivot = 0
+    for _ in range(_PIVOTS):
+        here, later = sums[:, pivot:pivot + 1], sums[:, pivot + 1:]
+        left[pivot + 1:] &= ~((later >= here).all(axis=0) & (later > here).any(axis=0))
+        rest = np.flatnonzero(left[pivot + 1:])
+        if rest.size == 0:
+            break
+        pivot += 1 + int(rest[0])
+    keep = np.empty_like(left)
+    keep[order] = left
+    return keep
+
+
 def maximize_over_hull(
     sources: SourceList,
     d: DistortionMatrix,
@@ -438,6 +475,14 @@ def maximize_over_hull(
     over the sources. A source within 1e-12 of the hull of the others is
     left out; of two equal sources the first is kept.
 
+    Under a symmetric distortion (see ``maximize_over_region``) R_p(D) is
+    Schur-concave in p, so a starting law that majorizes another starting
+    law is never above it; such laws leave the starting batch before the
+    search (``_least_majorized``), and ``evaluations`` counts the batch that
+    is left. Laws that relabel one another, or one law from two weight
+    vectors, all stay, so ties still go to the lexicographically smallest
+    weights. Every other distortion starts from the whole batch.
+
     ``start`` is an optional ``(slope, law)`` dual pair, the ``slope`` and
     ``law`` of a ``MaximizerResult`` at the same target and distortion, say
     the region's. Every row of the first batch starts its slope search from
@@ -448,6 +493,8 @@ def maximize_over_hull(
         raise ValidationError("the hull baseline is defined for independent sources")
     rows = _extreme_rows(sources.as_array())
     lams, method = _candidates(rows.shape[0], _simplex_vertex)
+    if _symmetric(d):
+        lams = lams[_least_majorized(lams @ rows)]
     return _maximize(lams, method, _simplex_vertex, rows, d, target, tol, start)
 
 

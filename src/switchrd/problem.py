@@ -8,6 +8,7 @@ construct values the same way, so they build the same mappings."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,9 @@ from .probcore import DistortionMatrix, SourceList
 #: The safe loader that parses problem files: libyaml's when present, since
 #: the pure-Python parser takes several milliseconds on a small file.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+#: The largest magnitude a number may have, as an int: the computations run
+#: in floats.
+_LARGEST = int(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,21 +38,31 @@ class ProblemSpec:
 
 
 def parse_number(value) -> Fraction:
-    """Accept ints, fraction strings like "2/3", and decimal literals.
+    """Accept ints, fraction strings like "2/3", and decimal literals, within
+    the float range that the computations run in.
 
     Decimal floats are read through their shortest repr, so 0.1 means 1/10.
     """
     if isinstance(value, bool):
         raise ValidationError(f"not a number: {value!r}")
     if isinstance(value, int):
+        if abs(value) > _LARGEST:
+            raise ValidationError(f"number {value!r} lies beyond the float range")
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(str(value))
+        try:
+            return Fraction(str(value))
+        except ValueError as exc:  # nan and the infinities
+            raise ValidationError(f"cannot parse number {value!r}") from exc
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            x = Fraction(value.strip())
+            float(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse number {value!r}") from exc
+        except OverflowError as exc:
+            raise ValidationError(f"number {value!r} lies beyond the float range") from exc
+        return x
     raise ValidationError(f"cannot parse number {value!r}")
 
 
@@ -69,6 +83,22 @@ def parse_vector(text: str) -> list[Fraction]:
     return [parse_number(t) for t in tokens]
 
 
+def _integer(value, message: str) -> int:
+    """An exact integer: an int, a float with no fractional part, or a
+    string that ``int`` reads; anything else, booleans included, raises
+    ``ValidationError(message)``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValidationError(message)
+
+
 def _require(mapping: dict, key: str):
     if key not in mapping:
         raise ValidationError(f"problem file is missing required key {key!r}")
@@ -87,11 +117,8 @@ def load_problem(path: str) -> ProblemSpec:
     if not isinstance(raw, dict):
         raise ValidationError("problem file must be a mapping of keys to values")
 
-    try:
-        alphabet_x = int(_require(raw, "alphabet_x"))
-        alphabet_y = int(_require(raw, "alphabet_y"))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("alphabet sizes must be integers") from exc
+    alphabet_x = _integer(_require(raw, "alphabet_x"), "alphabet sizes must be integers")
+    alphabet_y = _integer(_require(raw, "alphabet_y"), "alphabet sizes must be integers")
     mode = raw.get("mode", "independent")
     sources_raw = _require(raw, "sources")
     if mode == "independent":
@@ -107,10 +134,7 @@ def load_problem(path: str) -> ProblemSpec:
                 )
         sources = SourceList.independent(rows)
     elif mode == "joint":
-        try:
-            num_sources = int(_require(raw, "num_sources"))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("num_sources must be an integer") from exc
+        num_sources = _integer(_require(raw, "num_sources"), "num_sources must be an integer")
         if not isinstance(sources_raw, list) or any(
             isinstance(x, list) for x in sources_raw
         ):

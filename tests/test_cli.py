@@ -135,6 +135,26 @@ def test_exact_negative_distortion_target_exits_3(capsys, argv):
     assert captured.err == "error: distortion target must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        (".nan", "cannot parse number nan"),
+        ("1.0e+400", "cannot parse number inf"),
+        ("1.0e400", "number '1.0e400' lies beyond the float range"),
+    ],
+)
+def test_a_delta_no_float_holds_exits_3(capsys, tmp_path, literal, message):
+    # YAML reads the first two as floats, nan and inf, and the third as an
+    # exact string
+    problem = tmp_path / "delta.yaml"
+    text = (PROBLEMS / "binary_pair.yaml").read_text()
+    problem.write_text(text.replace("delta: 0", f"delta: {literal}"))
+    code = main(["region", str(problem), "--check", "0.5,0.5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"error: {message}\n"
+
+
 #: The benchmark's four-symbol instance (three sources, 4-ary Hamming
 #: distortion, delta 0), whose hull batches are the largest of its runs.
 WC_K4_M3 = """\

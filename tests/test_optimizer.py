@@ -26,8 +26,10 @@ from switchrd import optimizer
 from switchrd.optimizer import (
     _candidates,
     _centre,
+    _extreme_rows,
     _frank_wolfe,
     _lattice,
+    _least_majorized,
     _maximize,
     _simplex_vertex,
     _symmetric,
@@ -186,6 +188,11 @@ WC_K4_M3 = [
     [0.133652, 0.401393, 0.206629, 0.258326],
 ]
 WC_K4_M3_TARGETS = (0.239443, 0.508816)
+#: The benchmark's ``wc_k2_m3`` at bench seed 0: three binary sources, the
+#: first between the other two, under an integer distortion.
+WC_K2_M3 = [[0.420057, 0.579943], [0.817763, 0.182237], [0.301934, 0.698066]]
+WC_K2_M3_DISTORTION = [[0, 2], [3, 0]]
+WC_K2_M3_TARGETS = (0.336046, 0.714097)
 
 
 def blahut_lower(p, d, target, slope, law):
@@ -1006,3 +1013,130 @@ class TestSymmetricExit:
             assert (res.evaluations, res.starts) == (1, 0)
             assert res.value == res.upper
             assert 0 <= res.upper - res.lower <= 1e-6
+
+
+def sorted_sums(laws):
+    """Each row's partial sums of its entries in decreasing order, the last
+    (the total) left out."""
+    return np.cumsum(np.sort(laws, axis=1)[:, ::-1], axis=1)[:, :-1]
+
+
+def least_majorized_reference(laws):
+    """O(N^2): a row is kept iff its sorted partial sums are >= no other
+    row's everywhere with > somewhere, comparing the computed floats."""
+    sums = sorted_sums(laws)
+    return np.array([
+        not any((s >= t).all() and (s > t).any() for t in sums) for s in sums
+    ])
+
+
+def laws_with_copies(rng, k, n, copies, scale=None):
+    """``n`` laws on ``k`` symbols, then ``copies`` rows that repeat a law or
+    permute its entries, in a random order. With ``scale`` every entry is a
+    multiple of 1 / ``scale``, a power of two, so every partial sum and sum
+    of squares is exact; otherwise the laws are Dirichlet(1) draws."""
+    if scale is None:
+        laws = rng.dirichlet(np.ones(k), size=n)
+    else:
+        laws = rng.multinomial(scale, np.full(k, 1 / k), size=n) / scale
+    picks = [laws[rng.integers(0, n)] for _ in range(copies)]
+    picks = [rng.permutation(row) if rng.random() < 0.5 else row for row in picks]
+    return rng.permutation(np.vstack([laws, *picks]))
+
+
+class TestMajorizationFilter:
+    """Under a symmetric distortion the hull search drops from its starting
+    batch the lattice laws that strictly majorize a kept law
+    (``_least_majorized``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 5),
+        n=st.integers(1, 80),
+        copies=st.integers(0, 30),
+    )
+    def test_without_the_pivot_cap_it_keeps_the_minimal_laws(self, seed, k, n, copies):
+        # exact sums, so the sum of squares orders every strict majorization
+        laws = laws_with_copies(np.random.default_rng(seed), k, n, copies, scale=16)
+        with unittest.mock.patch.object(optimizer, "_PIVOTS", len(laws)):
+            keep = _least_majorized(laws)
+        np.testing.assert_array_equal(keep, least_majorized_reference(laws))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 5),
+        n=st.integers(1, 300),
+        copies=st.integers(0, 30),
+        exact=st.booleans(),
+    )
+    def test_it_drops_only_laws_that_majorize_a_kept_law(self, seed, k, n, copies, exact):
+        laws = laws_with_copies(
+            np.random.default_rng(seed), k, n, copies, scale=16 if exact else None
+        )
+        keep = _least_majorized(laws)
+        reference = least_majorized_reference(laws)
+        assert keep[reference].all()
+        sums = sorted_sums(laws)
+        for s in sums[~keep]:
+            assert ((s >= sums[keep]).all(axis=1) & (s > sums[keep]).any(axis=1)).any()
+
+    def test_laws_with_one_sorted_form_all_stay(self):
+        law = np.array([0.5, 0.3, 0.2])
+        laws = np.array([law, law[[2, 0, 1]], law, [0.6, 0.3, 0.1], law[[1, 2, 0]]])
+        np.testing.assert_array_equal(_least_majorized(laws), [1, 1, 1, 0, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 5),
+        m=st.integers(2, 4),
+        kind=st.sampled_from(["hamming", "scaled", "erasure"]),
+    )
+    def test_no_dropped_law_beats_the_kept_laws(self, seed, k, m, kind):
+        rng = np.random.default_rng(seed)
+        rows = _extreme_rows(rng.dirichlet(np.full(k, float(rng.choice([0.5, 1, 3]))), size=m))
+        d = {
+            "hamming": DistortionMatrix.hamming(k),
+            "scaled": hamming_with_erasures(k, 2.5, []),
+            "erasure": hamming_with_erasures(k, 1.0, [0.6]),
+        }[kind]
+        assert _symmetric(d)
+        lams, _ = _candidates(len(rows), _simplex_vertex)
+        laws = lams @ rows
+        keep = _least_majorized(laws)
+        ceiling = float((laws @ d.values).min(axis=1).max())
+        target = float(rng.uniform(0.05, 0.95)) * ceiling
+        # a best-only batch gives its largest rate as the whole batch would
+        kept = rates_at_distortion_batch(laws[keep], d, target, tol=FAST, best_only=True)
+        if not keep.all():
+            dropped = rates_at_distortion_batch(laws[~keep], d, target, tol=FAST, best_only=True)
+            assert dropped.max() <= kept.max() + FAST
+
+    @pytest.mark.parametrize("target", WC_K4_M3_TARGETS)
+    def test_wc_k4_m3_starts_from_its_13_least_majorized_laws(self, monkeypatch, target):
+        batches = []
+        solve = optimizer.rates_at_distortion_batch
+
+        def spy(ps, *args, **kwargs):
+            batches.append(len(ps))
+            return solve(ps, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "rates_at_distortion_batch", spy)
+        res = maximize_over_hull(SourceList.independent(WC_K4_M3), DistortionMatrix.hamming(4),
+                                 target)
+        # of the 1,327 points of the three-source lattice and p*
+        assert batches[0] == 13
+        assert res.evaluations == sum(batches)
+
+    @pytest.mark.parametrize("target", WC_K2_M3_TARGETS)
+    def test_an_integer_distortion_starts_from_the_whole_lattice(self, target):
+        # wc_k2_m3 as ``optimize`` runs it: 202 lattice points and four
+        # Frank-Wolfe steps of 10 candidates
+        d = DistortionMatrix(WC_K2_M3_DISTORTION)
+        assert not _symmetric(d)
+        sources = SourceList.independent(WC_K2_M3)
+        region = maximize_over_region(RegionSpec(sources, 0), d, target)
+        hull = maximize_over_hull(sources, d, target, start=(region.slope, region.law))
+        assert (hull.evaluations, hull.starts) == (242, 1)

@@ -1,5 +1,7 @@
 import importlib.util
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,101 @@ def test_unreadable_path(tmp_path):
 def test_malformed_file_is_rejected(tmp_path, text, message):
     with pytest.raises(ValidationError, match=message):
         load_problem(write(tmp_path, text))
+
+
+#: Where a number sits in VALID, and how to write another in its place.
+PLACES = pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[2/3, 1/3]", "[{}, 1/3]"),
+        ("  - [0, 1]\n", "  - [{}, 1]\n"),
+        ("delta: 0", "delta: {}"),
+    ],
+    ids=["source", "distortion", "delta"],
+)
+
+
+@pytest.mark.parametrize("literal", [".nan", ".inf", "-.inf", "1.0e+400"])
+@PLACES
+def test_a_non_finite_number_is_rejected(tmp_path, literal, old, new):
+    # YAML reads each as a float: nan, inf, -inf, and inf by overflow
+    assert not math.isfinite(yaml.safe_load(literal))
+    with pytest.raises(ValidationError, match="cannot parse number"):
+        load_problem(write(tmp_path, VALID.replace(old, new.format(literal))))
+
+
+@pytest.mark.parametrize("literal", ["1.0e400", "-2e308", f"{10**400}/3", str(10**400)])
+@PLACES
+def test_a_number_beyond_the_float_range_is_rejected(tmp_path, literal, old, new):
+    # YAML reads these as strings or ints, which are exact, but no float
+    # holds them
+    assert isinstance(yaml.safe_load(literal), (str, int))
+    with pytest.raises(ValidationError, match="lies beyond the float range"):
+        load_problem(write(tmp_path, VALID.replace(old, new.format(literal))))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_parse_number_rejects_a_non_finite_float(value):
+    with pytest.raises(ValidationError, match=f"cannot parse number {value!r}"):
+        problem.parse_number(value)
+
+
+@pytest.mark.parametrize(
+    "value, exact",
+    [
+        (int(sys.float_info.max), Fraction(sys.float_info.max)),
+        ("-1.7976931348623157e+308", -Fraction(17976931348623157) * 10**292),
+        ("5e-324", Fraction(5, 10**324)),
+    ],
+    ids=["largest-int", "largest-negative-string", "smallest-subnormal"],
+)
+def test_parse_number_keeps_what_a_float_holds(value, exact):
+    assert problem.parse_number(value) == exact
+
+
+@pytest.mark.parametrize("value", [int(sys.float_info.max) + 1, "-1e309", f"{10**400}/7"])
+def test_parse_number_rejects_what_no_float_holds(value):
+    with pytest.raises(ValidationError, match="lies beyond the float range"):
+        problem.parse_number(value)
+
+
+INDEPENDENT_SIZES = VALID.replace("alphabet_y: 2", "alphabet_y: {}").replace(
+    "alphabet_x: 2", "alphabet_x: {}"
+)
+JOINT = """\
+alphabet_x: 2
+alphabet_y: 2
+mode: joint
+num_sources: {}
+sources: [1/4, 1/4, 1/4, 1/4]
+distortion:
+  - [0, 1]
+  - [1, 0]
+"""
+
+
+@pytest.mark.parametrize("value", ["2.9", "2.5", "true", "'2.0'", "'two'", "[2]", "null"])
+@pytest.mark.parametrize("key", ["alphabet_x", "alphabet_y"])
+def test_an_alphabet_size_that_is_not_an_exact_integer_is_rejected(tmp_path, key, value):
+    sizes = {"alphabet_x": "2", "alphabet_y": "2", key: value}
+    text = INDEPENDENT_SIZES.format(sizes["alphabet_x"], sizes["alphabet_y"])
+    with pytest.raises(ValidationError, match="alphabet sizes must be integers"):
+        load_problem(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("value", ["1.5", "2.000001", "true", "'2.0'", "[2]"])
+def test_num_sources_that_is_not_an_exact_integer_is_rejected(tmp_path, value):
+    with pytest.raises(ValidationError, match="num_sources must be an integer"):
+        load_problem(write(tmp_path, JOINT.format(value)))
+
+
+@pytest.mark.parametrize("value", ["2", "'2'", "2.0", "' 2 '"])
+def test_an_exact_integer_size_is_accepted(tmp_path, value):
+    loaded = load_problem(write(tmp_path, INDEPENDENT_SIZES.format(value, value)))
+    assert (loaded.alphabet_x, loaded.alphabet_y) == (2, 2)
+    assert type(loaded.alphabet_x) is int and type(loaded.alphabet_y) is int
+    joint = load_problem(write(tmp_path, JOINT.format(value)))
+    assert joint.sources.num_sources == 2
 
 
 def module_without_libyaml(monkeypatch):
