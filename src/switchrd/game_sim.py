@@ -531,7 +531,7 @@ def converse_bound(n: int, delta: float, alphabet_size: int) -> float:
     holds."""
     if n < 1:
         raise ValidationError("blocklength must be at least 1")
-    if delta <= 0:
+    if not delta > 0:  # NaN fails too
         raise ValidationError("delta must be positive")
     if alphabet_size < 2:
         raise ValidationError("alphabet must have at least two symbols")

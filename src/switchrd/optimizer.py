@@ -47,8 +47,7 @@ Each result carries its argmax's dual pair. The region search and the hull
 search run at the same target under the same distortion, and the hull lies
 inside the region, so the hull's first batch can start every row's slope
 search at the region result's pair (``maximize_over_hull(..., start=)``)
-rather than cold at slope -64; a row whose probe at that pair crawls yields
-to the rest of the batch, which then need not wait on it.
+rather than cold at slope -64.
 """
 
 from __future__ import annotations

@@ -37,10 +37,6 @@ SLOPE_FLOOR = -float(2**20)
 _MAX_ITERS = 200_000
 #: Longest run of updates between two convergence checks.
 _MAX_BURST = 16
-#: Updates after which a probe of a best-only slope search yields, so the
-#: rest of the batch need not wait on it: the check after the bursts of 1, 2,
-#: 4, 8, 16, 16 and 16 updates.
-_YIELD_AFTER = 63
 #: Share of the uniform output law mixed into every warm start.
 _WARM_MIX = 0.01
 #: Longest step of the squared extrapolation, in units of its first
@@ -111,27 +107,15 @@ def _undominated_columns(d_arr):
 
 
 @np.errstate(under="ignore")
-def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=None):
+def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None):
     """Alternating minimization for a batch of sources at per-row slopes.
 
     ps: (N, X) source rows; d_arr: (X, Y); slopes: (N,) all <= 0. Returns
-    (rate, dist, w, q, gap, paused). ``gap`` is each row's certified bound, in
-    bits, on the suboptimality of its objective rate - slope * dist; a row
-    stops once it is below ``tol`` or ``_MAX_ITERS`` updates run out. Rows are
+    (rate, dist, w, q, gap). ``gap`` is each row's certified bound, in bits,
+    on the suboptimality of its objective rate - slope * dist; a row stops
+    once it is below ``tol`` or ``_MAX_ITERS`` updates run out. Rows are
     solved independently of each other.
 
-    * With ``yield_after``, the call also ends at its first check after
-      that many updates. Rows still running then *yield*: ``paused`` holds
-      the updates each has run (0 for every row that stopped), ``q`` the
-      state it goes on from and ``gap`` that of its last check; rate, dist
-      and w are left at 0. Calling again with those rows, their ``q`` as
-      ``q0`` and their counts as ``spent`` resumes them: a row's burst
-      schedule depends only on its count, and the warm-start mix below is
-      skipped, so every iterate equals that of one uninterrupted call. The
-      rows of a call must share their schedule: none has run an update, or
-      each has run at least 2 * ``_MAX_BURST`` - 1. A row whose last burst
-      the iteration budget cuts short runs it alone: the other rows yield
-      there.
     * Weakly dominated reproduction columns (see ``_undominated_columns``)
       are dropped exactly before solving; ``w`` and ``q`` carry zeros there.
     * A warm start ``q0`` is mixed with a share ``_WARM_MIX`` of the uniform
@@ -160,53 +144,45 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
     keep = _undominated_columns(d_arr)
     if keep.size < ny:
         sub_q0 = None if q0 is None else np.asarray(q0, dtype=float)[:, keep]
-        rate, dist, w_sub, q_sub, gap, paused = _solve_fixed_slopes(
-            ps, d_arr[:, keep], slopes, tol, sub_q0, spent, yield_after
-        )
+        rate, dist, w_sub, q_sub, gap = _solve_fixed_slopes(ps, d_arr[:, keep], slopes, tol, sub_q0)
         w = np.zeros((n, nx, ny))
         q = np.zeros((n, ny))
         w[:, :, keep] = w_sub
         q[:, keep] = q_sub
-        return rate, dist, w, q, gap, paused
+        return rate, dist, w, q, gap
     rate = np.zeros(n)
     dist = np.zeros(n)
     w = np.zeros((n, nx, ny))
     q = np.zeros((n, ny))
     gap = np.full(n, np.inf)
-    paused = np.zeros(n, dtype=int)
 
     # keep the largest exponent at zero per input row so that extreme slopes
     # cannot underflow the whole row
     gaps = d_arr - d_arr.min(axis=1, keepdims=True)
     argmin_cols = np.argmin(gaps, axis=1)
     kernel = np.exp2(slopes[:, None, None] * gaps[None, :, :])
-    corner = np.zeros(n, dtype=bool)
-    if np.any(spent):
-        # a resumed row was not at the corner, and goes on from its state
-        q[:] = q0
-    else:
-        # first-order corner test: the best constant column is the global
-        # optimum iff no other column has an update factor above 1 there
-        costs = _costs(ps, d_arr)
-        best_cols = np.argmin(costs, axis=1)
-        shifted = d_arr[None, :, :] - d_arr[:, best_cols].T[:, :, None]
-        exponents = np.clip(slopes[:, None, None] * shifted, None, 1023.0)
-        corner_factors = np.einsum("nx,nxy->ny", ps, np.exp2(exponents))
-        corner = corner_factors.max(axis=1) <= 1.0 + 1e-12
-        if corner.any():
-            rows = np.nonzero(corner)[0]
-            w[rows, :, best_cols[rows]] = 1.0
-            q[rows, best_cols[rows]] = 1.0
-            dist[rows] = costs[rows, best_cols[rows]]
-            gap[rows] = 0.0
-        q_iter = np.full((n, ny), 1.0 / ny)
-        if q0 is not None:
-            q0 = np.asarray(q0, dtype=float)
-            warm = ~np.isnan(q0).any(axis=1)
-            q_warm = np.maximum(q0[warm], 0.0)
-            q_warm = q_warm / q_warm.sum(axis=1, keepdims=True)
-            q_iter[warm] = (1.0 - _WARM_MIX) * q_warm + _WARM_MIX / ny
-        q[~corner] = q_iter[~corner]
+    # first-order corner test: the best constant column is the global
+    # optimum iff no other column has an update factor above 1 there
+    costs = _costs(ps, d_arr)
+    best_cols = np.argmin(costs, axis=1)
+    shifted = d_arr[None, :, :] - d_arr[:, best_cols].T[:, :, None]
+    exponents = np.clip(slopes[:, None, None] * shifted, None, 1023.0)
+    corner_factors = np.einsum("nx,nxy->ny", ps, np.exp2(exponents))
+    corner = corner_factors.max(axis=1) <= 1.0 + 1e-12
+    if corner.any():
+        rows = np.nonzero(corner)[0]
+        w[rows, :, best_cols[rows]] = 1.0
+        q[rows, best_cols[rows]] = 1.0
+        dist[rows] = costs[rows, best_cols[rows]]
+        gap[rows] = 0.0
+    q_iter = np.full((n, ny), 1.0 / ny)
+    if q0 is not None:
+        q0 = np.asarray(q0, dtype=float)
+        warm = ~np.isnan(q0).any(axis=1)
+        q_warm = np.maximum(q0[warm], 0.0)
+        q_warm = q_warm / q_warm.sum(axis=1, keepdims=True)
+        q_iter[warm] = (1.0 - _WARM_MIX) * q_warm + _WARM_MIX / ny
+    q[~corner] = q_iter[~corner]
 
     # an input whose every column underflowed (the slope is steep enough that
     # only the cheapest column survives) goes to its cheapest column
@@ -266,24 +242,14 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
 
     active = np.nonzero(~corner)[0]
     kern, ps_act, q_act = kernel[active], ps[active], q[active]
-    spent = np.broadcast_to(spent, (n,))[active]
     # bursts of 1, 2, 4, ... updates up to _MAX_BURST, so warm starts exit
-    # fast and crawls stay cheap; a row's schedule depends only on its count
-    check_every = min(int(spent.max(initial=0)) + 1, _MAX_BURST)
-    ran = 0
-    while active.size and (yield_after is None or ran < yield_after):
+    # fast and crawls stay cheap
+    check_every = 1
+    spent = 0
+    while active.size:
         # a burst of cheap multiplicative updates, then one convergence check;
-        # the iteration budget may cut a row's last burst short
-        left = _MAX_ITERS - spent
-        burst = min(check_every, int(left.min()))
-        cut = left > burst
-        if burst < check_every and cut.any():
-            # the cut falls here for some rows only; the others yield now
-            paused[active[cut]] = spent[cut]
-            q[active[cut]] = q_act[cut]
-            keep = ~cut
-            active, kern, ps_act = active[keep], kern[keep], ps_act[keep]
-            q_act, spent = q_act[keep], spent[keep]
+        # the iteration budget may cut the last burst short
+        burst = min(check_every, _MAX_ITERS - spent)
         check_every = min(check_every * 2, _MAX_BURST)
         for _ in range((burst - 1) // 3):
             q_act = cycle(kern, ps_act, q_act)
@@ -294,25 +260,19 @@ def _solve_fixed_slopes(ps, d_arr, slopes, tol, q0=None, spent=0, yield_after=No
         q_new = np.einsum("nx,nxy->ny", ps_act, w_act)
         gap_act = np.maximum(factors.max(axis=1) - 1.0, 0.0) / _LN2
         gap[active] = gap_act
-        done = gap_act < tol
         spent += burst
-        ran += burst
         # only a row that stops here needs its channel
-        stop = done | (spent >= _MAX_ITERS)
+        stop = (gap_act < tol) | (spent >= _MAX_ITERS)
         if stop.any():
             w[active[stop]] = w_act[stop]
             q[active[stop]] = q_new[stop]
             keep = ~stop
-            active, kern, ps_act = active[keep], kern[keep], ps_act[keep]
-            q_new, spent = q_new[keep], spent[keep]
+            active, kern, ps_act, q_new = active[keep], kern[keep], ps_act[keep], q_new[keep]
         q_act = q_new
-    # rows still running have yielded
-    q[active] = q_act
-    paused[active] = spent
 
-    rows = np.nonzero(~corner & (paused == 0))[0]
+    rows = np.nonzero(~corner)[0]
     rate[rows], dist[rows] = _rates_and_distortions(ps[rows], w[rows], d_arr)
-    return rate, dist, w, q, gap, paused
+    return rate, dist, w, q, gap
 
 
 def _costs(ps, d_arr):
@@ -378,7 +338,7 @@ def ba_fixed_slope(
         raise ValidationError("source and distortion dimensions disagree")
     if slope == 0:
         return _zero_rate_point(p, d)
-    rate, dist, w, _, gap, _ = _solve_fixed_slopes(
+    rate, dist, w, _, gap = _solve_fixed_slopes(
         p.probs[None, :], d.values, np.array([slope]), tol
     )
     point = RdPoint(
@@ -404,31 +364,6 @@ def _mix_channels(ps, d_arr, w_low, w_high, targets):
     alpha = np.clip(alpha, 0.0, 1.0)[:, None, None]
     w = alpha * w_low + (1.0 - alpha) * w_high
     return (*_rates_and_distortions(ps, w, d_arr), w)
-
-
-def _channel_bound(ps, d_arr, targets, w_lead):
-    """An upper end on R_p(target) for each row from one channel ``w_lead``.
-
-    The channel is time-shared with the row's floor channel (every input sent
-    to a cheapest output) where its distortion under the row is above the
-    aim, and with the row's zero-rate corner where it is at or below it. The
-    aim is the target less 1e-12 of the largest distortion entry, so that
-    rounding leaves the mix's computed distortion at most the target. Every
-    channel whose distortion is at most the target has mutual information at
-    least R_p(target), so the mix's rate is an upper end wherever its computed
-    distortion is at most the target; elsewhere the bound is +inf.
-    """
-    n, nx = ps.shape
-    aim = targets - 1e-12 * d_arr.max()
-    floor_w = np.zeros(d_arr.shape)
-    floor_w[np.arange(nx), np.argmin(d_arr, axis=1)] = 1.0
-    corner_w = np.zeros((n, *d_arr.shape))
-    corner_w[np.arange(n), :, np.argmin(_costs(ps, d_arr), axis=1)] = 1.0
-    above = (np.einsum("nx,xy,xy->n", ps, w_lead, d_arr) > aim)[:, None, None]
-    rate, dist, _ = _mix_channels(
-        ps, d_arr, np.where(above, floor_w, w_lead), np.where(above, w_lead, corner_w), aim
-    )
-    return np.where(dist <= targets, rate, np.inf)
 
 
 @np.errstate(under="ignore")
@@ -463,9 +398,7 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
       it, it replaces the zero-rate corner as the upper side while the
       probe at -64 doubles as above. The row's next probe warm-starts from
       it. Any other row, a slope of 0 or NaN say, searches exactly as
-      without ``start``. With ``best_only`` the warm probe may yield (see
-      below); its row then takes no step until the probe has finished, and
-      only then do its lines compete and its sides settle as above.
+      without ``start``.
     * **Exit.** Once its bracket is at most ``tol`` bits wide, a row returns
       its two sides time-shared at exactly the target. Mutual information is
       convex in the channel, so that rate lies inside the bracket. A row
@@ -477,40 +410,17 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
     depends only on its own source, target and start, not on the rest of
     the batch.
 
-    With ``best_only`` the caller reads only the largest rate, and the search
-    stops waiting on rows it will not return:
-
-    * **Dropping.** Each round drops every searching row whose upper end
-      plus ``tol`` is below, by more than 1e-12 against rounding, the largest
-      rate some row is sure to return: a finished row's rate or a searching
-      row's lower end. A row returns at most R_p(target) + tol, which is at
-      most its upper end plus ``tol``, so a dropped row (rate -inf) would
-      have returned less than the batch maximum.
-    * **A second upper end.** For dropping, a row's upper end is the least
-      of its chord and of ``_channel_bound`` over the channels that led the
-      batch: each finished row that led the finished rows (the one with the
-      largest rate leads), and from the first round on, each bracket of the
-      searching row with the largest lower end, its two sides time-shared at
-      its own target. Each is the rate of a channel that meets the row's
-      target, so it is an upper end too. A row still closes on its chord
-      alone, so the value it returns does not depend on the batch.
-    * **Yielding.** A regula falsi probe, and a warm probe of the opening
-      call, yields after ``_YIELD_AFTER`` updates (the opening call's probes
-      at -64 resume at once). Its row skips its next step and resumes the
-      probe in the next round, exactly where it stopped, while every other
-      row moves on; in between, the drop test reads the row's last finished
-      bracket. A row whose warm probe has not finished has the chord from
-      its probe at -64 to the zero-rate corner, an upper end only where that
-      probe is at or below the target, and it does not close. Most probes
-      that crawl belong to rows that get dropped, and a dropped row's probe
-      is never finished: a warm start far from a row's own pair need not
-      hold up the batch.
-
-    The rows that are not dropped run exactly the probes they run without
-    ``best_only``, so their values are bit-identical.
+    With ``best_only`` the caller reads only the largest rate, and each
+    round drops every searching row whose chord plus ``tol`` is below, by
+    more than 1e-12 against rounding, the largest rate some row is sure to
+    return: a finished row's rate or a searching row's lower end. A row
+    returns at most R_p(target) + tol, which is at most its chord plus
+    ``tol``, so a dropped row (rate -inf) would have returned less than the
+    batch maximum. The rows that are not dropped run exactly the probes they
+    run without ``best_only``, so their values are bit-identical.
 
     **Dual pair.** ``dual_slope`` and ``dual_q`` are the slope and the output
-    law of the finished probe whose line is the row's lower end: a row at
+    law of the probe whose line is the row's lower end: a row at
     the floor keeps its last probe's, and a row whose lower end is still the
     zero-rate side's line keeps slope 0 and the uniform law. Blahut's line
     is linear in p through L_s(p, q), so this pair gives the envelope
@@ -524,29 +434,24 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
     """
     m, ny = ps.shape[0], d_arr.shape[1]
     q_warm = np.zeros((m, ny))
-    # the best supporting line of each row's finished probes, read at its
+    # the best supporting line of each row's probes, read at its
     # target, and the probe it comes from; the zero-rate side's line is 0
     lower = np.zeros(m)
     dual_slope = np.zeros(m)
     dual_q = np.full((m, ny), 1.0 / ny)
-    # updates run by each row's yielded probe, 0 where none is open
-    paused = np.zeros(m, dtype=int)
 
     def compete(rows, slopes, rate, dist, q, gap):
-        # a finished probe's line, read at the target, may raise the lower
-        # end; its pair then becomes the row's dual pair
+        # a probe's line, read at the target, may raise the lower end; its
+        # pair then becomes the row's dual pair
         lines = rate + slopes * (targets[rows] - dist) - gap
         best = lines > lower[rows]
         lower[rows[best]] = lines[best]
         dual_slope[rows[best]], dual_q[rows[best]] = slopes[best], q[best]
 
-    def solve(rows, slopes, warm, spent=0, yield_after=None):
-        rate, dist, w, q, gap, paused[rows] = _solve_fixed_slopes(
-            ps[rows], d_arr, slopes, tol / 4, q0=warm, spent=spent, yield_after=yield_after
-        )
+    def solve(rows, slopes):
+        rate, dist, w, q, gap = _solve_fixed_slopes(ps[rows], d_arr, slopes, tol / 4, q_warm[rows])
         q_warm[rows] = q
-        done = paused[rows] == 0
-        compete(rows[done], slopes[done], rate[done], dist[done], q[done], gap[done])
+        compete(rows, slopes, rate, dist, q, gap)
         return rate, dist, w, gap
 
     slope = np.full(m, -64.0)
@@ -560,117 +465,69 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
         )[0]
         s_hot, law_hot = np.maximum(s_start[hot], SLOPE_FLOOR), q_start[hot]
     # every row's probe at -64 and the warm probes in one call; the NaN rows
-    # start cold. In a best-only search the call yields, and the probes at
-    # -64 that were still running resume at once
-    yield_after = _YIELD_AFTER if best_only else None
+    # start cold
     out = _solve_fixed_slopes(
         np.vstack([ps, ps[hot]]), d_arr, np.concatenate([slope, s_hot]), tol / 4,
-        q0=np.vstack([np.full((m, ny), np.nan), law_hot]), yield_after=yield_after,
+        q0=np.vstack([np.full((m, ny), np.nan), law_hot]),
     )
-    (rate, dist, w, q, gap, p_cold), (r_hot, d_hot, w_hot, q_hot, g_hot, p_hot) = (
+    (rate, dist, w, q, gap), (r_hot, d_hot, w_hot, q_hot, g_hot) = (
         [a[:m] for a in out], [a[m:] for a in out]
     )
-    run = np.nonzero(p_cold)[0]
-    if run.size:
-        rate[run], dist[run], w[run], q[run], gap[run], _ = _solve_fixed_slopes(
-            ps[run], d_arr, slope[run], tol / 4, q0=q[run], spent=p_cold[run]
-        )
     q_warm[:] = q
-    # a row's two lines compete in turn, the cold one first; a warm probe
-    # that yielded competes once it finishes
+    # a row's two lines compete in turn, the cold one first
     compete(np.arange(m), slope, rate, dist, q, gap)
-    ready = p_hot == 0
-    compete(hot[ready], s_hot[ready], r_hot[ready], d_hot[ready], q_hot[ready], g_hot[ready])
+    compete(hot, s_hot, r_hot, d_hot, q_hot, g_hot)
+
+    # widen the lower side from the probe at -64 where no probe is at or
+    # below the target
+    below = np.zeros(m, dtype=bool)  # rows whose warm probe is at or below
+    below[hot] = d_hot <= targets[hot]
+    widen = (dist > targets) & ~below
+    while widen.any():
+        wide = np.nonzero(widen)[0]
+        slope[wide] = np.maximum(2.0 * slope[wide], SLOPE_FLOOR)
+        rate[wide], dist[wide], w[wide], gap[wide] = solve(wide, slope[wide])
+        widen = (dist > targets) & ~below & (slope > SLOPE_FLOOR)
+    # rows still above their target at the floor are finished
+    finished = (dist > targets) & ~below
+    lower[finished] = (rate - gap)[finished]
+    dual_slope[finished], dual_q[finished] = slope[finished], q_warm[finished]
+    searching = ~finished
 
     # the bracket's two sides, at or below (0) and above (1) the target:
-    # slopes, D - target, rates, regula falsi weights and channels. Side 0 is
-    # the probe at -64 until ``settle`` sets it
+    # slopes, D - target, rates, regula falsi weights and channels
     costs = _costs(ps, d_arr)
     ends = np.stack([slope, np.zeros(m)])
     vals = np.stack([dist - targets, costs.min(axis=1) - targets])
     rates = np.stack([rate, np.zeros(m)])
     chans = np.stack([w, np.zeros_like(w)])
     chans[1, np.arange(m), :, np.argmin(costs, axis=1)] = 1.0
+    # each warm probe takes the side its distortion falls on, where it is
+    # nearer the target in slope than that side's probe so far
+    f_hot = d_hot - targets[hot]
+    side = (f_hot > 0.0).astype(int)
+    nearer = np.where(
+        side == 0, (vals[0, hot] > 0.0) | (s_hot >= ends[0, hot]), s_hot > ends[0, hot]
+    )
+    take = nearer & searching[hot]
+    taken, side = hot[take], side[take]
+    ends[side, taken], vals[side, taken] = s_hot[take], f_hot[take]
+    rates[side, taken], chans[side, taken] = r_hot[take], w_hot[take]
+    q_warm[taken] = q_hot[take]
     weights = vals.copy()
-    finished = np.zeros(m, dtype=bool)
-    searching = np.ones(m, dtype=bool)
     last = np.full(m, -1)  # the side that moved last
     dropped = np.zeros(m, dtype=bool)
-    probes = np.zeros(m, dtype=int)  # regula falsi probes finished
-    due = np.zeros(m)  # the slope of each row's latest probe
-    # rows whose warm probe yielded: they resume it as their probe at ``due``
-    # and take no other step until it finishes
-    pending = np.zeros(m, dtype=bool)
-    late = hot[~ready]
-    pending[late], due[late], paused[late], q_warm[late] = (
-        True, s_hot[~ready], p_hot[~ready], q_hot[~ready]
-    )
-    bound = np.full(m, np.inf)  # upper ends from the leaders' channels
-    leader = -1
-    # the searching leader and its count of finished probes when its
-    # channel last bounded the batch
-    seen = (-1, -1)
-
-    def settle(rows, hot, s_hot, r_hot, d_hot, w_hot, q_hot):
-        # ``rows`` have finished their opening probes, and ``hot`` among them
-        # a warm one with these results: widen the lower side where no probe
-        # is at or below the target, then set both sides; widening starts
-        # from the probe at -64
-        q_warm[rows] = q[rows]
-        at = np.zeros(m, dtype=bool)
-        at[rows] = True
-        below = np.zeros(m, dtype=bool)  # rows whose warm probe is at or below
-        below[hot] = d_hot <= targets[hot]
-        widen = at & (dist > targets) & ~below
-        while widen.any():
-            wide = np.nonzero(widen)[0]
-            slope[wide] = np.maximum(2.0 * slope[wide], SLOPE_FLOOR)
-            rate[wide], dist[wide], w[wide], gap[wide] = solve(wide, slope[wide], q_warm[wide])
-            widen = at & (dist > targets) & ~below & (slope > SLOPE_FLOOR)
-        # rows still above their target at the floor are finished
-        floor = at & (dist > targets) & ~below
-        lower[floor] = (rate - gap)[floor]
-        dual_slope[floor], dual_q[floor] = slope[floor], q_warm[floor]
-        finished[floor], searching[floor] = True, False
-        ends[0, rows], vals[0, rows] = slope[rows], dist[rows] - targets[rows]
-        rates[0, rows], chans[0, rows] = rate[rows], w[rows]
-        # each warm probe takes the side its distortion falls on, where it is
-        # nearer the target in slope than that side's probe so far
-        f_hot = d_hot - targets[hot]
-        side = (f_hot > 0.0).astype(int)
-        nearer = np.where(
-            side == 0, (vals[0, hot] > 0.0) | (s_hot >= ends[0, hot]), s_hot > ends[0, hot]
-        )
-        take = nearer & searching[hot]
-        taken, side = hot[take], side[take]
-        ends[side, taken], vals[side, taken] = s_hot[take], f_hot[take]
-        rates[side, taken], chans[side, taken] = r_hot[take], w_hot[take]
-        q_warm[taken] = q_hot[take]
-        weights[:, rows] = vals[:, rows]
-
-    settle(
-        np.nonzero(~pending)[0], hot[ready], s_hot[ready], r_hot[ready], d_hot[ready],
-        w_hot[ready], q_hot[ready],
-    )
+    probes = np.zeros(m, dtype=int)  # regula falsi probes run
 
     def mix(rows):
         rate[rows], dist[rows], w[rows] = _mix_channels(
             ps[rows], d_arr, chans[0, rows], chans[1, rows], targets[rows]
         )
 
-    def probe(rows):
-        # run (or resume) each row's probe at slope ``due``; a finished warm
-        # probe settles its row, any other finished one moves a side
-        rate_s, dist_s, w_s, _ = solve(rows, due[rows], q_warm[rows], paused[rows], yield_after)
-        done = paused[rows] == 0
-        warm = done & pending[rows]
-        if warm.any():
-            late = rows[warm]
-            pending[late] = False
-            settle(late, late, due[late], rate_s[warm], dist_s[warm], w_s[warm], q_warm[late])
-        done &= ~warm
-        rows, s = rows[done], due[rows[done]]
-        f = dist_s[done] - targets[rows]
+    def probe(rows, s):
+        # a probe at slope ``s`` moves the side its distortion falls on
+        rate_s, dist_s, w_s, _ = solve(rows, s)
+        f = dist_s - targets[rows]
         side = (f > 0.0).astype(int)
         # when one side moves twice in a row, the other side's weight is
         # scaled by 1 - f_new / f_old (Anderson & Bjorck), or halved
@@ -679,7 +536,7 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
         scale = 1.0 - f[twice] / vals[side[twice], rows[twice]]
         weights[1 - side[twice], rows[twice]] *= np.where(scale > 0.0, scale, 0.5)
         ends[side, rows], vals[side, rows], weights[side, rows] = s, f, f
-        rates[side, rows], chans[side, rows] = rate_s[done], w_s[done]
+        rates[side, rows], chans[side, rows] = rate_s, w_s
         last[rows] = side
         probes[rows] += 1
 
@@ -687,38 +544,14 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
         rows = np.nonzero(searching)[0]
         (v_lo, v_hi), (r_lo, r_hi) = vals[:, rows], rates[:, rows]
         upper = (r_lo * v_hi - r_hi * v_lo) / (v_hi - v_lo)
-        # a pending row's side 0 may lie above the target, where its chord
-        # bounds nothing; a pending row does not close
-        upper[v_lo > 0.0] = np.inf
-        closed = (upper - lower[rows] <= tol) & ~pending[rows]
+        closed = upper - lower[rows] <= tol
         mix(rows[closed])
         finished[rows[closed]], searching[rows[closed]] = True, False
         rows, upper = rows[~closed], upper[~closed]
         if best_only:
-            # drop every row whose upper end is below what another is sure of
-            sure = lower[rows].max(initial=-np.inf)
-            finals = np.nonzero(finished)[0]
-            if finals.size:
-                top = finals[np.argmax(rate[finals])]
-                sure = max(sure, rate[top])
-                if top != leader:
-                    leader = top
-                    bound[rows] = np.minimum(
-                        bound[rows], _channel_bound(ps[rows], d_arr, targets[rows], w[top])
-                    )
-            if rows.size:
-                # the searching row with the largest lower end leads too: its
-                # sides time-shared at its target are a channel like any other
-                top = rows[np.argmax(lower[rows])]
-                if seen != (top, probes[top]):
-                    seen = (top, probes[top])
-                    w_top = _mix_channels(
-                        ps[[top]], d_arr, chans[0, [top]], chans[1, [top]], targets[[top]]
-                    )[2][0]
-                    bound[rows] = np.minimum(
-                        bound[rows], _channel_bound(ps[rows], d_arr, targets[rows], w_top)
-                    )
-            out = np.minimum(upper, bound[rows]) + tol + 1e-12 < sure
+            # drop every row whose chord is below what another is sure of
+            sure = max(lower[rows].max(initial=-np.inf), rate[finished].max(initial=-np.inf))
+            out = upper + tol + 1e-12 < sure
             searching[rows[out]], dropped[rows[out]] = False, True
             rows, upper = rows[~out], upper[~out]
         lo, hi = ends[:, rows]
@@ -739,20 +572,14 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
             )
         if not rows.size:
             break
-        # a row whose probe yielded resumes it; the others take a new one
-        new = paused[rows] == 0
-        lo, hi = lo[new], hi[new]
-        g_lo, g_hi = weights[:, rows[new]]
+        g_lo, g_hi = weights[:, rows]
         # interpolated in t = 2^s, in which D is close to linear near the
         # floor (D - floor falls like 2^(s * gap) as s -> -inf)
         t = np.exp2(lo) + (np.exp2(hi) - np.exp2(lo)) * g_lo / (g_lo - g_hi)
         with np.errstate(divide="ignore"):
             s = np.log2(t)
         # a probe rounded onto a side falls back to the midpoint
-        due[rows[new]] = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
-        for group in (rows[new], rows[~new]):
-            if group.size:
-                probe(group)
+        probe(rows, np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi)))
     # a lower end read off a line can pass the rate by rounding; the bracket
     # [lower, rate] must not cross
     np.minimum(lower, rate, out=lower)
@@ -843,17 +670,12 @@ def rates_at_distortion_batch(
     ``SIMPLEX_ATOL`` as ``Distribution`` checks it.
 
     ``best_only`` is for callers that read only the largest rate: the search
-    then stops early on every row whose upper end shows it below another
-    row's value, and such a row gets -inf. A row's upper end is the least of
-    its own bracket's and of the rates of leading rows' channels time-shared
-    onto its target: a finished row's, and from the first round on, that of
-    the searching row with the largest lower end. A probe that crawls yields
-    to the rest of the batch, so the search need not wait on rows it then
-    drops; so does the first probe at a row's ``start``, which may lie far
-    from the row's own pair. Every row that attains the maximum, and every
-    other row not given -inf, gets the same value, bit for bit, as without
-    ``best_only`` from the same ``start``. A row that would fail to converge
-    may be dropped before it fails.
+    then stops early on every row whose bracket's upper end, plus ``tol``,
+    shows it below another row's value, and such a row gets -inf. Every row
+    that attains the maximum, and every other row not given -inf, gets the
+    same value, bit for bit, as without ``best_only`` from the same
+    ``start``. A row that would fail to converge may be dropped before it
+    fails.
 
     With ``gradients`` the call returns ``(rates, grads, duals, lowers)``.
     ``grads`` holds, per row, the envelope gradient of R_p(target) in p (see

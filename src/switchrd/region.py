@@ -249,7 +249,7 @@ class RegionSpec:
     delta: float = 0
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:  # NaN fails too
             raise ValidationError("delta must be nonnegative")
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -626,3 +627,18 @@ def test_a_shared_parser_prints_what_fresh_parsers_print(capsys, monkeypatch):
     assert shared[0][0] == 3 and all(code == 0 for code, *_ in shared[1:])
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert outputs() == shared
+
+
+@pytest.mark.parametrize("name", ["binary_pair.yaml", "ternary_demo.yaml", "wc_k2_m3", "wc_k4_m3"])
+def test_optimize_curve_leaks_no_warning(capsys, tmp_path, name):
+    # a numpy warning that leaks out of the solvers is an error here, as it
+    # is in CI, which runs the CLI under python -W error
+    problem = PROBLEMS / name
+    if not name.endswith(".yaml"):
+        problem = tmp_path / f"{name}.yaml"
+        problem.write_text({"wc_k2_m3": WC_K2_M3, "wc_k4_m3": WC_K4_M3}[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rows = run(capsys, "optimize", problem, "--curve", 3)
+    assert code == 0
+    assert len(rows) == 4

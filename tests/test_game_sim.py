@@ -59,7 +59,8 @@ class TestConverseBound:
         assert converse_bound(n, delta, 2) >= report.out_of_region_fraction
 
     def test_rejects_bad_arguments(self):
-        for args in ((0, 0.1, 2), (10, 0, 2), (10, 0.1, 1)):
+        # NaN fails every comparison, so `delta <= 0` alone lets it through
+        for args in ((0, 0.1, 2), (10, 0, 2), (10, math.nan, 3), (10, 0.1, 1)):
             with pytest.raises(ValidationError):
                 converse_bound(*args)
 

@@ -198,6 +198,14 @@ class TestMembership:
         if is_member(p, RegionSpec(srcs, d1)).satisfied:
             assert is_member(p, RegionSpec(srcs, d2)).satisfied
 
+    @pytest.mark.parametrize("delta", [-0.1, math.nan, -math.inf])
+    def test_a_negative_or_nan_delta_is_rejected(self, delta):
+        # NaN fails every comparison, so `delta < 0` alone lets it through,
+        # and then every law passes the region's constraints
+        src = SourceList.independent([[0.5, 0.5], [0.9, 0.1]])
+        with pytest.raises(ValidationError, match="delta must be nonnegative"):
+            RegionSpec(src, delta)
+
 
 class TestConstraintListing:
     def test_counts(self):
