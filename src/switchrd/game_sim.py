@@ -7,14 +7,17 @@ Hoeffding bound on the probability of the output type escaping the relaxed
 region. Both exhaustive walks, over strings and over the switch's per-time
 selections, read one decoder, ``_lexicographic``, which lists digit vectors
 in lexicographic order ``_CHUNK`` at a time, so the first of tied candidates
-is the lexicographically smallest in both. When every reproduction word is
-a candidate, the cover table is never summed word by word: each word splits
-into a prefix over the first n // 2 positions and a suffix over the rest, two
-small products give every target's distortion sums over all prefixes and all
-suffixes, and one broadcast comparison of the two fills the table, exact on
-integer-valued distortion. A ``Codebook`` is valid when built: at least one
-word, all of the stated length, integer symbols and no repeats; nothing
-downstream handles an empty or malformed one.
+is the lexicographically smallest in both. The cover table, which target
+string each candidate word covers, is never summed word by word nor held
+whole: each string and each word splits into a prefix over the first n // 2
+positions and a suffix over the rest, two small products give the distortion
+sums of every distinct target half to every candidate half, and both are
+ranked together in one narrow integer dtype. The greedy cover then reads
+table rows as broadcast (or, for sampled candidates, gathered) comparisons
+of those ranks, a bounded chunk of rows at a time, exact on integer-valued
+distortion. A ``Codebook`` is valid when built: at least one word, all of the
+stated length, integer symbols and no repeats; nothing downstream handles an
+empty or malformed one.
 
 A simulation reads one stream, ``np.random.default_rng(seed)``. Each trial
 takes the next ``(rows + 1) * n`` doubles of it, where ``rows`` is the number
@@ -60,14 +63,15 @@ from .strategy import SwitchRule, _apply_rule, _check_rule_covers
 
 #: Largest string-space enumerated exhaustively (source and reproduction).
 ENUM_GUARD = 2**20
-#: Largest candidate-times-target table the greedy cover will materialize.
+#: Largest candidate-times-target table the greedy cover will read: each of
+#: its cells is computed twice, the table is never held whole.
 COVER_CELL_GUARD = 2**26
 #: Largest selection space searched by the exact best response.
 BEST_RESPONSE_GUARD = 2**22
 
 #: Strings decoded per step when enumerating strings or selections.
 _CHUNK = 1 << 16
-#: Cells of a sampled cover table computed per matrix product.
+#: Cells of the cover table computed at a time: rows of it, as many as fit.
 _COVER_CELLS = 1 << 19
 #: Cells per chunk of trials: each trial holds n uniforms per source row and
 #: for the switch, n symbols per source, and n distortion terms per codeword.
@@ -317,14 +321,31 @@ def _largest_covered_sum(target_distortion: float, n: int) -> float:
     return s
 
 
-def _split_verdicts(prefix: np.ndarray, suffix: np.ndarray, bound: float) -> np.ndarray:
-    """``verdict[t, a, b]``: prefix sum ``prefix[t, a]`` plus suffix sum
-    ``suffix[t, b]`` is at most ``bound``, tested as ``prefix <= bound -
-    suffix``. On integer-valued distortion the sums are integers and the
-    difference is exact, so this is the verdict on the whole word's sum; on
-    other distortion the two can differ by rounding at an exact tie, as the
-    summation order of a product already could."""
-    return prefix[:, :, None] <= (bound - suffix)[:, None, :]
+def _half_ranks(prefix: np.ndarray, suffix: np.ndarray, bound: float):
+    """Ranks of the prefix sums and of ``bound - suffix`` in the sorted union
+    of both, in the narrowest unsigned dtype that holds them, so that
+    ``rank_p <= rank_s`` exactly when ``prefix <= bound - suffix``: a prefix
+    sum plus a suffix sum is at most ``bound``. On integer-valued distortion
+    the sums are integers and the difference is exact, so this is the verdict
+    on the whole word's sum; on other distortion the two can differ by
+    rounding at an exact tie."""
+    rest = bound - suffix
+    values = np.unique(np.concatenate([prefix.ravel(), rest.ravel()]))
+    dtype = np.min_scalar_type(len(values) - 1)
+    return values.searchsorted(prefix).astype(dtype), values.searchsorted(rest).astype(dtype)
+
+
+def _distinct(strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``strings`` in lexicographic order, and the index
+    of each row among them. A lexsort of the columns measured about fifteen
+    times faster than ``np.unique(axis=0)``, which sorts whole rows."""
+    order = np.lexsort(strings.T[::-1]) if strings.shape[1] else np.arange(len(strings))
+    ordered = strings[order]
+    first = np.ones(len(strings), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    index = np.empty(len(strings), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ordered[first], index
 
 
 def build_covering_codebook(
@@ -343,13 +364,25 @@ def build_covering_codebook(
     so the construction is fully deterministic. A blocklength with no
     admitted type is InfeasibleError. A string no candidate covers is
     InfeasibleError when every word was a candidate, and GuardError (the
-    sample was too small) when the candidates were sampled."""
+    sample was too small) when the candidates were sampled.
+
+    Whether a word covers a string is judged from two half sums, the word's
+    distortion to the string over the first n // 2 positions and over the
+    rest; this is exact on integer-valued distortion, and on other distortion
+    a word whose sum ties the target exactly is judged by the two half sums,
+    for either candidate set. The cover table is never held: the greedy
+    recomputes its rows ``_COVER_CELLS`` cells at a time, so besides those
+    cells it holds the strings, the candidates and the half sums (a row per
+    distinct target half, a column per candidate half), never a cell per
+    string and candidate."""
     if n < 1:
         raise ValidationError("blocklength must be at least 1")
     if not target_distortion >= 0:  # NaN fails too
         raise ValidationError("distortion target must be nonnegative")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
+    if max_candidates < 1:
+        raise ValidationError("max_candidates must be at least 1")
     types = _admitted_types(spec, n)
     if len(types) == 0:
         raise InfeasibleError(f"no source string of length n={n} has an admitted type")
@@ -367,38 +400,52 @@ def build_covering_codebook(
             f"cover table would hold {num_c * num_t} cells, guard is {COVER_CELL_GUARD}"
         )
     targets = _admitted_strings(spec, n, types)
-    # covered[t, c]: candidate c is within the target distortion of target t
-    bound = _largest_covered_sum(target_distortion, n)
+    # every target and every word splits into a prefix over the first half
+    # positions and a suffix over the rest; a word's sum to a target is its
+    # prefix's sum to the target's prefix plus the same for the suffixes,
+    # computed once per distinct target half
+    half = n // 2
+    (heads, head_of), (tails, tail_of) = _distinct(targets[:, :half]), _distinct(targets[:, half:])
     if sampled:
-        # each chunk of candidates is one product; a gather of the per-cell
-        # distortions instead measured twice as slow
-        onehot = _onehot(targets, d.num_inputs)
-        covered = np.empty((num_t, num_c), dtype=bool)
-        chunk = max(1, _COVER_CELLS // num_t)
-        for start in range(0, num_c, chunk):
-            block = cands[start : start + chunk]
-            covered[:, start : start + block.shape[0]] = onehot @ _columns(block, d) <= bound
+        (pres, pre_of), (sufs, suf_of) = _distinct(cands[:, :half]), _distinct(cands[:, half:])
     else:
-        # the full grid: word c = a * ky^(n - half) + b splits into a prefix
-        # a over the first half positions and a suffix b over the rest, so
-        # its sum is prefix[t, a] + suffix[t, b]
-        half = n // 2
-        prefix, suffix = (
-            _onehot(targets[:, lo:hi], d.num_inputs)
-            @ _columns(_enumerate_strings(d.num_outputs, hi - lo), d)
-            for lo, hi in ((0, half), (half, n))
-        )
-        covered = _split_verdicts(prefix, suffix, bound).reshape(num_t, num_c)
-    # each pick's gain is kept current by subtracting what the previous pick
-    # newly covered; argmax ties go to the earliest candidate. The table is
-    # summed as uint8 cells into int32, which numpy does faster than bools.
-    cells = covered.view(np.uint8)
+        # the full grid: word c = a * ky^(n - half) + b
+        pres, sufs = (_enumerate_strings(d.num_outputs, m) for m in (half, n - half))
+    prefix, suffix = (
+        _onehot(h, d.num_inputs) @ _columns(w, d) for h, w in ((heads, pres), (tails, sufs))
+    )
+    rank_p, rank_s = _half_ranks(prefix, suffix, _largest_covered_sum(target_distortion, n))
+
+    def gains_of(rows: np.ndarray) -> np.ndarray:
+        """How many of the targets ``rows`` each candidate covers, from their
+        rows of the cover table, computed ``_COVER_CELLS`` cells at a time
+        and summed as uint8 cells into int32, which numpy does faster than
+        bools."""
+        gains = np.zeros(num_c, dtype=np.int32)
+        step = max(1, _COVER_CELLS // num_c)
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            p, s = rank_p[head_of[block]], rank_s[tail_of[block]]
+            if sampled:
+                covered = p[:, pre_of] <= s[:, suf_of]
+            else:
+                # every prefix meets every suffix: one broadcast, which
+                # measured seven times as fast as gathering each word's halves
+                covered = (p[:, :, None] <= s[:, None, :]).reshape(len(block), num_c)
+            gains += covered.view(np.uint8).sum(axis=0, dtype=np.int32)
+        return gains
+
+    # each pick's gain is kept current by subtracting what it newly covered;
+    # argmax ties go to the earliest candidate
     chosen = []
-    gains = cells.sum(axis=0, dtype=np.int32)
-    uncovered = np.ones(num_t, dtype=bool)
-    while uncovered.any():
+    gains = gains_of(np.arange(num_t))
+    left = np.arange(num_t)  # the targets not yet covered
+    while len(left):
         best = int(np.argmax(gains))
-        if gains[best] == 0:
+        a, b = (pre_of[best], suf_of[best]) if sampled else divmod(best, len(sufs))
+        newly = rank_p[:, a][head_of[left]] <= rank_s[:, b][tail_of[left]]
+        # the gains are exact, so a pick that covers nothing new had gain 0
+        if not newly.any():
             if sampled:
                 raise GuardError(
                     f"the {num_c} sampled candidate words leave an admitted string "
@@ -409,9 +456,8 @@ def build_covering_codebook(
                 "(target below the distortion floor of an admitted type)"
             )
         chosen.append(best)
-        newly = uncovered & covered[:, best]
-        gains -= cells[newly].sum(axis=0, dtype=np.int32)
-        uncovered &= ~newly
+        gains -= gains_of(left[newly])
+        left = left[~newly]
     if sampled:
         return Codebook(cands[chosen], n)
     return Codebook(np.stack(np.unravel_index(chosen, (d.num_outputs,) * n), axis=1), n)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -354,12 +355,19 @@ def admitted_strings(spec, k, n):
     ]
 
 
-def brute_force_cover(spec, d, target, n):
-    """Greedy cover over every reproduction word in lexicographic order,
-    recomputing each candidate's gain at every pick from per-cell means."""
+def brute_force_cover(spec, d, target, n, cands=None):
+    """Greedy cover over ``cands`` (every reproduction word by default) in
+    lexicographic order, recomputing each candidate's gain at every pick from
+    per-cell means."""
     targets = np.array(admitted_strings(spec, spec.sources.alphabet_size, n))
-    cands = np.array(list(itertools.product(range(d.num_outputs), repeat=n)))
-    cover = d.values[targets[None, :, :], cands[:, None, :]].mean(axis=2) <= target + 1e-12
+    if cands is None:
+        cands = np.array(list(itertools.product(range(d.num_outputs), repeat=n)))
+    means = d.values[targets[None, :, :], cands[:, None, :]].mean(axis=2)
+    if not np.array_equal(d.values, np.round(d.values)):
+        # off integer distortion the cover's half sums may round an exact
+        # tie the other way, so the cases keep clear of one
+        assert np.abs(means - target).min() > 1e-9
+    cover = means <= target + 1e-12
     chosen, uncovered = [], np.ones(len(targets), dtype=bool)
     while uncovered.any():
         gains = cover[:, uncovered].sum(axis=1)
@@ -379,11 +387,16 @@ class TestCoveringCodebook:
          ("binary_pair.yaml", None, 7, 2 / 7), ("binary_pair.yaml", INT2, 7, 5 / 7),
          ("ternary_demo.yaml", INT3, 5, 4 / 5), ("ternary_demo.yaml", INT3, 5, 0.25),
          # halves of one position each
-         ("binary_pair.yaml", INT2, 2, 1.0)],
+         ("binary_pair.yaml", INT2, 2, 1.0),
+         # non-integer distortion, every entry a multiple of 0.05, so no
+         # word's sum comes near 5 * 0.213 = 1.065
+         ("ternary_demo.yaml", UNEVEN, 5, 0.213)],
     )
     def test_equals_brute_force_greedy_and_covers(self, monkeypatch, name, d, n, target, chunk):
-        # a chunk of 7 strings splits both enumerations across many chunks
+        # a chunk of 7 strings splits both enumerations across many chunks,
+        # and 700 cells the greedy's reads of the cover table
         monkeypatch.setattr(game_sim, "_CHUNK", chunk)
+        monkeypatch.setattr(game_sim, "_COVER_CELLS", min(game_sim._COVER_CELLS, 100 * chunk))
         sources, hamming = shipped(name)
         d = hamming if d is None else d
         spec = RegionSpec(sources, 0)
@@ -393,7 +406,7 @@ class TestCoveringCodebook:
             assert distortion_to_codebook(np.array(s), book, d) <= target + 1e-12
 
     @pytest.mark.parametrize("n", range(1, 21))
-    def test_split_verdicts_equal_the_mean_test(self, n):
+    def test_half_ranks_equal_the_mean_test(self, n):
         # every integer total s of n letters of distortion 0..3, as a prefix
         # sum over n // 2 letters plus a suffix sum over the rest, at targets
         # on s / n, just either side of it, and 1e-12 below it, where the
@@ -407,8 +420,22 @@ class TestCoveringCodebook:
                 if target < 0:
                     continue
                 bound = game_sim._largest_covered_sum(target, n)
-                verdicts = game_sim._split_verdicts(prefix, suffix, bound)[0]
+                rank_p, rank_s = game_sim._half_ranks(prefix, suffix, bound)
+                assert rank_p.dtype == rank_s.dtype == np.uint8
+                verdicts = rank_p[0, :, None] <= rank_s[0, None, :]
                 np.testing.assert_array_equal(verdicts, sums / n <= target + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_half_ranks_keep_the_order_of_any_sums(self, seed):
+        # non-integer sums with ties, drawn from a few values
+        gen = np.random.default_rng(seed)
+        values = gen.uniform(0, 3, 6)
+        prefix, suffix = values[gen.integers(0, 6, (4, 9))], values[gen.integers(0, 6, (4, 7))]
+        rank_p, rank_s = game_sim._half_ranks(prefix, suffix, 3.5)
+        np.testing.assert_array_equal(
+            rank_p[:, :, None] <= rank_s[:, None, :],
+            prefix[:, :, None] <= (3.5 - suffix)[:, None, :],
+        )
 
     def test_output_symbols_past_127_are_not_wrapped(self):
         # only output 129 is free; a signed byte would read it as -127
@@ -450,6 +477,58 @@ class TestCoveringCodebook:
             assert distortion_to_codebook(np.array(s), book, d) <= 0.25 + 1e-12
         again = build_covering_codebook(spec, d, 0.25, 8, max_candidates=128, seed=2)
         np.testing.assert_array_equal(again.words, book.words)
+
+    @pytest.mark.parametrize("cells", [game_sim._COVER_CELLS, 700])
+    @pytest.mark.parametrize(
+        "name, d, n, target, budget, seed",
+        [("binary_pair.yaml", None, 8, 0.25, 128, 2), ("ternary_demo.yaml", None, 6, 0.25, 700, 1),
+         ("ternary_demo.yaml", INT3, 5, 0.6, 100, 0),
+         # as in the full-grid test: no word's sum comes near 6 * 0.213
+         ("ternary_demo.yaml", UNEVEN, 6, 0.213, 300, 3)],
+    )
+    def test_sampled_candidates_equal_brute_force_greedy(
+        self, monkeypatch, name, d, n, target, budget, seed, cells
+    ):
+        monkeypatch.setattr(game_sim, "_COVER_CELLS", cells)
+        sources, hamming = shipped(name)
+        d = hamming if d is None else d
+        spec = RegionSpec(sources, 0)
+        assert d.num_outputs**n > budget
+        types = game_sim._admitted_types(spec, n)
+        cands = game_sim._sampled_words(d, target, n, budget, seed, types)
+        book = build_covering_codebook(spec, d, target, n, max_candidates=budget, seed=seed)
+        np.testing.assert_array_equal(book.words, brute_force_cover(spec, d, target, n, cands))
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_a_candidate_budget_below_one_is_rejected_before_any_solve(self, monkeypatch, budget):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the candidates were enumerated or solved for")
+
+        monkeypatch.setattr(game_sim, "_admitted_types", refuse)
+        monkeypatch.setattr(game_sim, "rate_at_distortion", refuse)
+        sources, d = shipped("binary_pair.yaml")
+        with pytest.raises(ValidationError, match="max_candidates must be at least 1"):
+            build_covering_codebook(RegionSpec(sources, 0), d, 0.25, 6, max_candidates=budget)
+
+    @pytest.mark.parametrize(
+        "name, n, budget",
+        [("binary_pair.yaml", 12, game_sim.ENUM_GUARD),
+         ("ternary_demo.yaml", 8, game_sim.ENUM_GUARD),
+         ("binary_pair.yaml", 12, 2048)],
+    )
+    def test_the_cover_table_is_never_held(self, name, n, budget):
+        # the whole table at binary n = 12 is 2,509 targets x 4,096 words;
+        # a build that holds it peaks near 13.6 MiB, and near 6.6 MiB with
+        # the 2,048-word budget's sampled candidates
+        sources, d = shipped(name)
+        spec = RegionSpec(sources, 0)
+        tracemalloc.start()
+        try:
+            build_covering_codebook(spec, d, 0.25, n, max_candidates=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_a_sample_that_misses_a_string_is_a_guard_not_infeasible(self):
         # under Hamming distortion every type's floor is 0, so no string is
