@@ -36,9 +36,9 @@ class ConvergenceError(SwitchRdError):
 
     The rate search raises it when a row's certified bracket on R_p(D) is
     still wider than ``tol`` bits once its slope bracket has collapsed or its
-    200 rounds are spent; the message names the width and, in a batch, the
-    row. This happens where R_p(D) is straight around the target, so that
-    D(s) jumps across it at one slope, or where probes near a change of the
+    200 rounds are spent; the message names the width and the batch row.
+    This happens where R_p(D) is straight around the target, so that D(s)
+    jumps across it at one slope, or where probes near a change of the
     optimal output support crawl for longer than the solver's one iteration
     budget, ``rate_distortion._MAX_ITERS``. ``ba_fixed_slope`` raises it when
     its solve spends that budget without certifying a gap below its ``tol``.

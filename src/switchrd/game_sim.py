@@ -52,11 +52,12 @@ from .probcore import (
     Distribution,
     DistortionMatrix,
     SourceList,
+    _check_seed,
     _check_symbols,
     choice_cdf,
     compositions,
 )
-from .rate_distortion import rate_at_distortion
+from .rate_distortion import _below_floor, _rows_at
 # is_member is not called here; bench/test_bench.py traces the game_sim.is_member binding
 from .region import RegionSpec, in_region, is_member  # noqa: F401
 from .strategy import SwitchRule, _apply_rule, _check_rule_covers
@@ -195,8 +196,7 @@ def sample_sources(sources: SourceList, n: int, seed: int) -> np.ndarray:
     """One block of source output: one row per source, one column per time."""
     if n < 1:
         raise ValidationError("blocklength must be at least 1")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    _check_seed(seed)
     cdfs = _source_cdfs(sources)
     uniforms = np.random.default_rng(seed).random((1, len(cdfs), n))
     return _sample(sources, cdfs, uniforms)[0].astype(np.int64)
@@ -283,11 +283,13 @@ def _sampled_words(
     rate-optimal output marginal, in lexicographic order."""
     ky = d.num_outputs
     per_type = max(1, max_candidates // max(1, len(types)))
+    ps = types / n
+    rates, _, channels, *_ = _rows_at(ps, d.values, np.full(len(ps), float(target_distortion)))
+    if np.isinf(rates).any():
+        raise _below_floor(Distribution(ps[np.argmax(np.isinf(rates))]), d, target_distortion)
     pool = []
-    for idx, row in enumerate(types):
-        point = rate_at_distortion(Distribution(row / n), d, target_distortion)
-        marginal = (row / n) @ point.channel.rows
-        marginal = np.clip(marginal, 0.0, None)
+    for idx, (p, channel) in enumerate(zip(ps, channels)):
+        marginal = np.clip(p @ channel, 0.0, None)
         marginal /= marginal.sum()
         gen = np.random.default_rng([seed, idx])
         pool.append(gen.choice(ky, size=(per_type, n), p=marginal))
@@ -379,10 +381,11 @@ def build_covering_codebook(
         raise ValidationError("blocklength must be at least 1")
     if not target_distortion >= 0:  # NaN fails too
         raise ValidationError("distortion target must be nonnegative")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    _check_seed(seed)
     if max_candidates < 1:
         raise ValidationError("max_candidates must be at least 1")
+    if d.num_inputs != spec.sources.alphabet_size:
+        raise ValidationError("distortion and sources use different alphabets")
     types = _admitted_types(spec, n)
     if len(types) == 0:
         raise InfeasibleError(f"no source string of length n={n} has an admitted type")
@@ -521,8 +524,9 @@ def simulate_game(
     codewords must be outputs of ``d``; both are checked before any draw."""
     if n < 1 or trials < 1:
         raise ValidationError("need at least one trial and one symbol")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    _check_seed(seed)
+    if d.num_inputs != sources.alphabet_size:
+        raise ValidationError("distortion and sources use different alphabets")
     _check_rule_covers(rule, sources)
     if codebook is not None:
         _check_symbols(codebook.words, d.num_outputs, "codeword")

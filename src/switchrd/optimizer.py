@@ -32,11 +32,11 @@ see ``_least_majorized``).
 
 Frank-Wolfe takes its slopes from the rate solver's certificate: every rate
 comes with the envelope gradient of R_p(D) in p at the dual pair of its
-Blahut line (``rates_at_distortion_batch`` with ``gradients``), so each step
-solves only its line search. That line's dual pair (slope, output law) rides
-along with each iterate, and a line search passes it as ``start``: its
-candidates lie a short step from the iterate, so their slope searches begin
-next to their answers.
+Blahut line (``rates_at_distortion_batch``), so each step solves only its
+line search. That line's dual pair (slope, output law) rides along with each
+iterate, and a line search passes it as ``start``: its candidates lie a
+short step from the iterate, so their slope searches begin next to their
+answers.
 
 A candidate whose distortion floor lies above the target has rate +inf, and
 then so does the maximum. The first batch asks the rate solver for its best
@@ -292,7 +292,7 @@ def _maximize(candidates, method, oracle, basis, d, target, tol, start=None):
         nonlocal evaluations
         evaluations += len(xs)
         return rates_at_distortion_batch(
-            xs @ basis, d, target, tol=tol, best_only=best_only, gradients=True, start=start
+            xs @ basis, d, target, tol=tol, best_only=best_only, start=start
         )
 
     if start is not None:
@@ -344,7 +344,7 @@ def _at_centre(p_star, method, d, target, tol) -> MaximizerResult:
     """R_p*(D) as the region's maximum: one rate solve, whose bracket is the
     result's ``[lower, upper]``."""
     values, _, (slopes, laws), lowers = rates_at_distortion_batch(
-        p_star[None, :], d, target, tol=tol, gradients=True
+        p_star[None, :], d, target, tol=tol
     )
     value = float(values[0])
     return MaximizerResult(

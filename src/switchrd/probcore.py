@@ -53,6 +53,12 @@ def _check_symbols(symbols: np.ndarray, alphabet_size: int, what: str) -> None:
         raise ValidationError(f"{what} symbols out of alphabet range")
 
 
+def _check_seed(seed) -> None:
+    """Raise ValidationError unless ``seed`` is a nonnegative Python or numpy integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be nonnegative and an integer, got {seed!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability mass function over symbols 0..k-1 with k >= 2.

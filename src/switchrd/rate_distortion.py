@@ -20,6 +20,7 @@ from .probcore import (
     Distribution,
     DistortionMatrix,
     TransitionMatrix,
+    _check_p_d,
     d_max,
     d_min,
 )
@@ -308,14 +309,6 @@ def _check_tol(tol: float) -> None:
         raise ValidationError(f"tol must be a finite positive number, got {tol}")
 
 
-def _zero_rate_point(p: Distribution, d: DistortionMatrix) -> RdPoint:
-    """The slope-0 limit: every input mapped to the best constant output."""
-    col = int(np.argmin(p.probs @ d.values))
-    w = np.zeros_like(d.values)
-    w[:, col] = 1.0
-    return RdPoint(d_max(p, d), 0.0, TransitionMatrix(w), 0.0, 0.0)
-
-
 def ba_fixed_slope(
     p: Distribution,
     d: DistortionMatrix,
@@ -334,16 +327,14 @@ def ba_fixed_slope(
     _check_tol(tol)
     if not (math.isfinite(slope) and slope <= 0):
         raise ValidationError(f"slope must be finite and nonpositive, got {slope}")
-    if p.size != d.num_inputs:
-        raise ValidationError("source and distortion dimensions disagree")
+    _check_p_d(p, d)
     if slope == 0:
-        return _zero_rate_point(p, d)
+        # the zero-rate corner, the point of every target at its ceiling
+        return _point(_rows_at(p.probs[None, :], d.values, np.array([math.inf]), tol), 0)
     rate, dist, w, _, gap = _solve_fixed_slopes(
         p.probs[None, :], d.values, np.array([slope]), tol
     )
-    point = RdPoint(
-        float(dist[0]), float(rate[0]), TransitionMatrix(w[0]), slope, float(rate[0] - gap[0])
-    )
+    point = _point((rate, dist, w, rate - gap, np.array([slope])), 0)
     if not gap[0] < tol:
         raise ConvergenceError(
             f"no convergence within {_MAX_ITERS} iterations at slope {slope}",
@@ -367,7 +358,7 @@ def _mix_channels(ps, d_arr, w_low, w_high, targets):
 
 
 @np.errstate(under="ignore")
-def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=None):
+def _slope_search(ps, d_arr, targets, tol, labels, best_only, start):
     """R_p(D) for a batch of sources, each row at its own reachable target
     (floor - 1e-12 <= target < ceiling). Returns (rate, dist, w, lower,
     dual_slope, dual_q): every row stops on a certified bracket on
@@ -381,14 +372,15 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
       clamped to the row's rate, which rounding can leave just below it.
     * **Upper end.** Each row keeps two sides, a probe at or below its target
       and one above it. Their (d, r) points are achievable, so the chord
-      between them, read at the target, is an upper end.
+      between them, read at the target, is an upper end; a zero-rate side
+      whose ceiling rounds onto the target is one itself.
     * **Search.** The lower side starts at slope -64 and doubles towards
       SLOPE_FLOOR until its distortion is at most the target; a row still
       above it at SLOPE_FLOOR sits at the floor and returns its last probe,
       with lower end r - g. The upper side starts at slope 0, the zero-rate
       corner at the ceiling, which needs no solve. Regula falsi in t = 2^s
       with Anderson-Bjorck weights moves the sides (D(s) is nondecreasing).
-    * **Warm start.** ``start`` is an optional (slopes, output laws) pair per
+    * **Warm start.** ``start`` is a (slopes, output laws) pair, one per
       row, say the dual pair of a nearby source. A row with a slope in
       [SLOPE_FLOOR, 0) and a finite law solves a second probe at that pair
       in the same call as its probe at -64, and both probes' lines compete
@@ -397,8 +389,7 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
       probe at -64 is too, at a larger slope), and no doubling runs; above
       it, it replaces the zero-rate corner as the upper side while the
       probe at -64 doubles as above. The row's next probe warm-starts from
-      it. Any other row, a slope of 0 or NaN say, searches exactly as
-      without ``start``.
+      it. Any other row, a slope of 0 or NaN say, searches cold.
     * **Exit.** Once its bracket is at most ``tol`` bits wide, a row returns
       its two sides time-shared at exactly the target. Mutual information is
       convex in the channel, so that rate lies inside the bracket. A row
@@ -415,9 +406,10 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
     more than 1e-12 against rounding, the largest rate some row is sure to
     return: a finished row's rate or a searching row's lower end. A row
     returns at most R_p(target) + tol, which is at most its chord plus
-    ``tol``, so a dropped row (rate -inf) would have returned less than the
-    batch maximum. The rows that are not dropped run exactly the probes they
-    run without ``best_only``, so their values are bit-identical.
+    ``tol``, so a dropped row (rate and lower end -inf, no dual pair) would
+    have returned less than the batch maximum. The rows that are not dropped
+    run exactly the probes they run without ``best_only``, so their values
+    are bit-identical.
 
     **Dual pair.** ``dual_slope`` and ``dual_q`` are the slope and the output
     law of the probe whose line is the row's lower end: a row at
@@ -456,14 +448,12 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
 
     slope = np.full(m, -64.0)
     # the rows whose start pair is usable take a warm probe, at that pair
-    hot, s_hot, law_hot = np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, ny))
-    if start is not None:
-        s_start, q_start = start
-        hot = np.nonzero(
-            np.isfinite(s_start) & (s_start < 0.0) & np.isfinite(q_start).all(axis=1)
-            & (q_start >= 0.0).all(axis=1) & (q_start.sum(axis=1) > 0.0)
-        )[0]
-        s_hot, law_hot = np.maximum(s_start[hot], SLOPE_FLOOR), q_start[hot]
+    s_start, q_start = start
+    hot = np.nonzero(
+        np.isfinite(s_start) & (s_start < 0.0) & np.isfinite(q_start).all(axis=1)
+        & (q_start >= 0.0).all(axis=1) & (q_start.sum(axis=1) > 0.0)
+    )[0]
+    s_hot, law_hot = np.maximum(s_start[hot], SLOPE_FLOOR), q_start[hot]
     # every row's probe at -64 and the warm probes in one call; the NaN rows
     # start cold
     out = _solve_fixed_slopes(
@@ -543,7 +533,7 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
     while True:
         rows = np.nonzero(searching)[0]
         (v_lo, v_hi), (r_lo, r_hi) = vals[:, rows], rates[:, rows]
-        upper = (r_lo * v_hi - r_hi * v_lo) / (v_hi - v_lo)
+        upper = np.divide(r_lo * v_hi - r_hi * v_lo, v_hi - v_lo, out=r_hi.copy(), where=v_hi > 0.0)
         closed = upper - lower[rows] <= tol
         mix(rows[closed])
         finished[rows[closed]], searching[rows[closed]] = True, False
@@ -560,15 +550,10 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
             i = int(np.argmax(stuck))
             row = rows[i]
             mix([row])
-            at = RdPoint(
-                float(dist[row]), float(rate[row]), TransitionMatrix(w[row]),
-                float(dual_slope[row]), float(lower[row]),
-            )
-            label = "" if labels is None else f" for batch row {labels[row]}"
             raise ConvergenceError(
                 f"bracket on R_p({targets[row]}) still {upper[i] - lower[row]:.3g} "
-                f"bits wide at slopes [{lo[i]}, {hi[i]}]{label}",
-                last_point=at,
+                f"bits wide at slopes [{lo[i]}, {hi[i]}] for batch row {labels[row]}",
+                last_point=_point((rate, dist, w, lower, dual_slope), row),
             )
         if not rows.size:
             break
@@ -580,11 +565,61 @@ def _slope_search(ps, d_arr, targets, tol, labels=None, best_only=False, start=N
             s = np.log2(t)
         # a probe rounded onto a side falls back to the midpoint
         probe(rows, np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi)))
+    rate[dropped] = -np.inf
+    dual_slope[dropped], dual_q[dropped] = np.nan, np.nan
     # a lower end read off a line can pass the rate by rounding; the bracket
     # [lower, rate] must not cross
     np.minimum(lower, rate, out=lower)
-    rate[dropped] = -np.inf
     return rate, dist, w, lower, dual_slope, dual_q
+
+
+def _rows_at(ps, d_arr, targets, tol=RATE_TOL, best_only=False, start=None):
+    """R_p(D) for a batch of sources, each row at its own target: the one
+    door to ``_slope_search``, which checks the targets and ``tol``. Returns
+    whole rows (rate, dist, w, lower, dual_slope, dual_q): rate and lower
+    end +inf, NaN elsewhere, more than 1e-12 below the floor; the zero-rate
+    corner (the first cheapest constant output, slope 0, the uniform law)
+    at or above the ceiling; otherwise the search's row, from its ``start``
+    pair if given. Floors and ceilings are per-row vector-matrix products,
+    the contraction of ``d_min`` and ``d_max``, so they equal theirs bit for
+    bit. An empty search, which would still cost a solver call, is skipped."""
+    if not (targets >= 0).all():  # NaN fails too
+        raise ValidationError("distortion target must be nonnegative")
+    _check_tol(tol)
+    n, nx = ps.shape
+    ny = d_arr.shape[1]
+    start = start or (np.full(n, np.nan), np.full((n, ny), np.nan))
+    costs = (ps[:, None, :] @ d_arr)[:, 0]
+    floors = (ps[:, None, :] @ d_arr.min(axis=1)[:, None])[:, 0, 0]
+    rate, lower, slope = np.zeros(n), np.zeros(n), np.zeros(n)
+    dist = costs.min(axis=1)
+    w = np.zeros((n, nx, ny))
+    w[np.arange(n), :, np.argmin(costs, axis=1)] = 1.0
+    law = np.full((n, ny), 1.0 / ny)
+    none = targets < floors - 1e-12
+    rate[none] = lower[none] = np.inf
+    dist[none] = slope[none] = w[none] = law[none] = np.nan
+    idx = np.nonzero(~none & (targets < dist))[0]
+    if idx.size:
+        found = _slope_search(
+            ps[idx], d_arr, targets[idx], tol, idx, best_only, (start[0][idx], start[1][idx])
+        )
+        for out, rows in zip((rate, dist, w, lower, slope, law), found):
+            out[idx] = rows
+    return rate, dist, w, lower, slope, law
+
+
+def _point(rows, i: int) -> RdPoint:
+    """Row ``i`` of ``(rate, dist, w, lower, slope, ...)`` rows as an RdPoint."""
+    rate, dist, w, lower, slope = (a[i] for a in rows[:5])
+    return RdPoint(float(dist), float(rate), TransitionMatrix(w), float(slope), float(lower))
+
+
+def _below_floor(p: Distribution, d: DistortionMatrix, target: float) -> InfeasibleError:
+    """The error for a target more than 1e-12 below the floor of ``p``."""
+    floor = d_min(p, d)
+    message = f"target distortion {target} is below the floor {floor}"
+    return InfeasibleError(message, lhs=target, rhs=floor)
 
 
 def rate_at_distortion(
@@ -595,40 +630,21 @@ def rate_at_distortion(
 ) -> RdPoint:
     """Rate (bits) needed to reproduce source ``p`` within distortion ``target``.
 
-    A batch of one for the slope search. The point returned has distortion
-    ``target`` exactly and a certified bracket ``[lower, rate]`` on
-    R_p(target) at most ``tol`` bits wide; ConvergenceError means the search
-    could not close it (see ``_slope_search``). Targets at or above the
-    zero-rate ceiling return rate 0; targets below the distortion floor raise
-    InfeasibleError. A target equal to the floor is reached through the
-    large-slope limit rather than a special case.
+    A batch of one for ``_rows_at``: the point has a certified bracket
+    ``[lower, rate]`` on R_p(target) at most ``tol`` bits wide, and
+    ConvergenceError means the search could not close it. Its distortion is
+    ``target`` exactly, with two exceptions. A target at or above the
+    zero-rate ceiling returns the zero-rate corner, at the ceiling's
+    distortion. A target at most 1e-12 below the floor returns the probe at
+    ``SLOPE_FLOOR``, at the floor up to rounding unless an entry of ``d``
+    lies less than about 1e-3 above its row's least, which that slope does
+    not pin down. A target lower still raises InfeasibleError.
     """
-    if not target >= 0:  # NaN fails too
-        raise ValidationError("distortion target must be nonnegative")
-    _check_tol(tol)
-    floor = d_min(p, d)
-    if target < floor - 1e-12:
-        raise InfeasibleError(
-            f"target distortion {target} is below the floor {floor}",
-            lhs=target,
-            rhs=floor,
-        )
-    return _points_at(p, d, np.array([float(target)]), tol)[0]
-
-
-def _points_at(p, d, targets, tol):
-    """``rate_at_distortion`` of one source at each target (none below the
-    floor), all searched side by side."""
-    points = [_zero_rate_point(p, d)] * len(targets)
-    rows = np.nonzero(targets < d_max(p, d))[0]
-    found = _slope_search(
-        np.tile(p.probs, (rows.size, 1)), d.values, targets[rows], tol
-    )
-    for i, rate, dist, w, lower, slope in zip(rows, *found[:5]):
-        points[i] = RdPoint(
-            float(dist), float(rate), TransitionMatrix(w), float(slope), float(lower)
-        )
-    return points
+    _check_p_d(p, d)
+    rows = _rows_at(p.probs[None, :], d.values, np.array([float(target)]), tol)
+    if rows[0][0] == np.inf:
+        raise _below_floor(p, d, target)
+    return _point(rows, 0)
 
 
 def rd_curve(
@@ -637,15 +653,14 @@ def rd_curve(
     num_points: int,
     tol: float = RATE_TOL,
 ) -> RdCurve:
-    """Rate-distortion curve sampled at ``num_points`` distortions linearly
-    spaced across the interesting range [floor, ceiling]. Each point is the
-    one ``rate_at_distortion`` returns at its target."""
+    """Rate-distortion curve at ``num_points`` distortions linearly spaced
+    across [floor, ceiling], searched in one batch: each point is the one
+    ``rate_at_distortion`` returns at its target."""
     if num_points < 2:
         raise ValidationError("need at least two curve points")
-    _check_tol(tol)
     targets = np.linspace(d_min(p, d), d_max(p, d), num_points)
-    points = _points_at(p, d, targets, tol)
-    points.sort(key=lambda pt: pt.distortion)
+    rows = _rows_at(np.tile(p.probs, (num_points, 1)), d.values, targets, tol)
+    points = sorted((_point(rows, i) for i in range(num_points)), key=lambda pt: pt.distortion)
     return RdCurve(p, tuple(points))
 
 
@@ -656,50 +671,42 @@ def rates_at_distortion_batch(
     *,
     tol: float = RATE_TOL,
     best_only: bool = False,
-    gradients: bool = False,
     start=None,
 ):
-    """Rates for many sources at one target distortion, searched side by side.
-
-    Rows whose distortion floor exceeds the target get +inf (no channel can
-    reach the target for them); rows whose ceiling is at or below the target
-    get 0. The rest share one slope search, and each gets the rate of a
-    channel at exactly the target, at most ``tol`` bits above R_p(target)
-    (see ``_slope_search``). This is the workhorse behind grid searches over
-    sources. Each row of ``ps`` must be a law over the inputs of ``d``, within
-    ``SIMPLEX_ATOL`` as ``Distribution`` checks it.
+    """Rates for many sources at one target distortion, searched side by
+    side, with the certificate of each: returns ``(rates, grads, duals,
+    lowers)``. This is the workhorse behind grid searches over sources, and
+    the public face of ``_rows_at``: a row more than 1e-12 below its floor
+    gets +inf, a row at or above its ceiling gets 0, and every other row the
+    rate of a channel at exactly the target, at most ``tol`` bits above
+    R_p(target). Each row of ``ps`` must be a law over the inputs of ``d``,
+    within ``SIMPLEX_ATOL`` as ``Distribution`` checks it.
 
     ``best_only`` is for callers that read only the largest rate: the search
     then stops early on every row whose bracket's upper end, plus ``tol``,
-    shows it below another row's value, and such a row gets -inf. Every row
-    that attains the maximum, and every other row not given -inf, gets the
-    same value, bit for bit, as without ``best_only`` from the same
-    ``start``. A row that would fail to converge may be dropped before it
-    fails.
+    shows it below another row's value, and such a row gets -inf. Every
+    other row gets the same value, bit for bit, as without ``best_only``
+    from the same ``start``. A row that would fail to converge may be
+    dropped before it fails.
 
-    With ``gradients`` the call returns ``(rates, grads, duals, lowers)``.
     ``grads`` holds, per row, the envelope gradient of R_p(target) in p (see
     ``_envelope_gradients``), read off the row's certificate at no extra
     solve. ``duals`` is the pair ``(slopes, laws)`` of that certificate: the
     slope and the output law of the Blahut line that is the row's lower end.
     ``lowers`` holds those lower ends, clamped to the rates, so R_p(target)
     lies in ``[lowers, rates]``, which never cross, and the bracket is at
-    most ``tol`` wide. A row with a finite rate has all three; a row given
-    +inf or -inf has no gradient and no pair (NaN), and its lower end is its
-    rate. A row at or above its ceiling, rate 0, has gradient 0, the pair of
-    slope 0 and the uniform law, and lower end 0. The rates are the same
-    either way.
+    most ``tol`` wide. A row given +inf or -inf has no gradient and no pair
+    (NaN), and its lower end is its rate; a row given 0 at its ceiling has
+    gradient 0, the pair of slope 0 and the uniform law, and lower end 0.
 
     ``start`` takes such a pair, one slope and one output law per row, and
     warm-starts each row's search from it (see ``_slope_search``): passing
     the ``duals`` of nearby sources saves probes. A row whose slope is 0 or
-    not finite searches cold, exactly as without ``start``. A row's value
-    depends only on its own source and start, and lies within its bracket
-    either way.
+    not finite searches cold. A row's value depends only on its own source
+    and start, and lies within its bracket either way.
     """
     if not target >= 0:  # NaN fails too
         raise ValidationError("distortion target must be nonnegative")
-    _check_tol(tol)
     ps = np.asarray(ps, dtype=float)
     if ps.ndim != 2 or ps.shape[1] != d.num_inputs:
         raise ValidationError(
@@ -708,8 +715,7 @@ def rates_at_distortion_batch(
     # NaN and inf entries fail these comparisons too
     if not ((ps >= -SIMPLEX_ATOL).all() and (np.abs(ps.sum(axis=1) - 1.0) <= SIMPLEX_ATOL).all()):
         raise ValidationError(f"every source row must be a distribution within {SIMPLEX_ATOL}")
-    d_arr = d.values
-    n, ny = ps.shape[0], d_arr.shape[1]
+    n, ny = ps.shape[0], d.num_outputs
     if start is not None:
         start = np.asarray(start[0], dtype=float), np.asarray(start[1], dtype=float)
         if start[0].shape != (n,) or start[1].shape != (n, ny):
@@ -717,29 +723,10 @@ def rates_at_distortion_batch(
                 f"start must hold {n} slopes and {n} laws over {ny} outputs, got shapes "
                 f"{start[0].shape} and {start[1].shape}"
             )
-    rates = np.zeros(n)
-    floors = np.einsum("nx,x->n", ps, d_arr.min(axis=1))
-    ceilings = _costs(ps, d_arr).min(axis=1)
-    rates[target < floors - 1e-12] = np.inf
-    idx = np.nonzero((target >= floors - 1e-12) & (target < ceilings))[0]
-    found = _slope_search(
-        ps[idx], d_arr, np.full(idx.size, float(target)), tol, labels=idx,
-        best_only=best_only, start=None if start is None else (start[0][idx], start[1][idx]),
+    rates, _, _, lowers, slopes, laws = _rows_at(
+        ps, d.values, np.full(n, float(target)), tol, best_only, start
     )
-    rates[idx] = found[0]
-    if not gradients:
-        return rates
-    grads = np.zeros(ps.shape)
-    slopes = np.zeros(n)
-    laws = np.full((n, ny), 1.0 / ny)
-    none = np.isinf(rates)
-    grads[none], slopes[none], laws[none] = np.nan, np.nan, np.nan
-    kept = np.isfinite(found[0])
-    slopes[idx[kept]], laws[idx[kept]] = found[4][kept], found[5][kept]
-    grads[idx[kept]] = _envelope_gradients(d_arr, slopes[idx[kept]], laws[idx[kept]])
-    lowers = rates.copy()
-    lowers[idx[kept]] = found[3][kept]
-    return rates, grads, (slopes, laws), lowers
+    return rates, _envelope_gradients(d.values, slopes, laws), (slopes, laws), lowers
 
 
 @np.errstate(under="ignore")
@@ -751,7 +738,8 @@ def _envelope_gradients(d_arr, slopes, qs):
     R_p(target) in p(x) (Blahut 1972; Csiszar 1974): R_p(D) is the largest
     Blahut line s D + L_s(p, q), L_s(p, q) = -sum_x p(x) log2 sum_y q(y)
     2^(s d(x, y)) is linear in p, and by the envelope theorem only the
-    line's own p-dependence moves R. Slope 0 gives 0. The kernel is the
+    line's own p-dependence moves R. Slope 0 gives exactly 0, as
+    sum_y q(y) = 1 there, however the sum rounds. The kernel is the
     solver's, shifted by each input's cheapest entry, and its sums are
     floored at 1e-300, so an input that q never reaches (a symbol with
     p(x) = 0, say) gets a large finite entry, not +inf.
@@ -759,4 +747,6 @@ def _envelope_gradients(d_arr, slopes, qs):
     lows = d_arr.min(axis=1)
     kernel = np.exp2(slopes[:, None, None] * (d_arr - lows[:, None])[None, :, :])
     sums = np.einsum("nxy,ny->nx", kernel, qs)
-    return -slopes[:, None] * lows[None, :] - np.log2(np.maximum(sums, 1e-300))
+    grads = -slopes[:, None] * lows[None, :] - np.log2(np.maximum(sums, 1e-300))
+    grads[slopes == 0.0] = 0.0
+    return grads

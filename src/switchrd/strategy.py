@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .probcore import Distribution, SourceList, _check_symbols, choice_cdf
+from .probcore import Distribution, SourceList, _check_seed, _check_symbols, choice_cdf
 from .region import (
     RegionSpec,
     _check_alphabet_guard,
@@ -188,8 +188,7 @@ def apply_rule(
     ``Generator.choice(k, p=f(.|V_t))`` call per step, in time order, on that
     generator. The output symbol always comes from the offered set.
     """
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    _check_seed(seed)
     realizations = np.asarray(realizations)
     if realizations.ndim != 2:
         raise ValidationError("realizations must be a sources-by-time matrix")

@@ -587,6 +587,37 @@ distortion:
 """
 
 
+#: Two binary sources under a distortion whose every entry is positive: at
+#: p = (1/2, 1/2) the floor is 0.375 and the zero-rate ceiling 0.625.
+POSITIVE_FLOOR = """\
+alphabet_x: 2
+alphabet_y: 2
+mode: independent
+delta: 0
+sources:
+  - [0.5, 0.5]
+  - [0.75, 0.25]
+distortion:
+  - [0.25, 1]
+  - [1, 0.5]
+"""
+
+
+@pytest.mark.parametrize(
+    "target, code, out",
+    [("0.3", 2, ""), ("0.375", 0, "D,R\n0.375,1\n"),
+     # above the ceiling: the zero-rate corner, at the ceiling's distortion
+     ("0.7", 0, "D,R\n0.625,0\n")],
+)
+def test_rd_around_a_positive_floor(capsys, tmp_path, target, code, out):
+    problem = tmp_path / "positive_floor.yaml"
+    problem.write_text(POSITIVE_FLOOR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_text(capsys, "rd", problem, "--p", "1/2,1/2", "--distortion", target)
+    assert got == (code, out)
+
+
 @pytest.mark.parametrize("target", ["0.336046", "0.714097"])
 def test_optimize_prints_the_hull_maximum_where_it_beats_the_region_search(
     capsys, tmp_path, target

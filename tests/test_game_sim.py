@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from switchrd import (
+    ConvergenceError,
     Distribution,
     DistortionMatrix,
     GuardError,
@@ -23,6 +26,7 @@ from switchrd import (
     greedy_max_rule,
     is_member,
     load_problem,
+    rate_at_distortion,
     sample_sources,
     simulate_game,
     synthesize_rule,
@@ -321,6 +325,54 @@ class TestStreamContract:
         with pytest.raises(ValidationError, match="different alphabets"):
             simulate_game(sources, rule, None, HAMMING, 10, 5, 0)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, seed):
+        sources, _ = shipped("binary_pair.yaml")
+        rule = greedy_max_rule(sources)
+        block = sample_sources(sources, 5, 0)
+        for call in (
+            lambda: simulate_game(sources, rule, None, HAMMING, 5, 3, seed),
+            lambda: sample_sources(sources, 5, seed),
+            lambda: apply_rule(rule, block, seed),
+            # 2^4 words fit the default budget, so this is the full grid
+            lambda: build_covering_codebook(RegionSpec(sources, 0), HAMMING, 0.25, 4, seed=seed),
+        ):
+            with pytest.raises(ValidationError, match="seed must be nonnegative and an integer"):
+                call()
+
+    def test_a_numpy_integer_seed_is_the_python_one(self):
+        sources, _ = shipped("binary_pair.yaml")
+        rule = greedy_max_rule(sources)
+        block = sample_sources(sources, 5, np.int64(3))
+        np.testing.assert_array_equal(block, sample_sources(sources, 5, 3))
+        np.testing.assert_array_equal(apply_rule(rule, block, np.uint8(4)), apply_rule(rule, block, 4))
+        got = simulate_game(sources, rule, None, HAMMING, 5, 3, np.int32(2))
+        want = simulate_game(sources, rule, None, HAMMING, 5, 3, 2)
+        np.testing.assert_array_equal(got.empirical_type.probs, want.empirical_type.probs)
+        assert [getattr(got, f) for f in want._FIELDS] == [getattr(want, f) for f in want._FIELDS]
+
+    @pytest.mark.parametrize("k, d", [(3, HAMMING), (2, DistortionMatrix.hamming(3))])
+    def test_a_distortion_over_another_alphabet_is_rejected_before_any_draw(
+        self, monkeypatch, k, d
+    ):
+        # 3-symbol sources against 2 inputs once raised a bare IndexError, and
+        # 2-symbol sources against 3 inputs were scored on the wrong matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block was drawn or a string enumerated")
+
+        monkeypatch.setattr(game_sim, "_sample", refuse)
+        monkeypatch.setattr(game_sim, "_admitted_types", refuse)
+        sources = SourceList.independent([np.full(k, 1 / k)])
+        rule = greedy_max_rule(sources)
+        book = Codebook([[0] * 4], 4)
+        for call in (
+            lambda: simulate_game(sources, rule, book, d, 4, 3, 0),
+            lambda: simulate_game(sources, rule, None, d, 4, 3, 0),
+            lambda: build_covering_codebook(RegionSpec(sources, 0), d, 0.3, 3),
+        ):
+            with pytest.raises(ValidationError, match="distortion and sources use different alphabets"):
+                call()
+
     def test_missing_rule_entry_is_refused_before_any_draw(self, monkeypatch):
         # the rule lacks {0,1} and {0,2}, both of which ternary_demo can
         # offer; at every seed the smallest is named and no block is drawn
@@ -353,6 +405,28 @@ def admitted_strings(spec, k, n):
         s for s in itertools.product(range(k), repeat=n)
         if is_member(Distribution(np.bincount(s, minlength=k) / n), spec).satisfied
     ]
+
+
+def reference_sampled_words(d, target, n, budget, seed, types):
+    """Randomly coded words as one ``rate_at_distortion`` per admitted type
+    gives them: each type's output marginal, sampled from its own stream."""
+    per_type = max(1, budget // len(types))
+    pool = []
+    for idx, row in enumerate(types):
+        point = rate_at_distortion(Distribution(row / n), d, target)
+        marginal = np.clip((row / n) @ point.channel.rows, 0.0, None)
+        marginal /= marginal.sum()
+        gen = np.random.default_rng([seed, idx])
+        pool.append(gen.choice(d.num_outputs, size=(per_type, n), p=marginal))
+    return np.unique(np.vstack(pool), axis=0).astype(np.uint8)
+
+
+def outcome(call):
+    """What ``call`` returns, or the error it raises."""
+    try:
+        return call()
+    except (InfeasibleError, ConvergenceError) as err:
+        return err
 
 
 def brute_force_cover(spec, d, target, n, cands=None):
@@ -499,13 +573,40 @@ class TestCoveringCodebook:
         book = build_covering_codebook(spec, d, target, n, max_candidates=budget, seed=seed)
         np.testing.assert_array_equal(book.words, brute_force_cover(spec, d, target, n, cands))
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.integers(1, 9), min_size=3, max_size=3), min_size=1, max_size=3),
+        integer=st.booleans(), values=st.lists(st.floats(0.0, 2.0), min_size=9, max_size=9),
+        n=st.integers(2, 5), share=st.floats(-0.2, 1.0), budget=st.integers(1, 60),
+        seed=st.integers(0, 2**31),
+    )
+    def test_sampled_words_are_the_per_type_solves(
+        self, rows, integer, values, n, share, budget, seed
+    ):
+        # one batch over every admitted type draws the words, or raises the
+        # error, that one rate_at_distortion per type does
+        sources = SourceList.independent([np.array(r) / sum(r) for r in rows])
+        values = np.array(values).reshape(3, 3)
+        d = DistortionMatrix(np.round(values) if integer else values)
+        types = game_sim._admitted_types(RegionSpec(sources, 0.1), n)
+        assume(len(types) > 0)
+        floors = (types / n) @ d.values.min(axis=1)
+        target = max(0.0, floors.max() + share * (d.values.max() - floors.max()))
+        want = outcome(lambda: reference_sampled_words(d, target, n, budget, seed, types))
+        got = outcome(lambda: game_sim._sampled_words(d, target, n, budget, seed, types))
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.uint8
+        else:
+            assert (type(got), str(got)) == (type(want), str(want))
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_a_candidate_budget_below_one_is_rejected_before_any_solve(self, monkeypatch, budget):
         def refuse(*args, **kwargs):
             raise AssertionError("the candidates were enumerated or solved for")
 
         monkeypatch.setattr(game_sim, "_admitted_types", refuse)
-        monkeypatch.setattr(game_sim, "rate_at_distortion", refuse)
+        monkeypatch.setattr(game_sim, "_rows_at", refuse)
         sources, d = shipped("binary_pair.yaml")
         with pytest.raises(ValidationError, match="max_candidates must be at least 1"):
             build_covering_codebook(RegionSpec(sources, 0), d, 0.25, 6, max_candidates=budget)

@@ -306,7 +306,7 @@ class TestCurve:
 class TestBatch:
     def test_matches_single_calls(self):
         ps = np.array([[0.5, 0.5], [0.7, 0.3], [0.9, 0.1]])
-        batch = rates_at_distortion_batch(ps, HAMMING, 0.08)
+        batch = rates_at_distortion_batch(ps, HAMMING, 0.08)[0]
         for row, got in zip(ps, batch):
             want = rate_at_distortion(Distribution(row), HAMMING, 0.08).rate
             assert got == pytest.approx(want, abs=1e-5)
@@ -315,13 +315,13 @@ class TestBatch:
         d = DistortionMatrix([[0.0, 1.0], [1.0, 0.5]])
         ps = np.array([[0.5, 0.5], [0.0, 1.0]])
         # floors are 0.25 and 0.5, so only the second row is unreachable
-        rates = rates_at_distortion_batch(ps, d, 0.3)
+        rates = rates_at_distortion_batch(ps, d, 0.3)[0]
         assert math.isfinite(rates[0])
         assert math.isinf(rates[1])
 
     def test_zero_rate_rows(self):
         ps = np.array([[0.9, 0.1]])
-        rates = rates_at_distortion_batch(ps, HAMMING, 0.5)
+        rates = rates_at_distortion_batch(ps, HAMMING, 0.5)[0]
         assert rates[0] == 0.0
 
     def test_non_convergence_reports_last_iterate_and_caller_row(self, monkeypatch):
@@ -370,14 +370,14 @@ class TestBatch:
         dv = np.array([[3, 1, 2, 0], [0, 2, 1, 1], [2, 0, 2, 0], [0, 2, 1, 3]], dtype=float)
         ps = compositions(10, 4) / 10
         target = 1e-9 * float((ps @ dv).min(axis=1).max())
-        want = rates_at_distortion_batch(ps, DistortionMatrix(dv.tolist()), target)
+        want = rates_at_distortion_batch(ps, DistortionMatrix(dv.tolist()), target)[0]
         with np.errstate(all="raise"):
-            got = rates_at_distortion_batch(ps, DistortionMatrix(dv.tolist()), target)
+            got = rates_at_distortion_batch(ps, DistortionMatrix(dv.tolist()), target)[0]
         assert np.array_equal(got, want)
 
     def test_rows_within_the_simplex_tolerance_are_accepted(self):
         ps = np.array([[1.0 + SIMPLEX_ATOL / 2, -SIMPLEX_ATOL / 2], [0.5, 0.5]])
-        rates = rates_at_distortion_batch(ps, HAMMING, 0.2)
+        rates = rates_at_distortion_batch(ps, HAMMING, 0.2)[0]
         assert rates[0] == 0.0
         assert rates[1] == pytest.approx(1 - h2(0.2), abs=1e-5)
 
@@ -402,10 +402,10 @@ class TestBestOnly:
     def test_keeps_the_maximum_and_every_surviving_row(self, batch):
         ps, d, target = batch
         try:
-            full = rates_at_distortion_batch(ps, d, target)
+            full = rates_at_distortion_batch(ps, d, target)[0]
         except ConvergenceError:
             return
-        fast = rates_at_distortion_batch(ps, d, target, best_only=True)
+        fast = rates_at_distortion_batch(ps, d, target, best_only=True)[0]
         best = int(np.argmax(full))
         assert int(np.argmax(fast)) == best
         assert fast[best] == full[best]
@@ -418,8 +418,8 @@ class TestBestOnly:
         # distortion once came out 1 ulp lower when solved alone
         d = DistortionMatrix([[2, 2, 1.28125], [2, 0.5, 1.15625], [0, 2, 0]])
         ps = compositions(3, 3) / 3
-        full = rates_at_distortion_batch(ps, d, 0.720703125)
-        fast = rates_at_distortion_batch(ps, d, 0.720703125, best_only=True)
+        full = rates_at_distortion_batch(ps, d, 0.720703125)[0]
+        fast = rates_at_distortion_batch(ps, d, 0.720703125, best_only=True)[0]
         kept = ~np.isneginf(fast)
         assert kept[5]
         assert np.array_equal(fast[kept], full[kept])
@@ -430,7 +430,7 @@ class TestBestOnly:
         d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
         ps = compositions(20, 3) / 20
         target = 2.6676048388493547
-        rates = rates_at_distortion_batch(ps, d, target, best_only=True)
+        rates = rates_at_distortion_batch(ps, d, target, best_only=True)[0]
         assert np.isneginf(rates[211])
         best = int(np.argmax(rates))
         assert rates[best] == 0.04227446435101943
@@ -447,8 +447,8 @@ class TestBestOnly:
         ])
         ps = compositions(24, 3) / 24 @ sources
         d = DistortionMatrix.hamming(4)
-        full = rates_at_distortion_batch(ps, d, 0.508816)
-        fast = rates_at_distortion_batch(ps, d, 0.508816, best_only=True)
+        full = rates_at_distortion_batch(ps, d, 0.508816)[0]
+        fast = rates_at_distortion_batch(ps, d, 0.508816, best_only=True)[0]
         best = int(np.argmax(full))
         assert int(np.argmax(fast)) == best
         kept = ~np.isneginf(fast)
@@ -462,13 +462,13 @@ class TestBestOnly:
         # carry the full search's rates, gradients, pairs and lower ends
         ps, d, target = batch
         try:
-            _, _, (slopes, laws), _ = rates_at_distortion_batch(ps, d, target, gradients=True)
+            _, _, (slopes, laws), _ = rates_at_distortion_batch(ps, d, target)
             start = (np.roll(slopes, shift), np.roll(laws, shift, axis=0))
-            full = rates_at_distortion_batch(ps, d, target, gradients=True, start=start)
+            full = rates_at_distortion_batch(ps, d, target, start=start)
         except ConvergenceError:
             return
         fast = rates_at_distortion_batch(
-            ps, d, target, best_only=True, gradients=True, start=start
+            ps, d, target, best_only=True, start=start
         )
         best = int(np.argmax(full[0]))
         assert int(np.argmax(fast[0])) == best
@@ -483,10 +483,10 @@ class TestBestOnly:
         # the solver ignores underflow inside itself only, whether it returns
         # or raises
         ps = np.array([[0.9, 0.1], [0.3, 0.7]])
-        want = rates_at_distortion_batch(ps, HAMMING, 0.2, best_only=True)
+        want = rates_at_distortion_batch(ps, HAMMING, 0.2, best_only=True)[0]
         with np.errstate(all="raise"):
             before = np.geterr()
-            got = rates_at_distortion_batch(ps, HAMMING, 0.2, best_only=True)
+            got = rates_at_distortion_batch(ps, HAMMING, 0.2, best_only=True)[0]
             assert np.geterr() == before
             monkeypatch.setattr(rate_distortion, "_MAX_ITERS", 2)
             with pytest.raises(ConvergenceError):
@@ -550,7 +550,7 @@ class TestEnvelopeGradient:
         # D = .1 the row closes while its upper side is still the zero-rate
         # corner, whose slope would give 1.585 instead of log2(7/3)
         rates, grads, _, _ = rates_at_distortion_batch(
-            np.array([[p0, 1 - p0]]), HAMMING, target, gradients=True
+            np.array([[p0, 1 - p0]]), HAMMING, target
         )
         assert rates[0] == pytest.approx(binary_rd(p0, target), abs=1e-6)
         assert grads[0, 0] - grads[0, 1] == pytest.approx(math.log2((1 - p0) / p0), abs=1e-5)
@@ -561,7 +561,7 @@ class TestEnvelopeGradient:
         # gradient is -log2 p(x) up to a constant
         ps = np.random.default_rng(k).dirichlet(np.ones(k), size=6)
         rates, grads, _, _ = rates_at_distortion_batch(
-            ps, DistortionMatrix.hamming(k), 0.0, gradients=True
+            ps, DistortionMatrix.hamming(k), 0.0
         )
         entropies = -(ps * np.log2(ps)).sum(axis=1)
         np.testing.assert_allclose(rates, entropies, rtol=0, atol=1e-6)
@@ -571,12 +571,12 @@ class TestEnvelopeGradient:
         p = np.array([0.0, 0.22, 0.78]) @ WC_K4_M3_SOURCES
         d = DistortionMatrix.hamming(4)
         rates, grads, _, _ = rates_at_distortion_batch(
-            p[None, :], d, 0.508816, tol=1e-10, gradients=True
+            p[None, :], d, 0.508816, tol=1e-10
         )
         step, units = 1e-4, projected(np.eye(4))
         around = rates_at_distortion_batch(
             np.vstack([p + step * units, p - step * units]), d, 0.508816, tol=1e-10
-        )
+        )[0]
         differences = (around[:4] - around[4:]) / (2 * step)
         np.testing.assert_allclose(projected(grads[0]), differences, rtol=0, atol=1e-6)
 
@@ -586,25 +586,23 @@ class TestEnvelopeGradient:
         d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
         ps = compositions(20, 3) / 20
         target = 2.6676048388493547
-        full, full_grads, _, _ = rates_at_distortion_batch(ps, d, target, gradients=True)
+        full, full_grads, _, _ = rates_at_distortion_batch(ps, d, target)
         rates, grads, _, _ = rates_at_distortion_batch(
-            ps, d, target, best_only=True, gradients=True
+            ps, d, target, best_only=True
         )
         assert np.isneginf(rates[211]) and np.isnan(grads[211]).all()
         kept = ~np.isneginf(rates)
         assert np.array_equal(rates[kept], full[kept])
         assert np.array_equal(grads[kept], full_grads[kept])
         assert np.isfinite(full_grads).all()
-        # asking for gradients leaves the rates as they are
-        assert np.array_equal(full, rates_at_distortion_batch(ps, d, target))
         # an unreachable row has none either, and a zero-rate row has 0
         d = DistortionMatrix([[0.0, 1.0], [1.0, 0.5]])
         rates, grads, _, _ = rates_at_distortion_batch(
-            np.array([[0.5, 0.5], [0.0, 1.0]]), d, 0.3, gradients=True
+            np.array([[0.5, 0.5], [0.0, 1.0]]), d, 0.3
         )
         assert np.isposinf(rates[1]) and np.isnan(grads[1]).all()
         rates, grads, _, _ = rates_at_distortion_batch(
-            np.array([[0.9, 0.1]]), HAMMING, 0.5, gradients=True
+            np.array([[0.9, 0.1]]), HAMMING, 0.5
         )
         assert rates[0] == 0.0 and (grads == 0.0).all()
 
@@ -613,19 +611,19 @@ class TestEnvelopeGradient:
         # row without a bracket has its rate as its lower end
         ps = compositions(6, 3) / 6 @ WC_K4_M3_SOURCES
         d = DistortionMatrix.hamming(4)
-        rates, _, _, lowers = rates_at_distortion_batch(ps, d, 0.508816, gradients=True)
+        rates, _, _, lowers = rates_at_distortion_batch(ps, d, 0.508816)
         assert ((rates - lowers >= 0.0) & (rates - lowers <= RATE_TOL)).all()
         for p, lower in zip(ps, lowers):
             assert lower == rate_at_distortion(Distribution(p), d, 0.508816).lower
         d = DistortionMatrix([[2.33, 3.079], [3.764, 2.202], [3.686, 1.346]])
         ps = compositions(20, 3) / 20
         rates, _, _, lowers = rates_at_distortion_batch(
-            ps, d, 2.6676048388493547, best_only=True, gradients=True
+            ps, d, 2.6676048388493547, best_only=True
         )
         assert np.isneginf(lowers[211])
         d = DistortionMatrix([[0.0, 1.0], [1.0, 0.5]])
         _, _, _, lowers = rates_at_distortion_batch(
-            np.array([[0.5, 0.5], [0.0, 1.0], [0.9, 0.1]]), d, 0.3, gradients=True
+            np.array([[0.5, 0.5], [0.0, 1.0], [0.9, 0.1]]), d, 0.3
         )
         assert lowers[1] == np.inf and lowers[2] == 0.0
 
@@ -636,7 +634,7 @@ def nearby_starts():
     ps = compositions(6, 3) / 6 @ WC_K4_M3_SOURCES
     step = 0.005 * projected(np.random.default_rng(3).normal(size=ps.shape))
     d = DistortionMatrix.hamming(4)
-    _, _, duals, _ = rates_at_distortion_batch(ps + step, d, 0.508816, gradients=True)
+    _, _, duals, _ = rates_at_distortion_batch(ps + step, d, 0.508816)
     return ps, d, 0.508816, duals
 
 
@@ -645,16 +643,16 @@ class TestWarmStart:
         ps, d, target, (slopes, laws) = nearby_starts()
         assert (slopes < 0).sum() > 10 and (slopes == 0).any()
         rates, grads, (s_out, q_out), _ = rates_at_distortion_batch(
-            ps, d, target, gradients=True, start=(slopes, laws)
+            ps, d, target, start=(slopes, laws)
         )
         back = rates_at_distortion_batch(
-            ps[::-1], d, target, gradients=True, start=(slopes[::-1], laws[::-1])
+            ps[::-1], d, target, start=(slopes[::-1], laws[::-1])
         )
         for got, want in zip((back[0], back[1], *back[2]), (rates, grads, s_out, q_out)):
             assert np.array_equal(got, want[::-1])
         for i in range(0, len(ps), 4):
             alone = rates_at_distortion_batch(
-                ps[i:i + 1], d, target, gradients=True, start=(slopes[i:i + 1], laws[i:i + 1])
+                ps[i:i + 1], d, target, start=(slopes[i:i + 1], laws[i:i + 1])
             )
             assert alone[0][0] == rates[i] and alone[2][0][0] == s_out[i]
             assert np.array_equal(alone[1][0], grads[i])
@@ -663,16 +661,16 @@ class TestWarmStart:
     @pytest.mark.parametrize("tol", [1e-6, 1e-4])
     def test_rates_lie_within_tol_of_the_cold_search(self, tol):
         ps, d, target, start = nearby_starts()
-        cold = rates_at_distortion_batch(ps, d, target, tol=tol)
+        cold = rates_at_distortion_batch(ps, d, target, tol=tol)[0]
         warm, _, (slopes, _), _ = rates_at_distortion_batch(
-            ps, d, target, tol=tol, gradients=True, start=start
+            ps, d, target, tol=tol, start=start
         )
-        tight = rates_at_distortion_batch(ps, d, target, tol=1e-10)
+        tight = rates_at_distortion_batch(ps, d, target, tol=1e-10)[0]
         assert np.abs(warm - cold).max() <= tol
         assert (warm >= tight - 1e-9).all() and (warm <= tight + tol).all()
         # the certifying slope is the curve's, whatever the search started from
         _, _, (cold_slopes, _), _ = rates_at_distortion_batch(
-            ps, d, target, tol=tol, gradients=True
+            ps, d, target, tol=tol
         )
         np.testing.assert_allclose(slopes, cold_slopes, rtol=0, atol=0.05)
 
@@ -682,18 +680,18 @@ class TestWarmStart:
         # each row starts from the pair of another lattice row
         ps, d, target = batch
         try:
-            cold, _, (slopes, laws), _ = rates_at_distortion_batch(ps, d, target, gradients=True)
+            cold, _, (slopes, laws), _ = rates_at_distortion_batch(ps, d, target)
         except ConvergenceError:
             return
         start = (np.roll(slopes, shift), np.roll(laws, shift, axis=0))
-        warm = rates_at_distortion_batch(ps, d, target, start=start)
+        warm = rates_at_distortion_batch(ps, d, target, start=start)[0]
         finite = np.isfinite(cold)
         assert np.array_equal(np.isfinite(warm), finite)
         assert np.abs(warm[finite] - cold[finite]).max(initial=0.0) <= RATE_TOL
 
     def test_starting_from_the_own_pair_takes_fewer_probes(self, monkeypatch):
         ps, d, target, _ = nearby_starts()
-        rates, _, own, _ = rates_at_distortion_batch(ps, d, target, gradients=True)
+        rates, _, own, _ = rates_at_distortion_batch(ps, d, target)
         solve = rate_distortion._solve_fixed_slopes
         sizes = []
 
@@ -704,13 +702,13 @@ class TestWarmStart:
         monkeypatch.setattr(rate_distortion, "_solve_fixed_slopes", spy)
         rates_at_distortion_batch(ps, d, target)
         cold, sizes[:] = sum(sizes), []
-        again = rates_at_distortion_batch(ps, d, target, start=own)
+        again = rates_at_distortion_batch(ps, d, target, start=own)[0]
         assert sum(sizes) < cold
         assert np.abs(again - rates).max() <= RATE_TOL
 
     def test_a_slope_zero_or_nan_pair_searches_cold(self):
         ps, d, target, (slopes, laws) = nearby_starts()
-        cold = rates_at_distortion_batch(ps, d, target, gradients=True)
+        cold = rates_at_distortion_batch(ps, d, target)
         n = len(ps)
         for start in (
             (np.zeros(n), laws),
@@ -718,12 +716,12 @@ class TestWarmStart:
             (slopes, np.full(laws.shape, np.nan)),
             (np.where(np.arange(n) % 2, 0.0, np.nan), np.full(laws.shape, 0.25)),
         ):
-            got = rates_at_distortion_batch(ps, d, target, gradients=True, start=start)
+            got = rates_at_distortion_batch(ps, d, target, start=start)
             for a, b in zip((got[0], got[1], *got[2]), (cold[0], cold[1], *cold[2])):
                 assert np.array_equal(a, b, equal_nan=True)
         # rows with a pair do not change the rows without one
         half = np.where(np.arange(n) % 2, 0.0, slopes)
-        got = rates_at_distortion_batch(ps, d, target, start=(half, laws))
+        got = rates_at_distortion_batch(ps, d, target, start=(half, laws))[0]
         assert np.array_equal(got[1::2], cold[0][1::2])
 
     def test_a_start_of_another_shape_is_rejected(self):
@@ -797,7 +795,7 @@ class TestSquaredExtrapolation:
         ps = compositions(50, 3) / 50 @ WC_K4_M3_SOURCES
         d = DistortionMatrix.hamming(4)
         monkeypatch.setattr(rate_distortion, "np", CountingNumpy())
-        rates = rates_at_distortion_batch(ps, d, 0.508816)
+        rates = rates_at_distortion_batch(ps, d, 0.508816)[0]
         assert np.isfinite(rates).all()
         assert CountingNumpy.maps < 28000
 
@@ -848,10 +846,10 @@ class TestOpeningYield:
     def test_kept_rows_are_the_full_search_bit_for_bit(self):
         ps, d, start = self.batch()
         full, full_grads, full_duals, _ = rates_at_distortion_batch(
-            ps, d, TIES_TARGET, gradients=True, start=start
+            ps, d, TIES_TARGET, start=start
         )
         fast, grads, duals, _ = rates_at_distortion_batch(
-            ps, d, TIES_TARGET, best_only=True, gradients=True, start=start
+            ps, d, TIES_TARGET, best_only=True, start=start
         )
         best = int(np.argmax(full))
         assert int(np.argmax(fast)) == best
@@ -950,7 +948,7 @@ class TestSlopeSearch:
     @pytest.mark.parametrize("p, d", [case[:2] for case in CLOSED_FORMS])
     def test_batch_of_one_is_the_scalar(self, p, d):
         target = d_min(p, d) + 0.3 * (d_max(p, d) - d_min(p, d))
-        batch = rates_at_distortion_batch(p.probs[None, :], d, target)
+        batch = rates_at_distortion_batch(p.probs[None, :], d, target)[0]
         assert batch[0] == rate_at_distortion(p, d, target).rate
 
     @pytest.mark.parametrize("p, d", [case[:2] for case in CLOSED_FORMS])
@@ -982,3 +980,101 @@ class TestSlopeSearch:
 def test_rate_functions_have_no_iteration_budget_option(fn):
     # every fixed-slope solve reads the one module budget, _MAX_ITERS
     assert "max_iters" not in inspect.signature(fn).parameters
+
+
+def test_the_batch_has_one_return_shape():
+    # the batch always returns its certificate; there is no option to drop it
+    assert "gradients" not in inspect.signature(rates_at_distortion_batch).parameters
+    rates, grads, (slopes, laws), lowers = rates_at_distortion_batch(
+        np.array([[0.3, 0.7]]), HAMMING, 0.1
+    )
+    assert grads.shape == laws.shape == (1, 2)
+    assert rates.shape == slopes.shape == lowers.shape == (1,)
+
+
+@st.composite
+def door_cases(draw):
+    """A source over 2-4 symbols, an integer or a real distortion matrix, and
+    the curve's number of points: targets are the curve's, one below the
+    floor, one within 1e-12 below it and one above the ceiling."""
+    k, ky = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    p = Distribution(draw(simplex_vectors(k)))
+    if draw(st.booleans()):
+        values = st.integers(0, 3).map(float)
+    else:
+        values = st.floats(0.0, 4.0)
+    d = DistortionMatrix(draw(st.lists(
+        st.lists(values, min_size=ky, max_size=ky), min_size=k, max_size=k
+    )))
+    return p, d, draw(st.integers(2, 5))
+
+
+def outcome(call):
+    """A rate query's point, or the type of the error it raised."""
+    try:
+        return call()
+    except (ConvergenceError, InfeasibleError) as err:
+        return type(err)
+
+
+def point_bits(pt):
+    return (pt.distortion, pt.rate, pt.lower, pt.slope, pt.channel.rows.tobytes())
+
+
+class TestOneDoor:
+    """Scalar, curve and batch queries share one triage and one search, so
+    they agree bit for bit at every target."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=door_cases())
+    @example(case=(Distribution([0.25, 0.75]), DistortionMatrix([[0.5, 1.0], [0.5, 1.0]]), 3))
+    def test_scalar_curve_and_batch_agree(self, case):
+        p, d, num_points = case
+        lo, hi = d_min(p, d), d_max(p, d)
+        on_curve = np.linspace(lo, hi, num_points)
+        off_curve = [max(0.0, lo - 1e-6), max(0.0, lo - 5e-13), hi + 0.25]
+        scalars = {}
+        for target in [*on_curve, *off_curve]:
+            target = float(target)
+            pt = scalars[target] = outcome(lambda: rate_at_distortion(p, d, target))
+            batch = outcome(lambda: rates_at_distortion_batch(np.tile(p.probs, (3, 1)), d, target))
+            if pt is ConvergenceError:
+                assert batch is ConvergenceError
+                continue
+            rates, _, _, lowers = batch
+            if pt is InfeasibleError:
+                assert target < lo - 1e-12
+                assert (rates == np.inf).all() and (lowers == np.inf).all()
+                continue
+            assert (rates == pt.rate).all() and (lowers == pt.lower).all()
+            if target >= hi:
+                # the zero-rate corner, at the ceiling's distortion
+                assert (pt.rate, pt.lower, pt.slope, pt.distortion) == (0.0, 0.0, 0.0, hi)
+            elif target < lo:
+                # within 1e-12 below the floor: the probe at SLOPE_FLOOR, which
+                # pins the distortion to the floor unless a row's gaps are tiny
+                assert pt.distortion > target
+                gaps = d.values - d.values.min(axis=1, keepdims=True)
+                if ((gaps == 0.0) | (gaps >= 1e-3)).all():
+                    assert pt.distortion == pytest.approx(lo, rel=1e-15, abs=1e-300)
+        curve = outcome(lambda: rd_curve(p, d, num_points))
+        want = [scalars[float(t)] for t in on_curve]
+        if ConvergenceError in want:
+            assert curve is ConvergenceError
+            return
+        want.sort(key=lambda pt: pt.distortion)
+        assert [point_bits(pt) for pt in curve.points] == [point_bits(pt) for pt in want]
+
+    def test_a_ceiling_that_rounds_above_the_target_still_gives_rate_zero(self):
+        # floor and ceiling are equal, but the ceiling's product rounds 1 ulp
+        # above the target while the search's corner sits on it; both sides
+        # at the target once made a 0/0 chord and a NaN-wide bracket
+        a = 1.175762490529363e-145
+        d = DistortionMatrix([[a, 1.0], [a, 1.0]])
+        ps = compositions(7, 2) / 7
+        target = 1.1757624905293628e-145
+        with np.errstate(all="raise"):
+            rates = rates_at_distortion_batch(ps, d, target)[0]
+            for p in ps:
+                assert rate_at_distortion(Distribution(p), d, target).rate == 0.0
+        assert (rates == 0.0).all()
