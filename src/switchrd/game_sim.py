@@ -28,21 +28,31 @@ followed by one ``Generator.choice(k, p=f(.|V_t))`` call per step would, so
 trial t reads doubles ``[t (rows + 1) n, (t + 1) (rows + 1) n)`` however the
 trials are chunked, and ``PCG64.advance`` reaches it without drawing the
 trials before it. Trials are simulated in chunks, with sampling, rule draws,
-type counts, codebook distortion and region membership vectorized over each
-chunk.
+type counts and codebook distortion vectorized over each chunk. The chunks
+form contiguous trial ranges, one per thread and at most one per CPU
+available to the process; each range reaches its first trial by
+``PCG64.advance`` on a generator of its own and writes each trial's symbol
+counts and distortion to that trial's row. The totals, region escapes and
+distortion statistics are read off those rows once every range is done, so
+every output is the same whatever the number of CPUs. numpy releases the GIL
+in the draws and in the array loops, so the ranges run at the same time.
 
 None of the following changes a draw. Each chunk's doubles are drawn into one
-buffer allocated per simulation, in the order ``Generator.random`` gives
-them. Source and output symbols are uint8, as ``ALPHABET_GUARD`` keeps every
-symbol a rule can draw below 256; offered masks are OR-ed in the narrowest
-unsigned dtype that holds them and widened to ``intp`` once, and each of the
-k - 1 columns of the rule's CDFs is read through a table of 2^k entries
-indexed by mask. ``sample_sources`` and ``apply_rule`` return int64.
+buffer per range, allocated on the calling thread, in the order
+``Generator.random`` gives them. Source and output symbols are uint8, as
+``ALPHABET_GUARD`` keeps every symbol a rule can draw below 256; offered
+masks are OR-ed in the narrowest unsigned dtype that holds them and widened
+to ``intp`` once, and each of the k - 1 columns of the rule's CDFs is read
+through a table of 2^k entries indexed by mask, built once per rule. The
+region's required masses are computed once per region. ``sample_sources``
+and ``apply_rule`` return int64.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +84,16 @@ BEST_RESPONSE_GUARD = 2**22
 _CHUNK = 1 << 16
 #: Cells of the cover table computed at a time: rows of it, as many as fit.
 _COVER_CELLS = 1 << 19
-#: Cells per chunk of trials: each trial holds n uniforms per source row and
-#: for the switch, n symbols per source, and n distortion terms per codeword.
+#: Cells in flight in one simulation, summed over the chunks all its threads
+#: hold at once: each trial holds n uniforms per source row and for the
+#: switch, n symbols per source, the rule's n ``intp`` offered masks and the
+#: n entries of the CDF column it gathers, and n distortion terms per
+#: codeword. Not counted: the switch's output symbols and the comparisons'
+#: bool temporaries, n bytes each per trial.
 _SIM_CELLS = 1 << 18
+#: Threads one simulation runs its trial ranges on, at most; fewer where
+#: fewer CPUs are available to the process or there are fewer chunks.
+_SIM_THREADS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +181,14 @@ class SimReport:
 
     def csv_row(self) -> list[str]:
         return ["" if text is None else text for text in self._texts()] + self._type_texts()
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
 
 
 def _source_cdfs(sources: SourceList) -> np.ndarray:
@@ -521,7 +546,16 @@ def simulate_game(
     0..t-1 (see the module docstring). When ``region`` is given, also reports
     the fraction of blocks whose type left the (relaxed) region. The rule
     must have an entry for every subset the sources can offer, and the
-    codewords must be outputs of ``d``; both are checked before any draw."""
+    codewords must be outputs of ``d``; both are checked before any draw.
+
+    The trials run in contiguous ranges that start on chunk boundaries, one
+    thread each: the calling thread runs the first range, then joins the
+    others. Each range reaches its first trial in the stream by
+    ``PCG64.advance``, so the report does not depend on the number of CPUs
+    or threads. An exception raised in any range is raised here once every
+    range has stopped. Besides the chunks in flight (``_SIM_CELLS``), a
+    simulation holds k int32 symbol counts per trial, and one distortion
+    per trial with a codebook."""
     if n < 1 or trials < 1:
         raise ValidationError("need at least one trial and one symbol")
     _check_seed(seed)
@@ -534,21 +568,62 @@ def simulate_game(
     cdfs = _source_cdfs(sources)
     rows = len(cdfs)
     words = codebook.size if codebook is not None else 0
-    chunk = min(trials, max(1, _SIM_CELLS // (n * (rows + 1 + sources.num_sources + words))))
-    counts = np.zeros(k, dtype=np.int64)
+    # every range's chunk is in flight at once, so each takes its share of
+    # the cells (see _SIM_CELLS); a range starts on a chunk boundary
+    threads = min(_SIM_THREADS, _cpus())
+    per_trial = n * ((rows + 1) + sources.num_sources + 2 + words)
+    chunk = min(trials, max(1, _SIM_CELLS // (per_trial * threads)))
+    chunks = -(-trials // chunk)
+    threads = min(threads, chunks)
+    bounds = [min(trials, i * chunks // threads * chunk) for i in range(threads + 1)]
+    # every trial's symbol counts and distortion, each range filling its
+    # own rows; the ranges' draw buffers are allocated on the calling thread,
+    # whose allocator the caller's later work reuses when they are freed
+    types = np.empty((trials, k), dtype=np.int32)
     dists = np.empty(trials) if codebook is not None else None
+    bufs = [np.empty((min(chunk, hi - lo), rows + 1, n)) for lo, hi in zip(bounds, bounds[1:])]
+    errors = [None] * threads
+    stop = threading.Event()
+
+    def run(i: int) -> None:
+        """Simulate trials ``bounds[i]`` to ``bounds[i + 1]`` from their own
+        place in the stream; a failure is kept for the caller and stops the
+        other ranges at their next chunk."""
+        lo, hi = bounds[i], bounds[i + 1]
+        try:
+            bits = np.random.PCG64(seed)
+            bits.advance(lo * (rows + 1) * n)
+            gen = np.random.Generator(bits)
+            for start in range(lo, hi, chunk):
+                if stop.is_set():
+                    return
+                uniforms = gen.random(out=bufs[i][: min(chunk, hi - start)])
+                drawn = _sample(sources, cdfs, uniforms[:, :rows])
+                out = _apply_rule(rule, drawn, uniforms[:, rows])
+                types[start : start + len(out)] = _type_counts(out, k)
+                if dists is not None:
+                    dists[start : start + len(out)] = _distortions(out, codebook, d)
+        except BaseException as exc:
+            errors[i] = exc
+            stop.set()
+
+    helpers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        helper.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    counts = types.sum(axis=0, dtype=np.int64)
     outside = 0
-    gen = np.random.default_rng(seed)
-    buf = np.empty((chunk, rows + 1, n))
-    for start in range(0, trials, chunk):
-        uniforms = gen.random(out=buf[: min(chunk, trials - start)])
-        out = _apply_rule(rule, _sample(sources, cdfs, uniforms[:, :rows]), uniforms[:, rows])
-        block_counts = _type_counts(out, k)
-        counts += block_counts.sum(axis=0)
-        if dists is not None:
-            dists[start : start + out.shape[0]] = _distortions(out, codebook, d)
-        if region is not None:
-            outside += int(np.count_nonzero(~in_region(block_counts / n, region)))
+    if region is not None:
+        # the region's test, _SIM_CELLS of its 2^k subset masses at a time
+        step = max(1, _SIM_CELLS >> k)
+        for start in range(0, trials, step):
+            verdicts = in_region(types[start : start + step] / n, region)
+            outside += int(np.count_nonzero(~verdicts))
     mean = float(dists.mean()) if dists is not None else None
     if dists is not None and trials > 1:
         stderr = float(dists.std(ddof=1) / math.sqrt(trials))

@@ -104,7 +104,14 @@ class MaximizerResult:
     Blahut line read at the target, a certified lower end on R_argmax(D);
     ``upper`` is +inf, except where the search ends at p*: there it is
     ``value``, a rate achieved at p*, so the bracket is at most ``tol``
-    wide. Both are +inf where the value is."""
+    wide. Both are +inf where the value is.
+
+    ``stop`` says why the search ended at the argmax: "p*" where it ends at
+    p*, else the rule that ended the argmax's Frank-Wolfe start (see
+    ``_frank_wolfe``): "gap" (its Frank-Wolfe gap is at most ``tol``), "no
+    gain" (no line-search candidate gained 1e-12), "inf" (its value reached
+    +inf) or "cap" (``_FW_STEPS`` steps ran out). A starting batch with a
+    +inf row ends there, with no start, and also reports "inf"."""
 
     value: float
     argmax: Distribution
@@ -115,6 +122,7 @@ class MaximizerResult:
     law: np.ndarray
     lower: float
     upper: float
+    stop: str
 
 
 def _pick_best(values, vecs) -> int:
@@ -131,7 +139,8 @@ def _frank_wolfe(seeds, oracle, batch_value, basis, tol):
     linear convergence of Frank-Wolfe optimization variants", NeurIPS 2015)
     over the polytope of the linear ``oracle``, run from every
     ``(value, point, gradient, dual, lower)`` seed in lockstep; returns
-    ``(point, value, dual, lower)`` per seed.
+    ``(point, value, dual, lower, stop)`` per seed, ``stop`` naming the rule
+    that ended the start: "gap", "no gain", "inf" or "cap".
 
     ``gradient`` is the derivative of R_p(D) in the source p = point @ basis,
     ``dual`` its certificate's ``(slope, law)`` pair and ``lower`` that
@@ -167,6 +176,7 @@ def _frank_wolfe(seeds, oracle, batch_value, basis, tol):
     lowers = [float(lower) for *_, lower in seeds]
     mixes = [None] * len(seeds)  # vertex key -> weight, from the first step on
     reach = [0.05] * len(seeds)
+    stops = ["cap"] * len(seeds)
     moving = range(len(seeds))
     for _ in range(_FW_STEPS):
         searching = []
@@ -174,6 +184,7 @@ def _frank_wolfe(seeds, oracle, batch_value, basis, tol):
             g = basis @ grads[j]
             s, y = vertex(-g)
             if g @ y - g @ xs[j] <= tol:
+                stops[j] = "gap"
                 continue
             if mixes[j] is None:
                 x = xs[j]
@@ -209,7 +220,11 @@ def _frank_wolfe(seeds, oracle, batch_value, basis, tol):
                 reach[j] = 2.0 * lengths[best]
                 if np.isfinite(vs[j]):
                     moving.append(j)
-    return list(zip(xs, vs, duals, lowers))
+                else:
+                    stops[j] = "inf"
+            else:
+                stops[j] = "no gain"
+    return list(zip(xs, vs, duals, lowers, stops))
 
 
 def _simplex_vertex(c: np.ndarray):
@@ -303,18 +318,18 @@ def _maximize(candidates, method, oracle, basis, d, target, tol, start=None):
         x = np.array(min(map(tuple, candidates[np.isposinf(values)])))
         return MaximizerResult(
             np.inf, Distribution(x @ basis), method, evaluations, 0,
-            np.nan, np.full(d.num_outputs, np.nan), np.inf, np.inf,
+            np.nan, np.full(d.num_outputs, np.nan), np.inf, np.inf, "inf",
         )
     rows = np.nonzero(values >= values.max() - tol)[0]
     seeds = [
         (values[j], candidates[j], grads[j], (slopes[j], laws[j]), lowers[j]) for j in rows
     ]
-    xs, vs, duals, lows = zip(*_frank_wolfe(seeds, oracle, batch_value, basis, tol))
+    xs, vs, duals, lows, stops = zip(*_frank_wolfe(seeds, oracle, batch_value, basis, tol))
     i = _pick_best(vs, xs)
     slope, law = duals[i]
     return MaximizerResult(
         vs[i], Distribution(xs[i] @ basis), method, evaluations, len(seeds), float(slope), law,
-        lows[i], np.inf,
+        lows[i], np.inf, stops[i],
     )
 
 
@@ -349,7 +364,7 @@ def _at_centre(p_star, method, d, target, tol) -> MaximizerResult:
     value = float(values[0])
     return MaximizerResult(
         value, Distribution(p_star), method, 1, 0, float(slopes[0]), laws[0],
-        float(lowers[0]), value,
+        float(lowers[0]), value, "p*",
     )
 
 

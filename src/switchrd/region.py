@@ -262,14 +262,26 @@ class ConstraintReport:
     violations: tuple[tuple[int, float, float], ...]
 
 
+@lru_cache(maxsize=8)
+def _required(sources: SourceList, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mass Q(V) - delta each of the 2^k masks requires, and that less
+    ``MEMBER_ATOL``, the level a mass must fall below to be short; built once
+    per region and read-only. Keyed on a float delta, whose hash is cheap."""
+    rhs = _tables(sources, "float")[0] - delta
+    limit = rhs - MEMBER_ATOL
+    for table in (rhs, limit):
+        table.setflags(write=False)
+    return rhs, limit
+
+
 def _shortfalls(probs: np.ndarray, spec: RegionSpec):
     """Subset masses of each row of ``probs`` (last axis: symbols), the
     required masses, and which masks fall short of them."""
     if probs.shape[-1] != spec.sources.alphabet_size:
         raise ValidationError("distribution and sources use different alphabets")
-    rhs = _tables(spec.sources, "float")[0] - float(spec.delta)
+    rhs, limit = _required(spec.sources, float(spec.delta))
     lhs = _transform(_on_singletons(probs))
-    return lhs, rhs, lhs < rhs - MEMBER_ATOL
+    return lhs, rhs, lhs < limit
 
 
 def in_region(probs: np.ndarray, spec: RegionSpec) -> np.ndarray:

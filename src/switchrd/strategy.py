@@ -16,6 +16,7 @@ rules, which is the rule returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -208,6 +209,19 @@ def apply_rule(
     return out[0].astype(np.int64)
 
 
+@lru_cache(maxsize=1)
+def _mask_cdfs(rule: SwitchRule) -> np.ndarray:
+    """Columns 0..k-2 of the rule's CDFs (``choice_cdf``), each laid out in a
+    row of 2^k entries indexed by mask, 0 where the rule has no entry;
+    read-only. Only the last rule's table is kept (rules compare by
+    identity), so a simulation builds it once and at most one is held."""
+    cdfs = choice_cdf(np.array([f.probs for f in rule.rules.values()]))
+    table = np.zeros((rule.alphabet_size - 1, 1 << rule.alphabet_size))
+    table[:, list(rule.rules)] = cdfs.T[:-1]
+    table.setflags(write=False)
+    return table
+
+
 def _apply_rule(
     rule: SwitchRule, realizations: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
@@ -220,11 +234,11 @@ def _apply_rule(
     ``_check_rule_covers`` (a drawn block only offers realizable subsets).
     Each step's offered mask is OR-ed from per-source shifts in the smallest
     unsigned dtype that holds every mask, then widened to ``intp`` once.
-    Column j of the rule's CDFs (``choice_cdf``) is laid out in a table of
-    2^k entries indexed by mask, and the output is the count of columns whose
-    entry at the step's mask is <= the step's uniform, which is how
-    ``Generator.choice`` maps the one double it draws for a scalar choice.
-    The table is refused past ``ALPHABET_GUARD`` symbols.
+    Column j of the rule's CDFs is read through its row of ``_mask_cdfs``,
+    and the output is the count of columns whose entry at the step's mask is
+    <= the step's uniform, which is how ``Generator.choice`` maps the one
+    double it draws for a scalar choice. The table is refused past
+    ``ALPHABET_GUARD`` symbols. Safe to call from several threads at once.
     """
     k = rule.alphabet_size
     _check_alphabet_guard(k)
@@ -237,12 +251,8 @@ def _apply_rule(
     # take on uint8 masks measured about 400 us, against 16 us to widen them
     # once and 80 us per gather through intp
     masks = masks.astype(np.intp)
-    entries = list(rule.rules)
-    cdfs = choice_cdf(np.array([f.probs for f in rule.rules.values()]))
-    table = np.zeros(1 << k)
     drawn = np.zeros(masks.shape, dtype=np.uint8)
     # every CDF ends at exactly 1, above every uniform
-    for column in cdfs.T[:-1]:
-        table[entries] = column
-        drawn += table[masks] <= uniforms
+    for column in _mask_cdfs(rule):
+        drawn += column[masks] <= uniforms
     return drawn

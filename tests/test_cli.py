@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from switchrd import cli
+from switchrd import (
+    RegionSpec, cli, load_problem, maximize_over_hull, maximize_over_region, optimizer,
+)
 from switchrd.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -630,6 +632,28 @@ def test_optimize_prints_the_hull_maximum_where_it_beats_the_region_search(
     assert code == 0
     assert float(rows[1][1]) >= float(rows[1][2])
     assert rows[1][-1] == "grid"
+
+
+@pytest.mark.parametrize("steps", [1, None])
+def test_a_search_names_why_its_argmax_stopped(monkeypatch, tmp_path, steps):
+    # WC_K2_M3's region and hull searches each take one Frank-Wolfe start,
+    # which ends on the gap or on no gain at the default cap, and on a cap
+    # of one step before either; binary_pair's Hamming region ends at p*
+    if steps is not None:
+        monkeypatch.setattr(optimizer, "_FW_STEPS", steps)
+    problem = tmp_path / "wc_k2_m3.yaml"
+    problem.write_text(WC_K2_M3)
+    spec = load_problem(str(problem))
+    for target in (0.1, 0.5, 1.0):
+        for res in (
+            maximize_over_region(RegionSpec(spec.sources, spec.delta), spec.distortion, target),
+            maximize_over_hull(spec.sources, spec.distortion, target),
+        ):
+            assert res.starts == 1
+            assert res.stop in ({"cap"} if steps == 1 else {"gap", "no gain"})
+    binary = load_problem(str(PROBLEMS / "binary_pair.yaml"))
+    at_centre = maximize_over_region(RegionSpec(binary.sources, 0), binary.distortion, 0.1)
+    assert at_centre.stop == "p*"
 
 
 def test_the_parser_is_built_once():

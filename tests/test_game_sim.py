@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -272,6 +274,68 @@ class TestStreamContract:
         monkeypatch.setattr(game_sim, "_apply_rule", recording)
         simulate_game(sources, rule, None, d, n, t + 1, seed)
         np.testing.assert_array_equal(blocks[t], expected)
+
+    @pytest.mark.parametrize("case", range(8))
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_the_thread_count_does_not_change_the_output(self, monkeypatch, case, threads):
+        # as many threads as the constant allows, whatever CPUs this machine
+        # has; 2,200 cells give every case chunks of 5 to 40 trials, none of
+        # which divides 301 = 7 x 43, and test the ten-symbol case's region
+        # two trials at a time
+        monkeypatch.setattr(game_sim, "_cpus", lambda: 8)
+        monkeypatch.setattr(game_sim, "_SIM_THREADS", threads)
+        monkeypatch.setattr(game_sim, "_SIM_CELLS", 2200)
+        calls, apply = [], game_sim._apply_rule
+
+        def recording(rule, realizations, uniforms):
+            calls.append((threading.current_thread(), len(uniforms)))
+            return apply(rule, realizations, uniforms)
+
+        monkeypatch.setattr(game_sim, "_apply_rule", recording)
+        sources, rule, d, delta, words = list(sim_cases())[case]
+        n, trials, seed = 9, 301, 17 + case
+        codebook = None if words is None else Codebook(np.unique(words, axis=0), n)
+        region = RegionSpec(sources, delta)
+        # the threads switch as often as the interpreter lets them, so a
+        # write lost between ranges would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = simulate_game(sources, rule, codebook, d, n, trials, seed, region=region)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = reference_simulate(sources, rule, codebook, d, n, trials, seed, region)
+        assert report.empirical_type.probs.tolist() == expected["empirical_type"]
+        assert report.mean_distortion == expected["mean_distortion"]
+        assert report.stderr == expected["stderr"]
+        assert report.out_of_region_fraction == expected["out_of_region_fraction"]
+        assert (report.trials, report.n, report.seed) == (trials, n, seed)
+        assert report.codebook_rate == (codebook.rate if codebook is not None else None)
+        # one range per thread, and some range ends on a partial chunk
+        sizes = [size for _, size in calls]
+        assert len({thread for thread, _ in calls}) == threads
+        assert sum(sizes) == trials and min(sizes) < max(sizes)
+
+    def test_a_failing_helper_thread_fails_the_simulation(self, monkeypatch):
+        class HelperFailed(Exception):
+            pass
+
+        monkeypatch.setattr(game_sim, "_cpus", lambda: 8)
+        monkeypatch.setattr(game_sim, "_SIM_THREADS", 3)
+        monkeypatch.setattr(game_sim, "_SIM_CELLS", 2200)
+        apply = game_sim._apply_rule
+
+        def off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise HelperFailed
+            return apply(*args)
+
+        monkeypatch.setattr(game_sim, "_apply_rule", off_main)
+        sources, rule, d, *_ = list(sim_cases())[0]
+        before = threading.active_count()
+        with pytest.raises(HelperFailed):
+            simulate_game(sources, rule, None, d, 9, 301, 3)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("seed", [0, 1, 29])
     def test_sample_sources_and_apply_rule_equal_choice(self, seed):

@@ -307,13 +307,14 @@ class TestRegionMaximizer:
         assert all(s < 0 for _, _, _, (s, _), _ in seeds)
         basis = np.eye(5)
         together = _frank_wolfe(seeds, oracle, batch_value, basis, FAST)
-        assert sum(v > v0 for (v0, *_), (_, v, _, _) in zip(seeds, together)) > 1
-        for seed, (x, v, (s, law), lower) in zip(seeds, together):
-            [(x_alone, v_alone, (s_alone, law_alone), lower_alone)] = _frank_wolfe(
+        assert sum(v > v0 for (v0, *_), (_, v, *_) in zip(seeds, together)) > 1
+        for seed, (x, v, (s, law), lower, stop) in zip(seeds, together):
+            [(x_alone, v_alone, (s_alone, law_alone), lower_alone, stop_alone)] = _frank_wolfe(
                 [seed], oracle, batch_value, basis, FAST
             )
             np.testing.assert_array_equal(x, x_alone)
             assert v == v_alone and s == s_alone and lower == lower_alone
+            assert stop == stop_alone
             assert v - FAST <= lower <= v
             np.testing.assert_array_equal(law, law_alone)
 
